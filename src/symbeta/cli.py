@@ -54,12 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kv: dict[str, str] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = RunConfig.from_text(fh.read())
-        kv = {}
-        base = cfg
+            base = RunConfig.from_text(fh.read())
     else:
         base = RunConfig()
     updates: dict[str, object] = {}

@@ -250,14 +250,6 @@ def greedy_expansion(a: RealLike, p: Params, depth: int) -> Word:
     return tuple(digits)
 
 
-def greedy_exact(a: RealLike, p: Params, depth: int) -> PeriodicSeq | None:
-    """Full greedy expansion when it terminates or cycles within depth."""
-    a = as_real(a)
-    _check_range(a, p)
-    _, exact = _greedy_digits(a, p, depth, quasi=False)
-    return exact
-
-
 def lazy_expansion(a: RealLike, p: Params, depth: int) -> Word:
     """First digits of the smallest expansion, via the reflection duality
     lazy(a) = reflect(greedy(m/(beta-1) - a))."""

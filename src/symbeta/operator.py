@@ -138,6 +138,9 @@ class EigenData:
     residual: float
     gap_estimate: float | None
     mode: str  # "linear" | "log"
+    iterations_fwd: int      # eigenfunction half; iterations is the sum
+    iterations_bwd: int      # eigenmeasure half
+    stop_reason: str  # "tol" | "max_iter" (either half ran into max_iter)
 
     @property
     def lam(self) -> float:
@@ -287,12 +290,17 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
 # solvers
 
 
-def _norm_eigen(log_lam, log_psi, log_rho, t_scale, converged, iters, resid,
-                gap, mode) -> EigenData:
+def _eigen(log_lam, log_psi, log_rho, t_scale, iters, stops, resid, gap, tol,
+           mode) -> EigenData:
+    """Normalize and package the (forward, backward) halves.  Converged
+    only when neither half ran into max_iter and the combined residual
+    passes the 100*tol gate."""
+    stop = "max_iter" if "max_iter" in stops else "tol"
+    converged = stop == "tol" and resid < 100 * max(tol, 1e-15)
     log_rho = log_rho - _lse_vec(log_rho)
     log_psi = log_psi - _lse_vec(log_rho + log_psi)
-    return EigenData(float(log_lam), log_psi, log_rho, t_scale, bool(converged),
-                     iters, resid, gap, mode)
+    return EigenData(float(log_lam), log_psi, log_rho, t_scale, converged,
+                     sum(iters), resid, gap, mode, *iters, stop)
 
 
 def _lse_vec(v: np.ndarray) -> float:
@@ -302,37 +310,55 @@ def _lse_vec(v: np.ndarray) -> float:
     return mx + math.log(np.sum(np.exp(v - mx)))
 
 
+def _warm_start(start: EigenData | None, t_scale: float):
+    """Initial log iterates (forward, backward) from a solve at another
+    scale: the ground state sharpens linearly in t on log scale, so the
+    start's log_psi and log_rho are scaled by t_scale / start.t_scale and
+    shifted to maximum 0.  (None, None), a cold start, without a usable
+    start."""
+    if start is None or not (start.t_scale > 0 and t_scale > 0):
+        return None, None
+    r = t_scale / start.t_scale
+    return tuple(v - np.max(v) for v in (start.log_psi * r, start.log_rho * r))
+
+
 def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
-                t_scale: float = 1.0) -> EigenData:
+                t_scale: float = 1.0, start: EigenData | None = None) -> EigenData:
     """Perron eigendata by sup-normalized power iteration.
 
     Runs the forward iteration for the eigenfunction and the transpose
-    iteration for the eigenmeasure; converged when successive Rayleigh
-    quotients differ by less than ``tol``.  On non-convergence the best
-    iterate is returned with ``converged=False`` rather than raising.
+    iteration for the eigenmeasure.  Each half stops once successive
+    Rayleigh quotients agree to ``tol`` relative and the sup-normalized
+    iterate moves by less than ``10 * tol``; converged means both halves
+    stopped that way and the eigen-equation residual is below
+    ``100 * tol``.  A half that runs into ``max_iter`` is never reported
+    as converged; the best iterate is returned with ``converged=False``
+    rather than raising.  ``start`` (eigendata at another scale)
+    warm-starts both halves from its eigenvectors, see ``_warm_start``.
     """
     M = T.matrix_for(t_scale)
-    lam_f, psi, it_f, res_f, gap = _power_one(M, tol, max_iter)
-    lam_b, rho, it_b, res_b, _ = _power_one(M.T.tocsr(), tol, max_iter)
+    v0, u0 = (None if v is None else np.exp(v) for v in _warm_start(start, t_scale))
+    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(M, tol, max_iter, v0)
+    lam_b, rho, it_b, res_b, _, stop_b = _power_one(M.T.tocsr(), tol, max_iter, u0)
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
-    converged = resid < 100 * max(tol, 1e-15)
     with np.errstate(divide="ignore"):
         log_psi = np.log(psi)
         log_rho = np.log(rho)
-    return _norm_eigen(math.log(lam), log_psi, log_rho, t_scale, converged,
-                       it_f + it_b, resid, gap, "linear")
+    return _eigen(math.log(lam), log_psi, log_rho, t_scale, (it_f, it_b),
+                  (stop_f, stop_b), resid, gap, tol, "linear")
 
 
-def _power_one(M: sparse.csr_matrix, tol: float, max_iter: int):
+def _power_one(M: sparse.csr_matrix, tol: float, max_iter: int,
+               v0: np.ndarray | None = None):
     # Damped iteration on M + lam*I: the Perron vector is unchanged while
     # near-antipodal eigenvalues (operators concentrating on a periodic
     # orbit at strong scaling) lose their modulus tie.
-    n = M.shape[0]
-    v = np.full(n, 1.0)
+    v = np.full(M.shape[0], 1.0) if v0 is None else v0
     lam_prev = 0.0
     diff_prev = None
     gap = None
+    stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         w_raw = M @ v
@@ -348,27 +374,38 @@ def _power_one(M: sparse.csr_matrix, tol: float, max_iter: int):
         if diff_prev is not None and diff_prev > 0 and diff > 0:
             gap = 1.0 - min(diff / diff_prev, 1.0)
         v = w
-        if abs(lam - lam_prev) < tol * max(1.0, abs(lam)) and diff < math.sqrt(tol):
-            lam_prev = lam
-            break
+        lam_ok = abs(lam - lam_prev) < tol * max(1.0, abs(lam))
         lam_prev = lam
+        if lam_ok and diff < 10 * tol:
+            stop = "tol"
+            break
         diff_prev = diff
     resid = float(np.max(np.abs(M @ v - lam_prev * v)) / max(lam_prev, 1e-300))
-    return lam_prev, v, it, resid, gap
+    return lam_prev, v, it, resid, gap, stop
 
 
 def _lse_rows(mat: np.ndarray) -> np.ndarray:
-    # logsumexp along axis 1 with -inf padding
+    # logsumexp along axis 1 with -inf padding; all-padding rows give -inf
+    # without evaluating log(0)
     mx = np.max(mat, axis=1)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
+    live = np.isfinite(mx)
+    safe = np.where(live, mx, 0.0)
     s = np.sum(np.exp(mat - safe[:, None]), axis=1)
-    out = safe + np.log(s)
-    return np.where(np.isfinite(mx), out, -np.inf)
+    return np.where(live, safe + np.log(np.where(live, s, 1.0)), -np.inf)
 
 
 def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
-                    max_iter: int = 20000) -> EigenData:
-    """Power iteration in log scale; required once exp(t A) overflows."""
+                    max_iter: int = 20000,
+                    start: EigenData | None = None) -> EigenData:
+    """Power iteration in log scale; required once exp(t A) overflows.
+
+    Each half stops once successive log Rayleigh quotients agree to
+    ``tol * max(1, |log lambda|)`` and the iterate, on the components
+    within e^60 of its maximum, moves by less than ``100 * tol``.  Both
+    tests must pass: the windowed change alone can settle before mass
+    outside the window has grown in.  Converged and ``max_iter`` are as
+    in ``power_solve``, and so is the warm start from ``start``.
+    """
     la = t_scale * T.a_vals
     lam_pred = np.where(T.pred_idx >= 0, la[np.clip(T.pred_idx, 0, None)], -np.inf)
     pred = np.clip(T.pred_idx, 0, None)
@@ -382,27 +419,31 @@ def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
         g = np.where(succ_ok, logu[succ], -np.inf)
         return la + _lse_rows(g)
 
-    log_lam_f, log_psi, it_f, res_f, gap = _log_power_one(fwd, T.n_words, tol, max_iter)
-    log_lam_b, log_rho, it_b, res_b, _ = _log_power_one(bwd, T.n_words, tol, max_iter)
+    v0, u0 = _warm_start(start, t_scale)
+    log_lam_f, log_psi, it_f, res_f, gap, stop_f = _log_power_one(
+        fwd, T.n_words, tol, max_iter, v0)
+    log_lam_b, log_rho, it_b, res_b, _, stop_b = _log_power_one(
+        bwd, T.n_words, tol, max_iter, u0)
     log_lam = 0.5 * (log_lam_f + log_lam_b)
     resid = max(res_f, res_b, abs(log_lam_f - log_lam_b))
-    converged = resid < 100 * max(tol, 1e-15)
-    return _norm_eigen(log_lam, log_psi, log_rho, t_scale, converged,
-                       it_f + it_b, resid, gap, "log")
+    return _eigen(log_lam, log_psi, log_rho, t_scale, (it_f, it_b),
+                  (stop_f, stop_b), resid, gap, tol, "log")
 
 
 _LOG_WINDOW = 60.0   # components below max - window carry < e^-60 relative mass
 
 
-def _log_power_one(apply_log, n: int, tol: float, max_iter: int):
-    # Convergence is judged on the mass-carrying window only: components
-    # far below the maximum keep drifting by a constant log-amount per
-    # iteration (they decay at their own rate) and never settle, while
-    # contributing nothing to the eigendata.
-    logv = np.zeros(n)
+def _log_power_one(apply_log, n: int, tol: float, max_iter: int,
+                   logv0: np.ndarray | None = None):
+    # The iterate change is judged on the mass-carrying window only:
+    # components far below the maximum keep drifting by a constant
+    # log-amount per iteration (they decay at their own rate) and never
+    # settle, while contributing nothing to the eigendata.
+    logv = np.zeros(n) if logv0 is None else logv0
     lam_prev = None
     diff_prev = None
     gap = None
+    stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         logw_raw = apply_log(logv)
@@ -413,21 +454,24 @@ def _log_power_one(apply_log, n: int, tol: float, max_iter: int):
         logw = np.logaddexp(logw_raw, log_lam + logv)
         logw = logw - np.max(logw)
         window = logw > -_LOG_WINDOW
-        diff = float(np.max(np.abs(np.where(window, logw - logv, 0.0))))
+        diff = float(np.max(np.abs(logw[window] - logv[window])))
         if diff_prev is not None and diff_prev > 0 and diff > 0:
             gap = 1.0 - min(diff / diff_prev, 1.0)
         logv = logw
-        if lam_prev is not None and abs(log_lam - lam_prev) < tol and diff < math.sqrt(tol):
-            lam_prev = log_lam
-            break
+        lam_ok = (lam_prev is not None
+                  and abs(log_lam - lam_prev) < tol * max(1.0, abs(log_lam)))
         lam_prev = log_lam
+        if lam_ok and diff < 100 * tol:
+            stop = "tol"
+            break
         diff_prev = diff
     logw = apply_log(logv)
-    window = logv > np.max(logv) - _LOG_WINDOW
+    top = np.max(logv)
+    window = logv > top - _LOG_WINDOW
     # eigen-equation violation weighted by relative component mass
-    weight = np.exp(np.where(window, logv - np.max(logv), -np.inf))
-    resid = float(np.max(np.abs(np.where(window, logw - lam_prev - logv, 0.0)) * weight))
-    return lam_prev, logv, it, resid, gap
+    resid = float(np.max(np.abs(logw[window] - lam_prev - logv[window])
+                         * np.exp(logv[window] - top)))
+    return lam_prev, logv, it, resid, gap, stop
 
 
 @dataclass(frozen=True)

@@ -164,20 +164,3 @@ def parse_potential(text: str) -> PotentialSpec:
         )
     raise ValueError(f"unknown potential kind {head!r}")
 
-
-def estimate_holder_variation(spec: PotentialSpec, words_by_depth, point_of) -> list[tuple[int, float]]:
-    """Measured max variation of A over cylinders of each depth.
-
-    ``words_by_depth`` maps n to an iterable of same-prefix word groups;
-    ``point_of`` maps a word to the digit string A is evaluated on.  Used
-    by tests to verify the Holder bound holder_const * 2^(-alpha (n-1)).
-    """
-    out = []
-    for n, groups in words_by_depth.items():
-        worst = 0.0
-        for group in groups:
-            vals = [spec.value(point_of(w)) for w in group]
-            if len(vals) > 1:
-                worst = max(worst, max(vals) - min(vals))
-        out.append((n, worst))
-    return out

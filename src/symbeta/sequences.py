@@ -16,13 +16,6 @@ from typing import Sequence
 Word = tuple[int, ...]
 
 
-def check_word(w: Sequence[int], m: int) -> Word:
-    w = tuple(int(d) for d in w)
-    if any(d < 0 or d > m for d in w):
-        raise ValueError(f"word {w} has digits outside 0..{m}")
-    return w
-
-
 def reflect_word(w: Sequence[int], m: int) -> Word:
     """Digitwise d -> m - d."""
     return tuple(m - d for d in w)
@@ -105,7 +98,8 @@ class PeriodicSeq:
         return self.period[(i - k - 1) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.digit(i) for i in range(1, n + 1))
+        reps = -(-max(n - len(self.preperiod), 0) // len(self.period))
+        return (self.preperiod + self.period * reps)[:max(n, 0)]
 
     def shift(self, k: int = 1) -> "PeriodicSeq":
         """Drop the first k digits."""

@@ -146,11 +146,13 @@ def is_admissible_point(x: PeriodicSeq, K: Kneading) -> bool | None:
     """Point membership: every shift of x between the kneading bounds."""
     shifts = len(x.preperiod) + len(x.period)
     undecided = False
+    if K.exact:
+        up = K.upper_seq()
+        lo = up.reflect(K.m)
     for k in range(shifts):
         s = x.shift(k)
         if K.exact:
-            up = K.upper_seq()
-            if lex_compare(s, up) > 0 or lex_compare(up.reflect(K.m), s) > 0:
+            if lex_compare(s, up) > 0 or lex_compare(lo, s) > 0:
                 return False
         else:
             r = _suffix_ok(s.prefix(K.depth), K)

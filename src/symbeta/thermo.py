@@ -323,15 +323,19 @@ def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
                         system: TransferSystem | None = None,
                         t_pair: tuple[float, float] = (100.0, 200.0)) -> ErgodicMaxReport:
     """Lower bound on the maximal ergodic average from periodic orbits,
-    cross-checked against the pressure asymptote when a system is given."""
+    cross-checked against the pressure asymptote when a system is given.
+
+    The two asymptote solves continue in t: the first starts from the
+    system's own eigendata when it is solved, the second from the first.
+    """
     orbits = periodic_orbits(p, K, A, max_period)
     best = max(orbits, key=lambda o: o.average, default=None)
     lower = best.average if best is not None else -math.inf
     upper = slope = None
     if system is not None:
         t1, t2 = t_pair
-        e1 = log_power_solve(system, t_scale=t1)
-        e2 = log_power_solve(system, t_scale=t2)
+        e1 = log_power_solve(system, t_scale=t1, start=system.eigen)
+        e2 = log_power_solve(system, t_scale=t2, start=e1)
         upper = e2.log_lam / t2
         slope = (e2.log_lam - e1.log_lam) / (t2 - t1)
     return ErgodicMaxReport(best, lower, upper, slope)
@@ -381,9 +385,16 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     inverse temperatures.
 
     Solves switch to log-domain above ``log_threshold`` (exp(tA) would
-    overflow).  The entropy at large t estimates the residual entropy of
-    the zero-temperature limit; tail diagnostics (Cesaro mean of the last
-    grid points, a Richardson step, tail monotonicity) are reported.
+    overflow).  The scan is a continuation in t: each solve is warm-started
+    from the eigendata of the grid point before it (across the switch to
+    log-domain too), and stops by the rules of ``power_solve`` /
+    ``log_power_solve``, so a point that runs into ``max_iter`` is reported
+    unconverged.  The upper estimate of the maximal ergodic average is
+    P(t_max A)/t_max of the last point, and the periodic-orbit lower bound
+    needs no further solve.  The entropy at large t estimates the residual
+    entropy of the zero-temperature limit; tail diagnostics (Cesaro mean of
+    the last grid points, a Richardson step, tail monotonicity) are
+    reported.
     """
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -391,11 +402,10 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     T = system if system is not None else build_system(p, K, A, depth)
     warnings = list(T.warnings)
     points: list[ThermoPoint] = []
+    eig = None
     for t in t_grid:
-        if t <= log_threshold:
-            eig = power_solve(T, tol=tol, max_iter=max_iter, t_scale=t)
-        else:
-            eig = log_power_solve(T, tol=tol, max_iter=max_iter, t_scale=t)
+        solve = power_solve if t <= log_threshold else log_power_solve
+        eig = solve(T, tol=tol, max_iter=max_iter, t_scale=t, start=eig)
         nrm = normalize_potential(T, eig)
         mu = gibbs_measure(T, eig).weights
         P = pressure(T, eig)
@@ -406,8 +416,7 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
             warnings.append(f"solve at t={t} did not converge (residual {eig.residual:.2e})")
         points.append(ThermoPoint(t, P, h, avg, resid, nrm.row_sum_residual,
                                   eig.converged, eig.mode))
-    report = max_ergodic_average(p, K, A, max_period, system=T,
-                                 t_pair=(t_grid[-1] / 2, t_grid[-1]))
+    report = max_ergodic_average(p, K, A, max_period)
     hs = [pt.entropy for pt in points]
     tail = hs[-min(4, len(hs)):]
     cesaro = float(np.mean(tail))
@@ -418,5 +427,5 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
             richardson = 2 * hs[-1] - pt.entropy
     mono = all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
     return ThermoCurve(tuple(points), report.lower_bound,
-                       report.upper_estimate if report.upper_estimate is not None else math.inf,
+                       points[-1].pressure / t_grid[-1],
                        hs[-1], cesaro, richardson, mono, tuple(warnings))

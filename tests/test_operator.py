@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from symbeta.expansion import Params
-from symbeta.potentials import PotentialSpec
+from symbeta.potentials import PotentialSpec, parse_potential
 from symbeta.operator import (RegimeError, build_system, canonical_point,
                               dense_spectrum, iterate, lk_solve, log_power_solve,
                               normalize_potential, power_solve)
@@ -121,6 +122,58 @@ def test_linear_and_log_solvers_agree():
     assert lin.log_lam == pytest.approx(log.log_lam, abs=1e-12)
     assert np.max(np.abs(lin.log_psi - log.log_psi)) < 1e-10
     assert np.max(np.abs(lin.log_rho - log.log_rho)) < 1e-10
+
+
+def test_max_iter_is_never_converged():
+    T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=4)
+    for eig in (power_solve(T, max_iter=3), log_power_solve(T, max_iter=3)):
+        assert not eig.converged
+        assert eig.stop_reason == "max_iter"
+        assert (eig.iterations_fwd, eig.iterations_bwd) == (3, 3)
+        assert eig.iterations == 6
+
+
+def test_cold_log_solve_at_large_scale_stops_on_tol():
+    # log(lambda) ~ 89.6 here: an absolute stop test on log(lambda) could
+    # never pass and ran into max_iter
+    A = PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05])
+    T = system(3, "3.5", A, n=7)
+    eig = log_power_solve(T, t_scale=512.0)
+    assert eig.converged and eig.stop_reason == "tol"
+    assert eig.iterations < 1000
+    assert eig.iterations == eig.iterations_fwd + eig.iterations_bwd
+    assert eig.log_lam == pytest.approx(89.6, abs=1e-3)
+
+
+def test_warm_start_matches_cold_solve():
+    A = PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05])
+    T = system(3, "3.5", A, n=6)
+    lin = power_solve(T, t_scale=32.0)
+    for start in (lin, log_power_solve(T, t_scale=128.0, start=lin)):
+        cold = log_power_solve(T, t_scale=256.0)
+        warm = log_power_solve(T, t_scale=256.0, start=start)
+        assert warm.converged
+        assert warm.log_lam == pytest.approx(cold.log_lam, abs=1e-11)
+        mass = np.exp(cold.log_psi + cold.log_rho) > 1e-12
+        assert np.max(np.abs(warm.log_psi - cold.log_psi)[mass]) < 1e-9
+    warm = power_solve(T, t_scale=2.0, start=power_solve(T))
+    cold = power_solve(T, t_scale=2.0)
+    assert warm.converged
+    assert warm.log_lam == pytest.approx(cold.log_lam, abs=1e-13)
+    assert np.max(np.abs(warm.psi - cold.psi)) < 1e-11
+
+
+def test_log_solve_without_predecessors_emits_no_warning():
+    # at depth 9 some words have no successor: their rows of the transposed
+    # (eigenmeasure) iteration are all padding
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    T = build_system(p, K, parse_potential("geometric:c=1,theta=0.25,kmax=12"), 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = log_power_solve(T, t_scale=64.0)
+    assert eig.stop_reason == "tol"
+    assert np.isfinite(eig.log_lam)
 
 
 def test_lk_solver_agrees_with_power():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,22 @@ def test_cli_success(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "110000" in out
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("symbeta ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands() + [
+    ["thermo", "--m", "3", "--beta", "3.5", "--depth", "6",
+     "--potential", "digit_table:0.3,0,0.1,0.05"],
+], ids=lambda argv: " ".join(argv[:7]))
+def test_documented_commands_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_cli_invalid_config(capsys):

@@ -36,6 +36,15 @@ def test_digit_and_shift():
     assert s.shift(0) == s
 
 
+def test_prefix_matches_digits():
+    rng = random.Random(5)
+    for _ in range(200):
+        s = PeriodicSeq(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4))),
+                        tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4))))
+        for n in (0, 1, 2, 5, 13):
+            assert s.prefix(n) == tuple(s.digit(i) for i in range(1, n + 1))
+
+
 def test_lex_compare_examples():
     # 01^inf vs (10)^inf: first digit 0 < 1
     assert lex_compare(PeriodicSeq((0,), (1,)), PeriodicSeq((), (1, 0))) == -1

@@ -267,6 +267,16 @@ def test_scan_residual_entropy_fields():
     assert curve.residual_entropy <= curve.points[-2].entropy + 1e-12
     assert curve.richardson is not None
     assert curve.max_avg_lower <= curve.max_avg_upper + 1e-9
+    assert curve.max_avg_upper == curve.points[-1].pressure / curve.points[-1].t
+
+
+def test_scan_points_all_converge():
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    curve = zero_temperature_scan(p, K, PotentialSpec.digit_table(C), depth=5)
+    assert all(pt.converged for pt in curve.points)
+    assert not any("did not converge" in w for w in curve.warnings)
+    assert [pt.mode for pt in curve.points] == ["linear"] * 6 + ["log"] * 4
 
 
 def test_scan_rejects_bad_grid():
