@@ -42,5 +42,5 @@ print(f"entropy infimum formula: min over trials = {rep.min_trial:.12f} "
 print()
 print("heaviest cylinders of the Gibbs state:")
 for i, w in mu.top(8):
-    word = "".join(map(str, T.basis.words[i]))
+    word = "".join(map(str, T.basis.word(i)))
     print(f"  [{word}]  mu = {w:.6f}")

@@ -21,8 +21,7 @@ from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
                     build_kneading, check_transitivity, digit_interval,
                     digit_interval_integers, enumerate_words, forbidden_words,
                     is_admissible, is_admissible_point, is_irreducible,
-                    kneading_self_admissible, preimage_digits,
-                    unique_expansion_test)
+                    kneading_self_admissible, preimage_digits)
 from .thermo import (GibbsMeasure, InvariantTestMeasure, ThermoCurve, ThermoPoint,
                      average_energy, entropy_inf_check, entropy_of_gibbs,
                      gibbs_measure, max_ergodic_average, orbit_measure,
@@ -41,7 +40,7 @@ __all__ = [
     "build_kneading", "is_admissible", "is_admissible_point",
     "kneading_self_admissible", "enumerate_words", "forbidden_words",
     "preimage_digits", "digit_interval", "digit_interval_integers",
-    "is_irreducible", "check_transitivity", "unique_expansion_test",
+    "is_irreducible", "check_transitivity",
     "PotentialSpec", "parse_potential",
     "TransferSystem", "EigenData", "NormalizedSystem", "RegimeError",
     "build_system", "canonical_point", "power_solve", "log_power_solve",

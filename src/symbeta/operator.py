@@ -30,7 +30,7 @@ from .expansion import Params
 from .potentials import PotentialSpec
 from .sequences import Word
 from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
-                    check_transitivity, enumerate_words)
+                    check_transitivity, enumerate_words, locate_rows)
 
 
 class RegimeError(ValueError):
@@ -168,8 +168,8 @@ class TransferSystem:
     potential: PotentialSpec
     basis: CylinderBasis
     a_vals: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    rows: np.ndarray       # edge targets, ascending
+    cols: np.ndarray       # edge sources, ascending within a row (CSR order)
     pred_idx: np.ndarray   # (N, m+1) source indices per target row, -1 pad
     succ_idx: np.ndarray   # (N, m+1) target indices per source, -1 pad
     transitivity: TransitivityResult
@@ -185,8 +185,10 @@ class TransferSystem:
         return self.basis.depth
 
     def matrix_for(self, t_scale: float = 1.0) -> sparse.csr_matrix:
+        # the edges are sorted by row, then column: CSR order already
         data = np.exp(t_scale * self.a_vals[self.cols])
-        return sparse.csr_matrix((data, (self.rows, self.cols)),
+        indptr = np.searchsorted(self.rows, np.arange(self.n_words + 1))
+        return sparse.csr_matrix((data, self.cols, indptr),
                                  shape=(self.n_words, self.n_words))
 
     @property
@@ -208,6 +210,14 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
                  transitivity: TransitivityResult | None = None,
                  require_regime: bool = True) -> TransferSystem:
     """Build the depth-n discretization of the transfer operator.
+
+    The build runs as numpy passes over the (N, n) uint8 digit matrix of
+    the sorted basis (``CylinderBasis.digits``), with no per-word Python
+    loop: canonical sample points are computed once per kneading-pin
+    state and gathered, the potential is evaluated on the whole point
+    matrix (``PotentialSpec.values``), and the edges come from one sorted
+    search of the words' (n-1)-suffixes among their (n-1)-prefixes (see
+    ``_word_graph``).  No word tuple is built.
 
     Parameters
     ----------
@@ -250,40 +260,85 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
             f"potential reads {need} digits but the kneading sequence is "
             f"only known to depth {K.depth}; sample points beyond it cannot "
             "be certified")
-    a_vals = np.empty(len(basis))
-    for i, w in enumerate(basis.words):
-        digits = w if need <= n else canonical_point(w, K, need)
-        a_vals[i] = A.value(digits)
+    points = basis.digits if need <= n else _canonical_points(basis, K, need)
+    a_vals = A.values(points)
 
-    deg = p.m + 1
-    N = len(basis)
-    pred = np.full((N, deg), -1, dtype=np.int64)
-    rows_l: list[int] = []
-    cols_l: list[int] = []
-    for i, w in enumerate(basis.words):
-        head = w[:-1]
-        kslot = 0
-        for a in p.alphabet:
-            j = basis.index.get((a,) + head)
-            if j is not None:
-                pred[i, kslot] = j
-                kslot += 1
-                rows_l.append(i)
-                cols_l.append(j)
-    rows = np.asarray(rows_l, dtype=np.int64)
-    cols = np.asarray(cols_l, dtype=np.int64)
-
-    succ = np.full((N, deg), -1, dtype=np.int64)
-    fill = np.zeros(N, dtype=np.int64)
-    for t, s in zip(rows, cols):
-        succ[s, fill[s]] = t
-        fill[s] += 1
-
+    rows, cols, pred, succ = _word_graph(basis.digits, p.m + 1)
     if np.any(pred[:, 0] < 0):
         warnings.append("some words have no admissible predecessor at this depth")
 
     return TransferSystem(p, K, A, basis, a_vals, rows, cols, pred, succ,
                           trans, warnings)
+
+
+def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.ndarray:
+    """``canonical_point`` of every basis word, as an (N, total_len) uint8
+    matrix.
+
+    The appended digits depend only on which suffixes of the word are
+    tied with a kneading prefix or its reflection (its pins).  The longest
+    suffix tied with each fixes the word's last digits and so all of its
+    pins, so ``canonical_point`` runs once per distinct pair of those
+    lengths and the tails are gathered.
+    """
+    D = basis.digits
+    N, n = D.shape
+    up = np.array(K.upper_prefix(n), dtype=np.uint8)
+    lo = np.array(K.lower_prefix(n), dtype=np.uint8)
+    longest_up = np.zeros(N, dtype=np.int64)
+    longest_lo = np.zeros(N, dtype=np.int64)
+    for k in range(1, n + 1):
+        suffix = D[:, n - k:]
+        longest_up[np.all(suffix == up[:k], axis=1)] = k
+        longest_lo[np.all(suffix == lo[:k], axis=1)] = k
+    _, first, inverse = np.unique(longest_up * (n + 1) + longest_lo,
+                                  return_index=True, return_inverse=True)
+    tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
+                     dtype=np.uint8)
+    return np.concatenate([D, tails[inverse]], axis=1)
+
+
+def _word_graph(D: np.ndarray, deg: int):
+    """Edges of the word graph on the lex-sorted (N, n) digit matrix D.
+
+    Target t has source s when s = a t[:-1] for a digit a, i.e. when
+    s[1:] == t[:-1].  Both sides are ranked among the distinct (n-1)-digit
+    prefixes of D: ``head[t]`` (nondecreasing, as D is sorted) and
+    ``tail[s]`` (-1 when s[1:] starts no word), found by one sorted search.
+    Returns (rows, cols) sorted by row and then column, and the padded
+    (N, deg) predecessor and successor index arrays, each row ascending
+    and padded with -1.
+    """
+    N = len(D)
+    new = np.ones(N, dtype=bool)
+    new[1:] = np.any(D[1:, :-1] != D[:-1, :-1], axis=1)
+    starts = np.flatnonzero(new)          # first word with each prefix
+    head = np.cumsum(new) - 1
+    tail = locate_rows(D[starts, :-1], D[:, 1:])
+    live = tail >= 0
+
+    # the sources of t: the words s with tail[s] == head[t], ascending
+    by_tail = np.argsort(tail, kind="stable")
+    n_with_tail = np.bincount(tail[live], minlength=len(starts))
+    group = (N - np.count_nonzero(live)) + np.cumsum(n_with_tail) - n_with_tail
+    rows, slot = _runs(n_with_tail[head])
+    cols = by_tail[group[head[rows]] + slot]
+    pred = np.full((N, deg), -1, dtype=np.int64)
+    pred[rows, slot] = cols
+
+    # the targets of s: the run of words that start with s[1:]
+    run = np.diff(np.append(starts, N))
+    src, sslot = _runs(np.where(live, run[tail], 0))
+    succ = np.full((N, deg), -1, dtype=np.int64)
+    succ[src, sslot] = starts[tail[src]] + sslot
+    return rows, cols, pred, succ
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of every item when owner i has counts[i] items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - start[owner]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .sequences import Word
 
 
@@ -100,6 +102,29 @@ class PotentialSpec:
         w = 1.0
         for j in range(min(kmax, len(digits))):
             acc += w * digits[j]
+            w *= theta
+        return c * acc
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """``value`` at every row of a digit matrix, bit-identical to it:
+        the same floating-point operations run in the same order."""
+        n = len(points)
+        if self.kind == "zero":
+            return np.zeros(n)
+        if self.kind == "digit_table":
+            return np.asarray(self.digit_values)[points[:, 0]]
+        if self.kind == "block_table":
+            # one lookup per distinct block; the lex-first missing block
+            # raises, as the row-by-row loop would
+            blocks, inverse = np.unique(points[:, :self.block_k], axis=0,
+                                        return_inverse=True)
+            table = [self.value(b) for b in blocks.tolist()]
+            return np.asarray(table, dtype=float)[inverse.reshape(-1)]
+        c, theta, kmax = self.geo_c, self.geo_theta, self.geo_kmax
+        acc = np.zeros(n)
+        w = 1.0
+        for j in range(min(kmax, points.shape[1])):
+            acc += w * points[:, j]
             w *= theta
         return c * acc
 

@@ -276,7 +276,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     order = np.argsort(-mu)
     keep = order if full else order[:10]
     rep.rows = [{
-        "word": _digits_str(T.basis.words[i]),
+        "word": _digits_str(T.basis.word(i)),
         "mu": float(mu[i]),
         "psi": float(eig.psi[i]),
         "rho": float(eig.rho[i]),

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .expansion import Params, beta_t, quasi_greedy_of_one
 from .sequences import PeriodicSeq, Word, lex_compare, reflect_word, word_plus
@@ -184,36 +187,129 @@ def _tied_through_depth(s: PeriodicSeq, K: Kneading) -> bool:
 # word enumeration
 
 
-@dataclass(frozen=True)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row of a uint8 matrix.  Keys compare
+    bytewise, so their order is the lexicographic order of the digit rows,
+    whatever the row length."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def locate_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query row among the lex-sorted distinct ``rows`` (both
+    uint8 digit matrices of one width), -1 where it is absent."""
+    if rows.shape[1] == 0:
+        return np.full(len(queries), 0 if len(rows) else -1, dtype=np.int64)
+    keys, q = _row_keys(rows), _row_keys(queries)
+    idx = np.searchsorted(keys, q)
+    hit = idx < len(keys)
+    hit[hit] = keys[idx[hit]] == q[hit]
+    return np.where(hit, idx, -1)
+
+
+@dataclass(frozen=True, eq=False)
 class CylinderBasis:
-    """All admissible words of one length, lex-sorted, with an index map.
+    """All admissible words of one length, lex-sorted.
 
     The depth-n cylinders of these words partition the shift and are the
-    discretization basis for the transfer operator.
+    discretization basis for the transfer operator.  ``digits`` is the
+    (N, depth) uint8 matrix of the words, one per row in lexicographic
+    order; it is the only stored form.  ``words`` (a tuple of digit
+    tuples) and ``index`` (word -> row) are built on first use and cached;
+    ``word(i)`` reads one row without building either.
     """
 
     depth: int
-    words: tuple[Word, ...]
-    index: dict[Word, int] = field(repr=False)
+    digits: np.ndarray = field(repr=False)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.digits)
 
     def __contains__(self, w):
         return tuple(w) in self.index
 
+    def word(self, i: int) -> Word:
+        return tuple(self.digits[i].tolist())
 
-def _basis_from(words: list[Word], n: int) -> CylinderBasis:
-    words = sorted(words)
-    return CylinderBasis(n, tuple(words), {w: i for i, w in enumerate(words)})
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.digits.tolist()))
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.words)}
+
+
+def _suffix_verdicts(cands: np.ndarray, K: Kneading) -> np.ndarray:
+    """``_suffix_ok`` on every row of a uint8 candidate matrix at once:
+    1 / 0 / -1 for True / False / None.
+
+    Each row is compared with the kneading prefix and its reflection by
+    first differences.  The row loses at the first difference where it
+    exceeds the upper or undercuts the lower prefix; it is undecided when
+    the comparison must read a kneading digit beyond the known depth, i.e.
+    when no violation, no point where both bounds are settled, and no end
+    of the row comes first.
+    """
+    rows, L = cands.shape
+    known = L if K.exact else min(L, K.depth)
+    # digits past the known depth are placeholders; a row whose verdict
+    # would read one comes out undecided whatever they are
+    up = np.zeros(L, dtype=np.uint8)
+    lo = np.zeros(L, dtype=np.uint8)
+    up[:known] = K.upper_prefix(known)
+    lo[:known] = K.lower_prefix(known)
+
+    def first_difference(bound, loses):
+        """Position of the first digit differing from bound (L if none),
+        and that position again where the row loses there (L otherwise)."""
+        neq = cands != bound
+        f = np.where(neq.any(axis=1), neq.argmax(axis=1), L)
+        at = np.minimum(f, L - 1)
+        lost = (f < L) & loses(cands[np.arange(rows), at], bound[at])
+        return f, np.where(lost, f, L)
+
+    f_up, lost_up = first_difference(up, np.greater)
+    f_lo, lost_lo = first_difference(lo, np.less)
+    viol = np.minimum(lost_up, lost_lo)
+    out = np.where(viol < L, 0, 1).astype(np.int8)
+    if not K.exact:
+        # last position read: the violation, the point where both bounds
+        # are settled, or the end of the row, whichever comes first
+        last = np.minimum(np.minimum(viol, np.maximum(f_up, f_lo)), L - 1)
+        out[last >= K.depth] = -1
+    return out
+
+
+def _levels(p: Params, K: Kneading, n: int):
+    """Yield (candidates, ok) for lengths 1..n: the lex-sorted uint8 matrix
+    of every digit prepended to the admissible words one shorter, and
+    which candidates are admissible.
+
+    Only the full-length suffix condition is new at each length; every
+    shorter suffix was checked at the previous one.  Prepending the
+    digits in increasing order to a sorted level keeps the candidates
+    sorted.
+    """
+    if p.m > 255:
+        raise ValueError("digits above 255 do not fit the uint8 word matrix")
+    level = np.zeros((1, 0), dtype=np.uint8)
+    for length in range(1, n + 1):
+        head = np.repeat(np.arange(p.m + 1, dtype=np.uint8), len(level))
+        cands = np.concatenate([head[:, None], np.tile(level, (p.m + 1, 1))], axis=1)
+        verdict = _suffix_verdicts(cands, K)
+        if np.any(verdict < 0):
+            raise UndecidedError(f"kneading too shallow at length {length}")
+        ok = verdict > 0
+        yield cands, ok
+        level = cands[ok]
 
 
 def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
     """Enumerate all admissible words of length n.
 
-    Words are grown by prepending one digit to the admissible words of the
-    previous length; only the full-length suffix condition is new, every
-    shorter suffix was checked at the previous level.
+    Words are grown level by level, by prepending each digit to the
+    admissible words of the previous length (see ``_levels``).
 
     Raises
     ------
@@ -222,25 +318,9 @@ def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    level: list[Word] = []
-    for a in p.alphabet:
-        r = _suffix_ok((a,), K)
-        if r is None:
-            raise UndecidedError("kneading too shallow at length 1")
-        if r:
-            level.append((a,))
-    for length in range(2, n + 1):
-        nxt: list[Word] = []
-        for a in p.alphabet:
-            for w in level:
-                cand = (a,) + w
-                r = _suffix_ok(cand, K)
-                if r is None:
-                    raise UndecidedError(f"kneading too shallow at length {length}")
-                if r:
-                    nxt.append(cand)
-        level = nxt
-    return _basis_from(level, n)
+    for cands, ok in _levels(p, K, n):
+        pass
+    return CylinderBasis(n, cands[ok])
 
 
 def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
@@ -249,34 +329,19 @@ def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
 
     Together with their reflections (the set is reflection-symmetric) these
     generate the same subshift as the full forbidden collection up to
-    length n.
+    length n.  Sorted by (length, word).
     """
     out: list[Word] = []
-    # length 1
-    level: list[Word] = []
-    for a in p.alphabet:
-        ok = _suffix_ok((a,), K)
-        if ok is None:
-            raise UndecidedError("kneading too shallow at length 1")
-        (level if ok else out).append((a,))
-    prev_set = set(level)
-    for length in range(2, n + 1):
-        nxt: list[Word] = []
-        for a in p.alphabet:
-            for w in level:
-                cand = (a,) + w
-                ok = _suffix_ok(cand, K)
-                if ok is None:
-                    raise UndecidedError(f"kneading too shallow at length {length}")
-                if ok:
-                    nxt.append(cand)
-                elif cand[:-1] in prev_set:
-                    # w = cand[1:] is admissible by construction; with
-                    # cand[:-1] admissible too, every proper factor passes
-                    out.append(cand)
-        level = nxt
-        prev_set = set(level)
-    return sorted(out, key=lambda w: (len(w), w))
+    level = None
+    for cands, ok in _levels(p, K, n):
+        bad = cands[~ok]
+        if level is not None:
+            # bad[1:] is admissible by construction; with bad[:-1]
+            # admissible too, every proper factor passes
+            bad = bad[locate_rows(level, bad[:, :-1]) >= 0]
+        out.extend(map(tuple, bad.tolist()))
+        level = cands[ok]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +515,3 @@ def check_transitivity(p: Params, K: Kneading, J: int = 32,
         return TransitivityResult(
             "not_transitive", f"irreducibility fails at j={irr.failed_at}", irr, sa)
     return TransitivityResult("unknown", "comparisons undecided at kneading depth", irr, sa)
-
-
-def unique_expansion_test(a, p: Params, depth: int) -> bool:
-    """Greedy and lazy digit streams agree through ``depth``."""
-    from .expansion import unique_expansion
-    return unique_expansion(a, p, depth)

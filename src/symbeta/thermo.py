@@ -188,15 +188,11 @@ def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
     # entropy rate of the chain
     mask = q > 0
     h = float(-np.sum((pi[:, None] * q)[mask] * np.log(q[mask])))
-    # edge joint weights aligned with the system edge list (rows=target)
-    jmap = {}
-    for s in range(n):
-        for slot in range(q.shape[1]):
-            t = T.succ_idx[s, slot]
-            if t >= 0:
-                jmap[(int(t), int(s))] = pi[s] * q[s, slot]
-    ej = np.array([jmap.get((int(t), int(s)), 0.0)
-                   for t, s in zip(T.rows, T.cols)])
+    # edge joint weights aligned with the system edge list (rows=target):
+    # the successor slots of s hold its targets in ascending order, so
+    # row-major order of the slots is the edge order by (source, target)
+    ej = np.empty(len(T.rows))
+    ej[np.lexsort((T.rows, T.cols))] = (pi[:, None] * q)[succ_ok]
     return InvariantTestMeasure(label, pi, T.rows, T.cols, ej, entropy_true=h)
 
 
@@ -216,13 +212,14 @@ def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMea
             raise ValueError("orbit leaves the admissible word basis")
         idx.append(i)
         weights[i] += 1.0 / p
-    jmap = {}
-    for k in range(p):
-        s = idx[k]
-        t = idx[(k + 1) % p]
-        jmap[(t, s)] = jmap.get((t, s), 0.0) + 1.0 / p
-    ej = np.array([jmap.get((int(t), int(s)), 0.0)
-                   for t, s in zip(T.rows, T.cols)])
+    # consecutive windows s -> t are an edge t <- s; the edges are sorted
+    # by (row, column), so their codes row * N + col are too
+    src = np.asarray(idx, dtype=np.int64)
+    codes = T.rows * T.n_words + T.cols
+    steps = np.roll(src, -1) * T.n_words + src
+    edge = np.searchsorted(codes, steps)
+    ej = np.zeros(len(T.rows))
+    np.add.at(ej, edge, 1.0 / p)
     return InvariantTestMeasure(f"orbit_{orbit.word}", weights, T.rows, T.cols, ej,
                        entropy_true=0.0)
 

@@ -4,14 +4,13 @@ from itertools import product
 
 import pytest
 
-from symbeta.expansion import Params
+from symbeta.expansion import Params, unique_expansion
 from symbeta.sequences import PeriodicSeq, reflect_word
 from symbeta.shift import (UndecidedError, build_kneading, check_transitivity,
                            digit_interval, digit_interval_integers,
                            enumerate_words, forbidden_words, is_admissible,
                            is_admissible_point, is_irreducible,
-                           kneading_self_admissible, preimage_digits,
-                           unique_expansion_test)
+                           kneading_self_admissible, preimage_digits)
 
 
 def kn(m, b, depth=64):
@@ -270,6 +269,6 @@ def test_kneading_self_admissibility():
 
 def test_unique_expansion_test():
     p = Params.make(1, "golden")
-    assert unique_expansion_test(0, p, 30)
-    assert unique_expansion_test(p.max_value, p, 30)
-    assert not unique_expansion_test(1, p, 30)
+    assert unique_expansion(0, p, 30)
+    assert unique_expansion(p.max_value, p, 30)
+    assert not unique_expansion(1, p, 30)

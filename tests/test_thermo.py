@@ -153,6 +153,51 @@ def test_orbit_measure_gap_zero_potential():
     assert g.gap == pytest.approx(math.log(4), abs=1e-6)
 
 
+def _markov_reference(T, rng):
+    """random_markov_measure with the per-edge dict it used to build ej."""
+    n = T.n_words
+    succ_ok = T.succ_idx >= 0
+    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=T.succ_idx.shape), 0.0)
+    q = raw / raw.sum(axis=1)[:, None]
+    pi = np.full(n, 1.0 / n)
+    succ = np.clip(T.succ_idx, 0, None)
+    for _ in range(20000):
+        nxt = np.zeros(n)
+        np.add.at(nxt, succ.ravel(), (pi[:, None] * q).ravel())
+        if float(np.max(np.abs(nxt - pi))) < 1e-15:
+            pi = nxt
+            break
+        pi = nxt
+    pi = pi / pi.sum()
+    jmap = {}
+    for s in range(n):
+        for slot in range(q.shape[1]):
+            t = T.succ_idx[s, slot]
+            if t >= 0:
+                jmap[(int(t), int(s))] = pi[s] * q[s, slot]
+    return pi, np.array([jmap.get((int(t), int(s)), 0.0) for t, s in zip(T.rows, T.cols)])
+
+
+def test_test_measure_edge_weights_match_dict_reference():
+    _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 5)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        nu = random_markov_measure(T, rng)
+        pi, ej = _markov_reference(T, ref_rng)
+        assert np.array_equal(nu.weights, pi) and np.array_equal(nu.edge_j, ej)
+    for orbit in periodic_orbits(T.params, T.kneading, T.potential, 4):
+        nu = orbit_measure(T, orbit)
+        p = orbit.period
+        idx = [T.basis.index[tuple(orbit.word[(k + i) % p] for i in range(5))]
+               for k in range(p)]
+        jmap = {}
+        for k in range(p):
+            key = (idx[(k + 1) % p], idx[k])
+            jmap[key] = jmap.get(key, 0.0) + 1.0 / p
+        ej = np.array([jmap.get((int(t), int(s)), 0.0) for t, s in zip(T.rows, T.cols)])
+        assert np.array_equal(nu.edge_j, ej)
+
+
 # ---------------------------------------------------------------------------
 # ergodic optimization
 
