@@ -1,7 +1,8 @@
 """Perron data of the discretized transfer operator.
 
 The weighted preimage-sum operator is discretized on depth-n cylinders as a
-sparse nonnegative matrix.  Its Perron eigenvalue gives the pressure, the
+nonnegative operator on the cylinder words, stored as the (n-1)-prefix
+factorisation of the word graph.  Its Perron eigenvalue gives the pressure, the
 right/left eigenvectors the eigenfunction and eigenmeasure, and their
 product the Gibbs weights.  Three independent solvers must agree: power
 iteration, the perturbed fixed-point scheme, and (at small depth) a dense

@@ -2,9 +2,12 @@
 
 On the depth-n cylinder basis the operator acts on piecewise-constant
 functions: (L phi)(w) = sum_a exp(A(z(a w_1..w_{n-1}))) phi(a w_1..w_{n-1}),
-summing over digits a whose prepended word stays admissible.  Rows index
-target words, columns index source words, and the entry value depends on
-the source only, so L = Adjacency @ diag(exp(a_vals)).
+summing over digits a whose prepended word stays admissible.  The sources
+of a word t are the words s with s[1:] == t[:-1]; they depend only on t's
+(n-1)-prefix.  So the word graph is stored once, as the ranks of each
+word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
+(``TransferSystem.head``, ``.tail``), and L or its transpose is applied as
+one grouped sum over the N words and one gather (``_Operator``).
 
 The potential is sampled at one canonical point per cylinder: the word
 extended digit by digit with the smallest admissible continuation.  The
@@ -20,11 +23,11 @@ the perturbation as k grows.  All solves are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .expansion import Params
 from .potentials import PotentialSpec
@@ -155,23 +158,18 @@ class EigenData:
         return np.exp(self.log_rho)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferSystem:
-    """Cylinder basis, sparse operator matrix and (after solving) the
-    Perron eigendata.
-
-    Immutable in spirit: build once, solve once, then share read-only.
-    """
+    """Cylinder basis, word graph and potential samples.  Frozen: ``solve``
+    returns a new system that also holds the Perron eigendata."""
 
     params: Params
     kneading: Kneading
     potential: PotentialSpec
     basis: CylinderBasis
     a_vals: np.ndarray
-    rows: np.ndarray       # edge targets, ascending
-    cols: np.ndarray       # edge sources, ascending within a row (CSR order)
-    pred_idx: np.ndarray   # (N, m+1) source indices per target row, -1 pad
-    succ_idx: np.ndarray   # (N, m+1) target indices per source, -1 pad
+    head: np.ndarray       # rank of each word's (n-1)-prefix, nondecreasing
+    tail: np.ndarray       # rank of each word's (n-1)-suffix among them, or -1
     transitivity: TransitivityResult
     warnings: list[str] = field(default_factory=list)
     eigen: EigenData | None = None
@@ -184,26 +182,35 @@ class TransferSystem:
     def depth(self) -> int:
         return self.basis.depth
 
-    def matrix_for(self, t_scale: float = 1.0) -> sparse.csr_matrix:
-        # the edges are sorted by row, then column: CSR order already
-        data = np.exp(t_scale * self.a_vals[self.cols])
-        indptr = np.searchsorted(self.rows, np.arange(self.n_words + 1))
-        return sparse.csr_matrix((data, self.cols, indptr),
-                                 shape=(self.n_words, self.n_words))
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # the sources of t are the words s with tail[s] == head[t], ascending:
+        # the run lo[t]:hi[t] of the words sorted by tail
+        by_tail = np.argsort(self.tail, kind="stable")
+        lo, hi = (np.searchsorted(self.tail[by_tail], self.head, side)
+                  for side in ("left", "right"))
+        rows = np.repeat(np.arange(self.n_words), hi - lo)
+        # edge k, the j-th edge of its row t, has source by_tail[lo[t] + j]
+        before = np.cumsum(hi - lo) - (hi - lo)    # edges of the rows before t
+        return rows, by_tail[(lo - before)[rows] + np.arange(len(rows))]
 
-    @property
-    def matrix(self) -> sparse.csr_matrix:
-        return self.matrix_for(1.0)
+    rows = property(lambda self: self._edges[0], doc="Edge targets, ascending.")
+    cols = property(lambda self: self._edges[1],
+                    doc="Edge sources, ascending within a target.")
+
+    def dense(self, t_scale: float = 1.0) -> np.ndarray:
+        """The operator at scale t as a dense (N, N) array, for small systems."""
+        M = np.zeros((self.n_words, self.n_words))
+        M[self.rows, self.cols] = np.exp(t_scale * self.a_vals[self.cols])
+        return M
 
     def solve(self, tol: float = 1e-14, max_iter: int = 20000,
-              t_scale: float = 1.0, log_domain: bool = False) -> "TransferSystem":
-        if log_domain:
-            self.eigen = log_power_solve(self, t_scale=t_scale, tol=tol,
-                                         max_iter=max_iter)
-        else:
-            self.eigen = power_solve(self, tol=tol, max_iter=max_iter,
-                                     t_scale=t_scale)
-        return self
+              t_scale: float = 1.0) -> "TransferSystem":
+        solved = replace(self, eigen=power_solve(self, tol=tol, max_iter=max_iter,
+                                                 t_scale=t_scale))
+        if "_edges" in vars(self):   # same graph: keep the cached edge lists
+            vars(solved)["_edges"] = self._edges
+        return solved
 
 
 def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
@@ -217,7 +224,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     state and gathered, the potential is evaluated on the whole point
     matrix (``PotentialSpec.values``), and the edges come from one sorted
     search of the words' (n-1)-suffixes among their (n-1)-prefixes (see
-    ``_word_graph``).  No word tuple is built.
+    ``_word_graph``).  No word tuple and no edge list is built.
 
     Parameters
     ----------
@@ -263,12 +270,11 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     points = basis.digits if need <= n else _canonical_points(basis, K, need)
     a_vals = A.values(points)
 
-    rows, cols, pred, succ = _word_graph(basis.digits, p.m + 1)
-    if np.any(pred[:, 0] < 0):
+    head, tail = _word_graph(basis.digits)
+    if len(np.unique(tail[tail >= 0])) <= head[-1]:
         warnings.append("some words have no admissible predecessor at this depth")
 
-    return TransferSystem(p, K, A, basis, a_vals, rows, cols, pred, succ,
-                          trans, warnings)
+    return TransferSystem(p, K, A, basis, a_vals, head, tail, trans, warnings)
 
 
 def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.ndarray:
@@ -298,47 +304,76 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
     return np.concatenate([D, tails[inverse]], axis=1)
 
 
-def _word_graph(D: np.ndarray, deg: int):
-    """Edges of the word graph on the lex-sorted (N, n) digit matrix D.
+def _word_graph(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) of the word graph on the lex-sorted (N, n) digit matrix D.
 
     Target t has source s when s = a t[:-1] for a digit a, i.e. when
     s[1:] == t[:-1].  Both sides are ranked among the distinct (n-1)-digit
     prefixes of D: ``head[t]`` (nondecreasing, as D is sorted) and
     ``tail[s]`` (-1 when s[1:] starts no word), found by one sorted search.
-    Returns (rows, cols) sorted by row and then column, and the padded
-    (N, deg) predecessor and successor index arrays, each row ascending
-    and padded with -1.
     """
-    N = len(D)
-    new = np.ones(N, dtype=bool)
+    new = np.ones(len(D), dtype=bool)
     new[1:] = np.any(D[1:, :-1] != D[:-1, :-1], axis=1)
-    starts = np.flatnonzero(new)          # first word with each prefix
     head = np.cumsum(new) - 1
-    tail = locate_rows(D[starts, :-1], D[:, 1:])
-    live = tail >= 0
-
-    # the sources of t: the words s with tail[s] == head[t], ascending
-    by_tail = np.argsort(tail, kind="stable")
-    n_with_tail = np.bincount(tail[live], minlength=len(starts))
-    group = (N - np.count_nonzero(live)) + np.cumsum(n_with_tail) - n_with_tail
-    rows, slot = _runs(n_with_tail[head])
-    cols = by_tail[group[head[rows]] + slot]
-    pred = np.full((N, deg), -1, dtype=np.int64)
-    pred[rows, slot] = cols
-
-    # the targets of s: the run of words that start with s[1:]
-    run = np.diff(np.append(starts, N))
-    src, sslot = _runs(np.where(live, run[tail], 0))
-    succ = np.full((N, deg), -1, dtype=np.int64)
-    succ[src, sslot] = starts[tail[src]] + sslot
-    return rows, cols, pred, succ
+    return head, locate_rows(D[new, :-1], D[:, 1:])
 
 
-def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, position) of every item when owner i has counts[i] items."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    start = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - start[owner]
+class _Operator:
+    """L at one scale t and its transpose, in linear and in log scale.
+
+    With e = exp(t A), (L v)[t] is the sum of e[s] v[s] over the sources s
+    with tail[s] == head[t]: one grouped sum over the N sources and a
+    gather by head.  The transpose factors e[s] out, (L^T u)[s] = e[s] *
+    (sum of u over the words of prefix group tail[s]): one grouped sum over
+    the N targets and a gather by tail.  The log pair does the same with
+    logsumexp.  Index arrays are built once per instance (per solver call).
+    """
+
+    def __init__(self, T: TransferSystem, t_scale: float):
+        self.head = T.head
+        self.first = np.flatnonzero(np.diff(T.head, prepend=-1))  # group starts
+        # a source whose suffix starts no word goes to an extra, unread group
+        self.tail = np.where(T.tail < 0, len(self.first), T.tail)
+        self.la = t_scale * T.a_vals
+        with np.errstate(over="ignore"):   # an overflow is an inf iterate
+            self.e = np.exp(self.la)
+
+    def fwd(self, v: np.ndarray) -> np.ndarray:
+        # bincount adds each group's sources in ascending order, as a
+        # sequential row sum does
+        return np.bincount(self.tail, self.e * v, minlength=len(self.first) + 1)[self.head]
+
+    def bwd(self, u: np.ndarray) -> np.ndarray:
+        return self.e * np.append(np.bincount(self.head, u), 0.0)[self.tail]
+
+    @cached_property
+    def _by_tail(self):
+        # sources sorted by tail, ascending within a group, and each group
+        # closed by a -inf pad so that none is empty
+        key = np.append(self.tail, np.arange(len(self.first) + 1))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        return order, np.flatnonzero(np.diff(key, prepend=-1)), key
+
+    def log_fwd(self, logv: np.ndarray) -> np.ndarray:
+        order, first, key = self._by_tail
+        x = np.append(self.la + logv, np.full(len(self.first) + 1, -np.inf))
+        return _lse_runs(x[order], first, key)[self.head]
+
+    def log_bwd(self, logu: np.ndarray) -> np.ndarray:
+        g = _lse_runs(logu, self.first, self.head)
+        return self.la + np.append(g, -np.inf)[self.tail]
+
+
+def _lse_runs(x: np.ndarray, first: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """logsumexp of each run of x starting at ``first`` (``run[i]`` is the
+    run of x[i]); -inf for a run of -inf, without evaluating log(0) or
+    -inf - -inf."""
+    mx = np.maximum.reduceat(x, first)
+    live = mx > -np.inf
+    mx = np.where(live, mx, 0.0)
+    s = np.add.reduceat(np.exp(x - mx[run]), first)
+    return np.where(live, mx + np.log(np.where(live, s, 1.0)), -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +426,11 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
     rather than raising.  ``start`` (eigendata at another scale)
     warm-starts both halves from its eigenvectors, see ``_warm_start``.
     """
-    M = T.matrix_for(t_scale)
-    v0, u0 = (None if v is None else np.exp(v) for v in _warm_start(start, t_scale))
-    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(M, tol, max_iter, v0)
-    lam_b, rho, it_b, res_b, _, stop_b = _power_one(M.T.tocsr(), tol, max_iter, u0)
+    L = _Operator(T, t_scale)
+    v0, u0 = (np.ones(T.n_words) if v is None else np.exp(v)
+              for v in _warm_start(start, t_scale))
+    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(L.fwd, tol, max_iter, v0)
+    lam_b, rho, it_b, res_b, _, stop_b = _power_one(L.bwd, tol, max_iter, u0)
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
     with np.errstate(divide="ignore"):
@@ -404,19 +440,17 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
                   (stop_f, stop_b), resid, gap, tol, "linear")
 
 
-def _power_one(M: sparse.csr_matrix, tol: float, max_iter: int,
-               v0: np.ndarray | None = None):
+def _power_one(apply, tol: float, max_iter: int, v: np.ndarray):
     # Damped iteration on M + lam*I: the Perron vector is unchanged while
     # near-antipodal eigenvalues (operators concentrating on a periodic
     # orbit at strong scaling) lose their modulus tie.
-    v = np.full(M.shape[0], 1.0) if v0 is None else v0
     lam_prev = 0.0
     diff_prev = None
     gap = None
     stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
-        w_raw = M @ v
+        w_raw = apply(v)
         if not np.all(np.isfinite(w_raw)):
             raise FloatingPointError("power iteration overflowed")
         lam = float(np.dot(v, w_raw) / np.dot(v, v))
@@ -435,18 +469,8 @@ def _power_one(M: sparse.csr_matrix, tol: float, max_iter: int,
             stop = "tol"
             break
         diff_prev = diff
-    resid = float(np.max(np.abs(M @ v - lam_prev * v)) / max(lam_prev, 1e-300))
+    resid = float(np.max(np.abs(apply(v) - lam_prev * v)) / max(lam_prev, 1e-300))
     return lam_prev, v, it, resid, gap, stop
-
-
-def _lse_rows(mat: np.ndarray) -> np.ndarray:
-    # logsumexp along axis 1 with -inf padding; all-padding rows give -inf
-    # without evaluating log(0)
-    mx = np.max(mat, axis=1)
-    live = np.isfinite(mx)
-    safe = np.where(live, mx, 0.0)
-    s = np.sum(np.exp(mat - safe[:, None]), axis=1)
-    return np.where(live, safe + np.log(np.where(live, s, 1.0)), -np.inf)
 
 
 def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
@@ -461,24 +485,12 @@ def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
     outside the window has grown in.  Converged and ``max_iter`` are as
     in ``power_solve``, and so is the warm start from ``start``.
     """
-    la = t_scale * T.a_vals
-    lam_pred = np.where(T.pred_idx >= 0, la[np.clip(T.pred_idx, 0, None)], -np.inf)
-    pred = np.clip(T.pred_idx, 0, None)
-    succ_ok = T.succ_idx >= 0
-    succ = np.clip(T.succ_idx, 0, None)
-
-    def fwd(logv):
-        return _lse_rows(lam_pred + logv[pred])
-
-    def bwd(logu):
-        g = np.where(succ_ok, logu[succ], -np.inf)
-        return la + _lse_rows(g)
-
+    L = _Operator(T, t_scale)
     v0, u0 = _warm_start(start, t_scale)
     log_lam_f, log_psi, it_f, res_f, gap, stop_f = _log_power_one(
-        fwd, T.n_words, tol, max_iter, v0)
+        L.log_fwd, T.n_words, tol, max_iter, v0)
     log_lam_b, log_rho, it_b, res_b, _, stop_b = _log_power_one(
-        bwd, T.n_words, tol, max_iter, u0)
+        L.log_bwd, T.n_words, tol, max_iter, u0)
     log_lam = 0.5 * (log_lam_f + log_lam_b)
     resid = max(res_f, res_b, abs(log_lam_f - log_lam_b))
     return _eigen(log_lam, log_psi, log_rho, t_scale, (it_f, it_b),
@@ -550,7 +562,7 @@ def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
     """
     if k_schedule is None:
         k_schedule = [2.0 ** j for j in range(0, 36, 2)]
-    M = T.matrix_for(t_scale)
+    L = _Operator(T, t_scale)
     sup_a = T.potential.sup_norm_bound(T.params.m) * abs(t_scale)
     floor = math.exp(-sup_a)
     psi = np.full(T.n_words, 1.0)
@@ -561,7 +573,7 @@ def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
     for k in k_schedule:
         ok = False
         for _ in range(max_inner):
-            w = M @ (psi + 1.0 / k)
+            w = L.fwd(psi + 1.0 / k)
             lam_k = float(w.max())
             w /= lam_k
             change = float(np.max(np.abs(w - psi)))
@@ -593,10 +605,11 @@ class NormalizedSystem:
     row_sum_residual: float
     support: np.ndarray  # bool mask of words carrying Gibbs mass
 
-    def matrix_bar(self) -> sparse.csr_matrix:
-        n = self.system.n_words
-        return sparse.csr_matrix((np.exp(self.log_mbar), (self.rows, self.cols)),
-                                 shape=(n, n))
+    def dense(self) -> np.ndarray:
+        """Mbar as a dense (N, N) array, for small systems."""
+        M = np.zeros((self.system.n_words,) * 2)
+        M[self.rows, self.cols] = np.exp(self.log_mbar)
+        return M
 
 
 def normalize_potential(T: TransferSystem, eigen: EigenData | None = None) -> NormalizedSystem:
@@ -632,36 +645,26 @@ def iterate(T: TransferSystem, phi: np.ndarray, n: int, t_scale: float = 1.0,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not log_mode:
-        M = T.matrix_for(t_scale)
-        out = np.asarray(phi, dtype=float).copy()
-        for _ in range(n):
-            out = M @ out
-            if not np.all(np.isfinite(out)):
-                raise FloatingPointError("overflow in linear mode; use log_mode")
-        return out
-    la = t_scale * T.a_vals
-    pred = np.clip(T.pred_idx, 0, None)
-    lam_pred = np.where(T.pred_idx >= 0, la[pred], -np.inf)
+    L = _Operator(T, t_scale)
+    step = L.log_fwd if log_mode else L.fwd
     out = np.asarray(phi, dtype=float).copy()
     for _ in range(n):
-        out = _lse_rows(lam_pred + out[pred])
+        with np.errstate(over="ignore"):
+            out = step(out)
+        if not log_mode and not np.all(np.isfinite(out)):
+            raise FloatingPointError("overflow in linear mode; use log_mode")
     return out
 
 
 def dense_spectrum(T: TransferSystem, t_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full dense spectrum oracle for small systems: eigenvalues sorted by
     modulus (descending) plus the right and left eigenvectors of the top one."""
-    M = T.matrix_for(t_scale).toarray()
-    vals, vecs = np.linalg.eig(M)
-    order = np.argsort(-np.abs(vals))
-    vals = vals[order]
-    top = np.real(vecs[:, order[0]])
-    if top.sum() < 0:
-        top = -top
-    valsl, vecsl = np.linalg.eig(M.T)
-    orderl = np.argsort(-np.abs(valsl))
-    topl = np.real(vecsl[:, orderl[0]])
-    if topl.sum() < 0:
-        topl = -topl
+    M = T.dense(t_scale)
+    out = []
+    for X in (M, M.T):
+        vals, vecs = np.linalg.eig(X)
+        order = np.argsort(-np.abs(vals))
+        top = np.real(vecs[:, order[0]])
+        out.append((vals[order], -top if top.sum() < 0 else top))
+    (vals, top), (_, topl) = out
     return vals, top, topl

@@ -232,8 +232,7 @@ def _build_solved(cfg: RunConfig):
     p = cfg.params()
     K = _kneading(cfg, p)
     A = parse_potential(cfg.potential)
-    T = build_system(p, K, A, cfg.depth)
-    T.solve(tol=cfg.tol)
+    T = build_system(p, K, A, cfg.depth).solve(tol=cfg.tol)
     return p, K, A, T
 
 
@@ -242,6 +241,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     p, K, A, T = _build_solved(cfg)
     rep.warnings.extend(T.warnings)
     eig = T.eigen
+    psi, rho = eig.psi, eig.rho
     nrm = normalize_potential(T)
     mu = gibbs_measure(T).weights
     lk = lk_solve(T, inner_tol=max(cfg.tol, 1e-14))
@@ -265,8 +265,8 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "iterations": eig.iterations,
         "solver_residual": eig.residual,
         "gap_estimate": eig.gap_estimate,
-        "psi_min": float(np.min(eig.psi)),
-        "psi_max": float(np.max(eig.psi)),
+        "psi_min": float(np.min(psi)),
+        "psi_max": float(np.max(psi)),
         "support_size": int(np.sum(nrm.support)),
     }
     if not eig.converged:
@@ -278,8 +278,8 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     rep.rows = [{
         "word": _digits_str(T.basis.word(i)),
         "mu": float(mu[i]),
-        "psi": float(eig.psi[i]),
-        "rho": float(eig.rho[i]),
+        "psi": float(psi[i]),
+        "rho": float(rho[i]),
     } for i in keep]
     return rep
 

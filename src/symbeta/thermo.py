@@ -20,8 +20,8 @@ import numpy as np
 
 from .expansion import Params
 from .operator import (EigenData, NormalizedSystem, TransferSystem,
-                       build_system, log_power_solve, normalize_potential,
-                       power_solve)
+                       build_system, iterate, log_power_solve,
+                       normalize_potential, power_solve)
 from .potentials import PotentialSpec
 from .sequences import PeriodicSeq, Word
 from .shift import Kneading, enumerate_words, is_admissible_point
@@ -87,16 +87,10 @@ def entropy_of_gibbs(T: TransferSystem, normalized: NormalizedSystem | None = No
 # entropy infimum formula
 
 
-def _preimage_sum(T: TransferSystem, u: np.ndarray) -> np.ndarray:
-    pred = np.clip(T.pred_idx, 0, None)
-    vals = np.where(T.pred_idx >= 0, u[pred], 0.0)
-    return vals.sum(axis=1)
-
-
 def inf_formula_value(T: TransferSystem, weights: np.ndarray, u: np.ndarray) -> float:
     """integral of log(L_0 u / u) against the given cylinder weights,
     where L_0 is the unweighted preimage-sum operator."""
-    lsum = _preimage_sum(T, u)
+    lsum = iterate(T, u, 1, t_scale=0.0)
     mask = weights > 0.0
     if np.any(lsum[mask] <= 0.0):
         return math.inf
@@ -169,14 +163,17 @@ def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
                           label: str = "markov") -> InvariantTestMeasure:
     """A random stationary Markov measure supported on the word graph."""
     n = T.n_words
-    succ_ok = T.succ_idx >= 0
-    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=T.succ_idx.shape), 0.0)
+    # the targets of s are the words of prefix group tail[s], a run of the
+    # sorted basis; slot k of s holds the k-th, ascending
+    succ = np.searchsorted(T.head, T.tail)[:, None] + np.arange(T.params.m + 1)
+    succ_ok = (succ < n) & (T.head[np.minimum(succ, n - 1)] == T.tail[:, None])
+    succ = np.where(succ_ok, succ, 0)
+    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=succ.shape), 0.0)
     totals = raw.sum(axis=1)
     if np.any(totals <= 0):
         raise ValueError("word graph has a sink; cannot build a Markov kernel")
-    q = raw / totals[:, None]          # q[s, slot] = P(s -> succ_idx[s, slot])
+    q = raw / totals[:, None]          # q[s, slot] = P(s -> succ[s, slot])
     pi = np.full(n, 1.0 / n)
-    succ = np.clip(T.succ_idx, 0, None)
     for _ in range(20000):
         nxt = np.zeros(n)
         np.add.at(nxt, succ.ravel(), (pi[:, None] * q).ravel())

@@ -14,8 +14,8 @@ from symbeta.expansion import (Params, beta_t, golden_ratio, greedy_expansion,
                                lazy_expansion, quasi_greedy_of_one,
                                transitive_pattern)
 from symbeta.potentials import PotentialSpec
-from symbeta.operator import (build_system, lk_solve, normalize_potential,
-                              power_solve)
+from symbeta.operator import (build_system, iterate, lk_solve,
+                              normalize_potential, power_solve)
 from symbeta.sequences import PeriodicSeq
 from symbeta.shift import (build_kneading, digit_interval_integers,
                            enumerate_words, forbidden_words, preimage_digits)
@@ -154,10 +154,9 @@ def test_criterion_08_uniform_limit_and_lk():
         lam, psi = eig.lam, eig.psi
         assert abs(np.sum(eig.rho) - 1.0) < 1e-12
         v = np.ones(T.n_words)
-        M = T.matrix
         hit = None
         for it in range(1, 501):
-            v = M @ v / lam
+            v = iterate(T, v, 1) / lam
             if np.max(np.abs(v - psi)) < 1e-8:
                 hit = it
                 break

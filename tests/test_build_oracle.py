@@ -1,20 +1,23 @@
 """The vectorised enumeration and system build against the per-word loop
 implementation they replaced, kept here as the reference.
 
-Every array of the build (a_vals, rows, cols, pred_idx, succ_idx) and the
+Every array of the build (a_vals and the edge lists rows, cols) and the
 warnings must be equal, not close: the vectorised passes run the same
-floating-point operations in the same order.
+floating-point operations in the same order.  The operator kernels are
+checked against the dense matrix scattered from the reference edges, and
+the forward kernel bit for bit against a sequential sum.
 """
 
 import random
+import warnings
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from symbeta.expansion import Params
-from symbeta.operator import build_system, canonical_point
+from symbeta.operator import _Operator, build_system, canonical_point
 from symbeta.potentials import PotentialSpec
 from symbeta.shift import (UndecidedError, _suffix_ok, build_kneading,
                            check_transitivity, enumerate_words, forbidden_words,
@@ -74,7 +77,7 @@ def oracle_forbidden(p, K, n):
 
 
 def oracle_build(p, K, A, n):
-    """(a_vals, rows, cols, pred, succ, warnings) by the per-word loops."""
+    """(a_vals, rows, cols, warnings) by the per-word loops."""
     trans = check_transitivity(p, K)
     warnings = []
     if trans.verdict == "unknown":
@@ -107,14 +110,9 @@ def oracle_build(p, K, A, n):
                 cols_l.append(j)
     rows = np.asarray(rows_l, dtype=np.int64)
     cols = np.asarray(cols_l, dtype=np.int64)
-    succ = np.full((N, deg), -1, dtype=np.int64)
-    fill = np.zeros(N, dtype=np.int64)
-    for t, s in zip(rows, cols):
-        succ[s, fill[s]] = t
-        fill[s] += 1
     if np.any(pred[:, 0] < 0):
         warnings.append("some words have no admissible predecessor at this depth")
-    return a_vals, rows, cols, pred, succ, warnings
+    return a_vals, rows, cols, warnings
 
 
 def outcome(fn, *args):
@@ -219,13 +217,13 @@ def test_build_matches_loop_reference(m, b, depths, kdepth):
     for n in depths:
         for A in _potentials(m, n):
             T = build_system(p, K, A, n)
-            a_vals, rows, cols, pred, succ, warnings = oracle_build(p, K, A, n)
+            a_vals, rows, cols, warns = oracle_build(p, K, A, n)
             assert T.a_vals.dtype == a_vals.dtype
             assert np.array_equal(T.a_vals, a_vals), (m, b, n, A.kind)
-            for got, want in [(T.rows, rows), (T.cols, cols), (T.pred_idx, pred),
-                              (T.succ_idx, succ)]:
+            for got, want in [(T.rows, rows), (T.cols, cols)]:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, b, n)
-            assert T.warnings == warnings
+            assert T.warnings == warns
+            check_kernels(T, rows, cols, 1.0, dense=True)
 
 
 def test_empty_cylinder_fallback_points_match():
@@ -239,14 +237,82 @@ def test_empty_cylinder_fallback_points_match():
     assert np.array_equal(T.a_vals, oracle_build(p, K, A, 4)[0])
 
 
-def test_matrix_for_equals_coo_build():
+def test_dense_equals_edge_scatter():
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
-    T = build_system(p, K, PotentialSpec.geometric(0.5, m_hint=3), 6)
+    A = PotentialSpec.geometric(0.5, m_hint=3)
+    T = build_system(p, K, A, 6)
+    _, rows, cols, _ = oracle_build(p, K, A, 6)
     for t in (1.0, 2.5):
-        M = T.matrix_for(t)
-        ref = sparse.csr_matrix((np.exp(t * T.a_vals[T.cols]), (T.rows, T.cols)),
-                                shape=M.shape)
-        assert M.has_canonical_format
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(M, attr), getattr(ref, attr))
+        M = np.zeros((T.n_words, T.n_words))
+        M[rows, cols] = np.exp(t * T.a_vals[cols])
+        assert np.array_equal(T.dense(t), M)
+
+
+# ---------------------------------------------------------------------------
+# operator kernels
+
+
+def check_kernels(T, rows, cols, t, dense):
+    """The four kernels of T at scale t against the operator with edges
+    (rows, cols): the forward kernel equal to the sequential sum over each
+    target's sources in ascending order, all four close to the dense
+    product (dense=True) or the edge-list sums, and the log kernels on
+    inputs with -inf entries raising no numpy warning."""
+    N = T.n_words
+    rng = np.random.default_rng(N)
+    e = np.exp(t * T.a_vals)
+    v = rng.uniform(0.5, 2.0, N)
+    u = rng.uniform(0.5, 2.0, N)
+    # zero on a whole source group and a whole target group, so that some
+    # log-kernel outputs are -inf
+    v[T.tail == T.tail[N // 2]] = 0.0
+    u[T.head == T.head[N // 2]] = 0.0
+    v[rng.random(N) < 0.2] = 0.0
+    u[rng.random(N) < 0.2] = 0.0
+    seq = np.zeros(N)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        seq[r] += e[c] * v[c]
+    if dense:
+        M = np.zeros((N, N))
+        M[rows, cols] = e[cols]
+        want_f, want_b = M @ v, M.T @ u
+    else:
+        want_f = seq
+        want_b = np.zeros(N)
+        np.add.at(want_b, cols, e[cols] * u[rows])
+    L = _Operator(T, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_f, got_b = L.fwd(v), L.bwd(u)
+        with np.errstate(divide="ignore"):
+            lv, lu = np.log(v), np.log(u)
+        log_f, log_b = L.log_fwd(lv), L.log_bwd(lu)
+    assert np.array_equal(got_f, seq)
+    assert np.allclose(got_f, want_f, rtol=1e-13, atol=0)
+    assert np.allclose(got_b, want_b, rtol=1e-13, atol=0)
+    with np.errstate(divide="ignore"):
+        assert np.allclose(log_f, np.log(want_f), rtol=1e-13, atol=1e-13)
+        assert np.allclose(log_b, np.log(want_b), rtol=1e-13, atol=1e-13)
+    assert np.any(np.isneginf(log_f)) and np.any(np.isneginf(log_b))
+
+
+def test_kernels_on_dead_ends():
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    A = PotentialSpec.geometric(1.0, theta=0.25, kmax=12, m_hint=3)
+    # depth 9: 16 words whose suffix starts no word, so they have no
+    # successor; the dense matrix (N = 15,812) would take 2 GB, so the
+    # reference is the edge-list sum
+    T = build_system(p, K, A, 9)
+    assert np.count_nonzero(T.tail < 0) > 0
+    for t in (1.0, 4.0):
+        check_kernels(T, T.rows, T.cols, t, dense=False)
+    # no admissible word of the grids lacks a predecessor; cutting the
+    # sources of one prefix group gives targets with none
+    T = build_system(p, K, A, 5)
+    cut = replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
+    rows, cols = np.nonzero(cut.head[:, None] == cut.tail[None, :])
+    assert len(np.unique(rows)) < cut.n_words
+    assert np.array_equal(cut.rows, rows) and np.array_equal(cut.cols, cols)
+    check_kernels(cut, rows, cols, 1.0, dense=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -24,7 +25,7 @@ def system(m, b, A=None, n=3, **kw):
 
 def test_full_shift_depth1_all_ones():
     T = system(3, 4, n=1)
-    assert np.array_equal(T.matrix.toarray(), np.ones((4, 4)))
+    assert np.array_equal(T.dense(), np.ones((4, 4)))
 
 
 def test_digit_table_depth1_eigenvalue():
@@ -38,9 +39,19 @@ def test_row_sums_equal_preimage_counts():
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
     T = build_system(p, K, PotentialSpec.zero(), 3)
-    sums = np.asarray(T.matrix.sum(axis=1)).ravel()
+    sums = T.dense().sum(axis=1)
     counts = [len(preimage_digits(w, p, K)) for w in T.basis.words]
     assert np.array_equal(sums, counts)
+
+
+def test_solve_returns_a_new_frozen_system():
+    T = system(3, 4, n=3)
+    T2 = T.solve()
+    assert T.eigen is None and T2.eigen is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.eigen = T2.eigen
+    assert T.rows is T.rows and T.cols is T.cols
+    assert T.solve().rows is T.rows
 
 
 def test_regime_refusals():
@@ -207,15 +218,14 @@ def test_normalize_row_sums():
     # full shift A=0: Mbar = M / (m + 1)
     T0 = system(3, 4, n=2).solve()
     nrm0 = normalize_potential(T0)
-    assert np.allclose(nrm0.matrix_bar().toarray(),
-                       T0.matrix.toarray() / 4.0, atol=1e-12)
+    assert np.allclose(nrm0.dense(), T0.dense() / 4.0, atol=1e-12)
 
 
 def test_normalize_idempotent():
     A = PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05])
     T = system(3, "3.5", A, n=4).solve(tol=1e-15)
     nrm = normalize_potential(T)
-    M = nrm.matrix_bar()
+    M = nrm.dense()
     # the normalized operator has Perron eigenvalue 1 and eigenfunction 1,
     # so normalizing again changes nothing
     v = np.ones(T.n_words)
@@ -266,10 +276,9 @@ def test_uniform_limit_monotone():
     T = system(3, "3.5", A, n=4).solve(tol=1e-15)
     lam, psi = T.eigen.lam, T.eigen.psi
     v = np.ones(T.n_words)
-    M = T.matrix
     errs = []
     for _ in range(200):
-        v = M @ v / lam
+        v = iterate(T, v, 1) / lam
         errs.append(float(np.max(np.abs(v - psi))))
     assert errs[-1] < 1e-8
     # monotone decay past a burn-in, until the rounding floor is reached
@@ -293,7 +302,7 @@ def test_reflection_covariance():
     T = build_system(p, K, A, 5).solve(tol=1e-15)
     from symbeta.sequences import reflect_word
     perm = np.array([T.basis.index[reflect_word(w, 3)] for w in T.basis.words])
-    Tm = T.matrix.toarray()
+    Tm = T.dense()
     assert np.allclose(Tm[np.ix_(perm, perm)], Tm, atol=1e-14)
     psi = T.eigen.psi
     assert np.max(np.abs(psi[perm] - psi)) < 1e-9
@@ -302,7 +311,7 @@ def test_reflection_covariance():
 def test_matrix_entries_positive_and_eigen_invariants():
     A = PotentialSpec.digit_table([0.3, -0.2, 0.1, 0.0])
     T = system(3, 4, A, n=3).solve(tol=1e-15)
-    assert np.all(T.matrix.data > 0)
+    assert np.all(T.dense()[T.rows, T.cols] > 0)
     eig = T.eigen
     assert np.all(eig.psi > 0)        # transitive system
     assert np.all(eig.rho >= 0)
@@ -316,7 +325,7 @@ def test_left_eigenvector_duality():
     A = PotentialSpec.digit_table([0.2, 0.0, 0.1, 0.05])
     T = system(3, "3.5", A, n=4).solve(tol=1e-15)
     rng = np.random.default_rng(17)
-    M, rho, lam = T.matrix, T.eigen.rho, T.eigen.lam
+    M, rho, lam = T.dense(), T.eigen.rho, T.eigen.lam
     for _ in range(10):
         phi = rng.standard_normal(T.n_words)
         lhs = float(np.dot(rho, M @ phi))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from symbeta.cli import main
+from symbeta.operator import EigenData
 from symbeta.reporting import (ConfigError, RunConfig, cmd_check, cmd_expand,
                                cmd_spectrum, cmd_words, cmd_zerotemp,
                                render_report)
@@ -87,6 +88,38 @@ def test_cmd_spectrum_full_dump():
     cfg = RunConfig(m=3, beta="4", depth=2, potential="zero")
     assert len(cmd_spectrum(cfg).rows) == 10
     assert len(cmd_spectrum(cfg, full=True).rows) == 16
+
+
+def test_spectrum_full_reads_eigenvectors_once(monkeypatch):
+    # EigenData.psi and .rho exponentiate the whole vector on every read
+    reads = {"psi": 0, "rho": 0}
+
+    def counting(name):
+        plain = getattr(EigenData, name).fget
+
+        def read(self):
+            reads[name] += 1
+            return plain(self)
+        return property(read)
+
+    for name in reads:
+        monkeypatch.setattr(EigenData, name, counting(name))
+    rep = cmd_spectrum(RunConfig(m=3, beta="3.5", depth=5, potential="zero"), full=True)
+    assert len(rep.rows) >= 100
+    assert reads["psi"] <= 3 and reads["rho"] <= 3
+
+
+def test_import_does_not_load_scipy():
+    import os, subprocess, sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, symbeta.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

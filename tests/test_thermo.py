@@ -156,11 +156,17 @@ def test_orbit_measure_gap_zero_potential():
 def _markov_reference(T, rng):
     """random_markov_measure with the per-edge dict it used to build ej."""
     n = T.n_words
-    succ_ok = T.succ_idx >= 0
-    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=T.succ_idx.shape), 0.0)
+    # successor slots of each source, ascending, from the edge list
+    succ_idx = np.full((n, T.params.m + 1), -1)
+    fill = np.zeros(n, dtype=int)
+    for t, s in zip(T.rows, T.cols):
+        succ_idx[s, fill[s]] = t
+        fill[s] += 1
+    succ_ok = succ_idx >= 0
+    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=succ_idx.shape), 0.0)
     q = raw / raw.sum(axis=1)[:, None]
     pi = np.full(n, 1.0 / n)
-    succ = np.clip(T.succ_idx, 0, None)
+    succ = np.clip(succ_idx, 0, None)
     for _ in range(20000):
         nxt = np.zeros(n)
         np.add.at(nxt, succ.ravel(), (pi[:, None] * q).ravel())
@@ -172,7 +178,7 @@ def _markov_reference(T, rng):
     jmap = {}
     for s in range(n):
         for slot in range(q.shape[1]):
-            t = T.succ_idx[s, slot]
+            t = succ_idx[s, slot]
             if t >= 0:
                 jmap[(int(t), int(s))] = pi[s] * q[s, slot]
     return pi, np.array([jmap.get((int(t), int(s)), 0.0) for t, s in zip(T.rows, T.cols)])
