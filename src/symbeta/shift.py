@@ -14,6 +14,7 @@ to decide.  Exact (eventually periodic) kneading data never yields None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -279,6 +280,42 @@ def _suffix_verdicts(cands: np.ndarray, K: Kneading) -> np.ndarray:
         last = np.minimum(np.minimum(viol, np.maximum(f_up, f_lo)), L - 1)
         out[last >= K.depth] = -1
     return out
+
+
+def _rotation_points(W: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` digits of the periodic point r^inf of every
+    rotation r of every row of W: an (N, L, width) matrix whose [i, k] is
+    rotation k (first digit W[i, k]) of row i."""
+    L = W.shape[1]
+    return W[:, (np.arange(L)[:, None] + np.arange(width)) % L]
+
+
+def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
+    """``is_admissible_point(PeriodicSeq((), r), K)`` for every row r of a
+    uint8 word matrix at once: 1 / 0 / -1 for True / False / None.
+
+    Every rotation of r must lie between the kneading bounds.  Exact
+    kneading: two eventually periodic sequences agreeing on |pre| +
+    lcm(L, |period|) digits are equal (the bound of ``lex_compare``), so
+    the truncated order on that many digits is the order of the points.
+    Truncated kneading: the comparison reads ``K.depth`` digits, and a
+    rotation tied with the kneading prefix or its reflection through all
+    of them is undecided, as in ``_tied_through_depth``.  A violation by
+    any rotation wins over an undecided one.
+    """
+    N, L = W.shape
+    if K.exact:
+        width = len(K.upper.preperiod) + math.lcm(L, len(K.upper.period))
+    else:
+        width = K.depth
+    points = _rotation_points(W, width).reshape(N * L, width)
+    verdict = _suffix_verdicts(points, K)
+    if not K.exact:
+        tied = ((points == np.asarray(K.upper_prefix(width), dtype=np.uint8)).all(axis=1)
+                | (points == np.asarray(K.lower_prefix(width), dtype=np.uint8)).all(axis=1))
+        verdict[tied & (verdict != 0)] = -1
+    verdict = verdict.reshape(N, L)
+    return np.where((verdict == 0).any(axis=1), 0, verdict.min(axis=1))
 
 
 def _levels(p: Params, K: Kneading, n: int):

@@ -23,8 +23,9 @@ from .operator import (EigenData, NormalizedSystem, TransferSystem,
                        build_system, iterate, log_power_solve,
                        normalize_potential, power_solve)
 from .potentials import PotentialSpec
-from .sequences import PeriodicSeq, Word
-from .shift import Kneading, enumerate_words, is_admissible_point
+from .sequences import Word
+from .shift import (Kneading, _levels, _periodic_verdicts, _rotation_points,
+                    locate_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +197,16 @@ def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
 def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMeasure:
     """Uniform invariant measure on an admissible periodic orbit, expressed
     on depth-n cylinder words."""
-    n = T.depth
     p = len(orbit.word)
-    windows = []
-    for k in range(p):
-        windows.append(tuple(orbit.word[(k + i) % p] for i in range(n)))
+    word = np.asarray(orbit.word, dtype=np.uint8)[None, :]
+    # the depth-n window at each point of the orbit, in orbit order
+    src = locate_rows(T.basis.digits, _rotation_points(word, T.depth)[0])
+    if np.any(src < 0):
+        raise ValueError("orbit leaves the admissible word basis")
     weights = np.zeros(T.n_words)
-    idx = []
-    for w in windows:
-        i = T.basis.index.get(w)
-        if i is None:
-            raise ValueError("orbit leaves the admissible word basis")
-        idx.append(i)
-        weights[i] += 1.0 / p
+    np.add.at(weights, src, 1.0 / p)
     # consecutive windows s -> t are an edge t <- s; the edges are sorted
     # by (row, column), so their codes row * N + col are too
-    src = np.asarray(idx, dtype=np.int64)
     codes = T.rows * T.n_words + T.cols
     steps = np.roll(src, -1) * T.n_words + src
     edge = np.searchsorted(codes, steps)
@@ -272,35 +267,43 @@ class PeriodicOrbit:
         return len(self.word)
 
 
-def _canonical_rotation(w: Word) -> Word:
-    return min(w[i:] + w[:i] for i in range(len(w)))
+def _least_rotation_rows(W: np.ndarray) -> np.ndarray:
+    """Which rows of a word matrix are strictly lex-smaller than each of
+    their nontrivial rotations: one row per primitive orbit, its lex-least
+    rotation.  A non-primitive word equals one of its rotations and fails."""
+    N, L = W.shape
+    rot = _rotation_points(W, L)[:, 1:]
+    neq = rot != W[:, None, :]
+    first = neq.argmax(axis=2)           # first difference, 0 where none
+    w_at = W[np.arange(N)[:, None], first]
+    r_at = np.take_along_axis(rot, first[..., None], axis=2)[..., 0]
+    return (neq.any(axis=2) & (w_at < r_at)).all(axis=1)
 
 
 def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
                     max_period: int) -> list[PeriodicOrbit]:
-    """All admissible periodic orbits of period <= max_period with their
-    potential averages.  Orbits whose admissibility is undecided at the
-    kneading depth are skipped."""
-    seen: set[PeriodicSeq] = set()
+    """The admissible periodic orbits of period <= max_period, one entry
+    per orbit, with their potential averages.
+
+    Each orbit is given by its lex-least rotation; entries are ordered by
+    period, then lexicographically.  Orbits whose admissibility is
+    undecided at the kneading depth are skipped.  The orbits of period L
+    are found among the admissible words of length L (every factor of an
+    admissible point is an admissible word), in one pass over the word
+    levels.
+    """
     out: list[PeriodicOrbit] = []
     need = max(A.needed_digits, 1)
-    for length in range(1, max_period + 1):
-        basis = enumerate_words(p, K, length)
-        for w in basis.words:
-            seq = PeriodicSeq((), w)
-            if seq in seen:
-                continue
-            seen.add(seq)
-            ok = is_admissible_point(seq, K)
-            if not ok:
-                continue
-            per = len(seq.period)
-            vals = []
-            for k in range(per):
-                digits = tuple(seq.digit(k + 1 + i) for i in range(need))
-                vals.append(A.value(digits))
-            out.append(PeriodicOrbit(_canonical_rotation(seq.period),
-                                     float(np.mean(vals))))
+    for cands, ok in _levels(p, K, max_period):
+        W = cands[ok]
+        W = W[_least_rotation_rows(W)]
+        W = W[_periodic_verdicts(W, K) == 1]
+        N, L = W.shape
+        # the average over the orbit, starting from its lex-least rotation
+        vals = A.values(_rotation_points(W, need).reshape(N * L, need))
+        averages = vals.reshape(N, L).mean(axis=1)
+        out.extend(PeriodicOrbit(tuple(w), float(a))
+                   for w, a in zip(W.tolist(), averages))
     return out
 
 

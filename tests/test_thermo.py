@@ -7,9 +7,9 @@ from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.operator import build_system, normalize_potential
 from symbeta.shift import build_kneading
-from symbeta.thermo import (InvariantTestMeasure, average_energy, entropy_inf_check,
-                            entropy_of_gibbs, gibbs_measure, max_ergodic_average,
-                            orbit_measure, periodic_orbits, pressure,
+from symbeta.thermo import (InvariantTestMeasure, PeriodicOrbit, average_energy,
+                            entropy_inf_check, entropy_of_gibbs, gibbs_measure,
+                            max_ergodic_average, orbit_measure, periodic_orbits, pressure,
                             random_markov_measure, variational_gap,
                             zero_temperature_scan)
 
@@ -151,6 +151,19 @@ def test_orbit_measure_gap_zero_potential():
     g = variational_gap(T, nu)
     assert g.entropy_upper < 1e-6
     assert g.gap == pytest.approx(math.log(4), abs=1e-6)
+
+
+def test_orbit_measure_locates_windows_without_word_index():
+    _, _, T = solved(3, "3.5", n=3)
+    orbits = periodic_orbits(T.params, T.kneading, T.potential, 4)
+    for orbit in orbits:
+        nu = orbit_measure(T, orbit)
+        assert nu.weights.sum() == pytest.approx(1.0)
+    assert "index" not in vars(T.basis)
+    # 0^inf lies below the reflected kneading sequence: 000 is no word
+    assert (0, 0, 0) not in T.basis.words
+    with pytest.raises(ValueError, match="leaves the admissible word basis"):
+        orbit_measure(T, PeriodicOrbit((0,), 0.0))
 
 
 def _markov_reference(T, rng):
