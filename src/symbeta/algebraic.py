@@ -6,6 +6,11 @@ are either rationals (decimal-string input) or quadratic irrationals
 (generalized golden ratios, the distinguished transitive base for even
 alphabets), so elements of the form a + b*sqrt(d) with rational a, b cover
 everything.  Comparisons, floors and field operations below are exact.
+
+``QuadReal`` is the value type of bases, expanded values and series sums.
+The digit recursion does not run on it: it keeps its remainders as
+integers over Z[sqrt(d)] (see ``expansion._greedy_digits``), and the
+QuadReal loop it replaced is kept in the tests as the reference.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Expansions of real numbers in a non-integer base over the alphabet 0..m.
 
 Everything here runs on exact rational or quadratic-irrational arithmetic
-(see :mod:`symbeta.algebraic`), so digit decisions are never subject to
+(values are :class:`symbeta.algebraic.QuadReal`; the digit recursion runs
+on integers over Z[sqrt(d)]), so digit decisions are never subject to
 rounding: the greedy recursion detects exact termination and exact cycles
 of its remainders, which is what makes kneading data exactly computable
 for algebraic bases.
@@ -10,6 +11,7 @@ for algebraic bases.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -203,32 +205,64 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
     digit beta*r - 1 so the remainder stays strictly positive, which yields
     the largest never-terminating expansion.
 
+    The remainder is held in integers, with no rational normalisation:
+    r = (X + Y sqrt(d)) / D with D = D0 s^k, where beta = (P + Q sqrt(d)) / s
+    and D0 is the denominator of a (d = 0 for a rational base).  A step
+    multiplies X + Y sqrt(d) by P + Q sqrt(d) and D by s.  The digit is
+    floor((X + floor(Y sqrt d)) / D), with floor(Y sqrt d) from ``isqrt``
+    (Y^2 d is never a square for squarefree d > 1).  beta r is an integer
+    exactly when Y == 0 and D divides X.  Factors of s common to X and Y
+    are divided out while k > 0, which makes (X, Y, k) a canonical form of
+    r, so the cycle test compares remainders exactly.
+
     Returns (digits, exact) where exact is the full PeriodicSeq when the
     remainder sequence terminates or cycles within ``depth`` steps, else None.
     """
     beta, m = p.beta, p.m
-    r = a
+    if a.d and beta.d and a.d != beta.d:
+        raise TypeError(f"{a!r} does not lie in the field of beta = {beta!r}")
+    d = beta.d or a.d
+    s = math.lcm(beta.a.denominator, beta.b.denominator)
+    P, Q = int(beta.a * s), int(beta.b * s)
+    Qd = Q * d
+    D = math.lcm(a.a.denominator, a.b.denominator)
+    X, Y = int(a.a * D), int(a.b * D)
+    k = 0
     digits: list[int] = []
-    seen: dict[QuadReal, int] = {}
+    seen: dict[tuple[int, int, int], int] = {}
     for n in range(depth):
-        if r == 0:
+        if not X and not Y:
             if quasi and digits:
                 raise AssertionError("quasi recursion reached zero remainder")
             return digits + [0] * (depth - n), PeriodicSeq.from_word(tuple(digits))
-        if r in seen:
-            start = seen[r]
+        key = (X, Y, k)
+        if key in seen:
+            start = seen[key]
             pre, per = tuple(digits[:start]), tuple(digits[start:])
             return digits + _extend(per, depth - n), PeriodicSeq(pre, per)
-        seen[r] = n
-        t = beta * r
-        d = t.floor_int()
-        if quasi and d <= m and QuadReal.of(d) == t:
-            d -= 1
-        d = min(d, m)
-        if d < 0:
+        seen[key] = n
+        X, Y = P * X + Qd * Y, Q * X + P * Y
+        if s > 1:
+            D *= s
+            k += 1
+        if Y > 0:
+            dig = (X + math.isqrt(Y * Y * d)) // D
+        elif Y < 0:
+            dig = (X - math.isqrt(Y * Y * d) - 1) // D
+        else:
+            dig = X // D
+            if quasi and dig <= m and dig * D == X:
+                dig -= 1
+        dig = min(dig, m)
+        if dig < 0:
             raise ValueError("negative digit: value out of range")
-        digits.append(d)
-        r = t - d
+        digits.append(dig)
+        X -= dig * D
+        while k and not X % s and not Y % s:
+            X //= s
+            Y //= s
+            D //= s
+            k -= 1
     return digits, None
 
 

@@ -271,7 +271,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     a_vals = A.values(points)
 
     head, tail = _word_graph(basis.digits)
-    if len(np.unique(tail[tail >= 0])) <= head[-1]:
+    if _in_degree(head, tail).min() == 0:
         warnings.append("some words have no admissible predecessor at this depth")
 
     return TransferSystem(p, K, A, basis, a_vals, head, tail, trans, warnings)
@@ -316,6 +316,13 @@ def _word_graph(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new[1:] = np.any(D[1:, :-1] != D[:-1, :-1], axis=1)
     head = np.cumsum(new) - 1
     return head, locate_rows(D[new, :-1], D[:, 1:])
+
+
+def _in_degree(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Number of sources of every word of the graph ``(head, tail)``: the
+    words s with tail[s] == head[t], i.e. the digits a with a t[:-1] a
+    word, the word's preimage count at this depth."""
+    return np.bincount(tail[tail >= 0], minlength=len(head))[head]
 
 
 class _Operator:

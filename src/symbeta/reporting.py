@@ -4,6 +4,10 @@ Reports render to a human table, line-delimited JSON records (one object
 per row) or CSV for curves.  Output is deterministic: identical config and
 version produce byte-identical bytes (sorted keys, repr floats, no
 timestamps).
+
+A report carries its rows as columns: each renderer turns a column into
+its cell strings in one pass and joins the lines, with no object per row.
+A word column is the (N, n) uint8 digit matrix of the words.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ from typing import Any
 
 import numpy as np
 
-from .expansion import (Params, beta_t, golden_ratio, greedy_expansion,
-                        lazy_expansion, quasi_greedy, unique_expansion)
-from .operator import build_system, lk_solve, normalize_potential
+from .expansion import (Params, beta_t, greedy_expansion, lazy_expansion,
+                        quasi_greedy)
+from .operator import (_in_degree, _word_graph, build_system, lk_solve,
+                       normalize_potential)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq
 from .shift import (Kneading, build_kneading, check_transitivity,
                     digit_interval, digit_interval_integers, enumerate_words,
-                    forbidden_words, preimage_digits)
+                    forbidden_words)
 from .thermo import (entropy_inf_check, entropy_of_gibbs, gibbs_measure,
                      max_ergodic_average, pressure, random_markov_measure,
                      variational_gap, zero_temperature_scan, DEFAULT_T_GRID,
@@ -124,13 +129,21 @@ class RunConfig:
 
 @dataclass
 class Report:
+    """One subcommand's result.  ``columns`` maps each row field, in output
+    order, to its values: a list, a 1-d array, or for words the uint8 digit
+    matrix with one word per row."""
+
     command: str
     config: RunConfig
     summary: dict[str, Any] = field(default_factory=dict)
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    columns: dict[str, list | np.ndarray] = field(default_factory=dict)
     row_kind: str = "row"
     warnings: list[str] = field(default_factory=list)
     exit_code: int = 0
+
+    @property
+    def n_rows(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _digits_str(ds) -> str:
@@ -163,7 +176,7 @@ def cmd_expand(cfg: RunConfig) -> Report:
         "lazy": _digits_str(lazy),
         "quasi_greedy": _digits_str(q_prefix),
         "quasi_greedy_exact": str(q) if isinstance(q, PeriodicSeq) else None,
-        "unique": unique_expansion(cfg.a, p, n),
+        "unique": greedy == lazy,
     }
     return rep
 
@@ -176,7 +189,11 @@ def cmd_check(cfg: RunConfig) -> Report:
     lo, hi = digit_interval(p)
     ints = sorted(digit_interval_integers(p))
     basis = enumerate_words(p, K, cfg.depth)
-    counts = sorted(len(preimage_digits(w, p, K)) for w in basis.words)
+    # a word's preimage digits a are those with a w[:-1] admissible: its
+    # in-degree in the word graph.  Every a w[:-1] was a candidate of the
+    # enumeration, so none is undecided.
+    counts = _in_degree(*_word_graph(basis.digits))
+    cmin, cmax = (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
     forb = forbidden_words(p, K, cfg.depth)
     rep.summary = {
         "m": p.m,
@@ -193,8 +210,8 @@ def cmd_check(cfg: RunConfig) -> Report:
         "transitivity_reason": trans.reason,
         "digit_interval": [float(lo), float(hi)],
         "digit_interval_integers": ints,
-        "preimage_count_min": counts[0] if counts else 0,
-        "preimage_count_max": counts[-1] if counts else 0,
+        "preimage_count_min": cmin,
+        "preimage_count_max": cmax,
         "basis_size": len(basis),
         "forbidden_words": [_digits_str(w) for w in forb],
     }
@@ -202,10 +219,10 @@ def cmd_check(cfg: RunConfig) -> Report:
         rep.warnings.append(
             f"digit interval contains {len(ints)} integer(s) < 2: the interval "
             "argument alone does not certify two preimages; measured minimum "
-            f"is {counts[0] if counts else 0}")
-    if counts and counts[0] < 2:
+            f"is {cmin}")
+    if len(counts) and cmin < 2:
         rep.warnings.append(
-            f"measured preimage count {counts[0]} < 2 violates the expected bound")
+            f"measured preimage count {cmin} < 2 violates the expected bound")
     if trans.verdict != "transitive":
         rep.warnings.append(f"transitivity: {trans.verdict} ({trans.reason})")
     return rep
@@ -224,7 +241,7 @@ def cmd_words(cfg: RunConfig) -> Report:
         "forbidden_count": len(forb),
         "forbidden_words": [_digits_str(w) for w in forb],
     }
-    rep.rows = [{"word": _digits_str(w)} for w in basis.words]
+    rep.columns = {"word": basis.digits}
     return rep
 
 
@@ -275,12 +292,8 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         rep.exit_code = 4
     order = np.argsort(-mu)
     keep = order if full else order[:10]
-    rep.rows = [{
-        "word": _digits_str(T.basis.word(i)),
-        "mu": float(mu[i]),
-        "psi": float(psi[i]),
-        "rho": float(rho[i]),
-    } for i in keep]
+    rep.columns = {"word": T.basis.digits[keep], "mu": mu[keep],
+                   "psi": psi[keep], "rho": rho[keep]}
     return rep
 
 
@@ -297,13 +310,13 @@ def cmd_thermo(cfg: RunConfig) -> Report:
     erg = max_ergodic_average(p, K, A, cfg.max_period, system=T,
                               t_pair=(cfg.t_grid[-1] / 2, cfg.t_grid[-1]))
     rng = np.random.default_rng(cfg.seed)
-    worst = -math.inf
-    for i in range(20):
-        nu = random_markov_measure(T, rng, label=f"markov_{i}")
-        g = variational_gap(T, nu, nrm)
-        rep.rows.append({"measure": g.label, "entropy_upper": g.entropy_upper,
-                         "average": g.average, "gap": g.gap})
-        worst = max(worst, -g.gap)
+    gaps = [variational_gap(T, random_markov_measure(T, rng, label=f"markov_{i}"), nrm)
+            for i in range(20)]
+    rep.columns = {"measure": [g.label for g in gaps],
+                   "entropy_upper": [g.entropy_upper for g in gaps],
+                   "average": [g.average for g in gaps],
+                   "gap": [g.gap for g in gaps]}
+    worst = max(-g.gap for g in gaps)
     rep.summary = {
         "pressure": pressure(T),
         "entropy": h,
@@ -344,11 +357,9 @@ def cmd_zerotemp(cfg: RunConfig) -> Report:
         "richardson": curve.richardson,
         "monotone_tail": curve.monotone_tail,
     }
-    rep.rows = [{
-        "t": pt.t, "pressure": pt.pressure, "entropy": pt.entropy,
-        "average": pt.average, "identity_residual": pt.identity_residual,
-        "mode": pt.mode, "converged": pt.converged,
-    } for pt in curve.points]
+    rep.columns = {name: [getattr(pt, name) for pt in curve.points]
+                   for name in ("t", "pressure", "entropy", "average",
+                                "identity_residual", "mode", "converged")}
     if any(not pt.converged for pt in curve.points):
         rep.exit_code = 4
     return rep
@@ -376,16 +387,52 @@ def render_report(rep: Report, fmt: str) -> str:
     return _render_table(rep)
 
 
+def _word_cells(D: np.ndarray) -> list[str]:
+    """``_digits_str`` of every row of a uint8 digit matrix.  The digit
+    characters of all rows are made in one pass; a row holding a digit
+    above 9 takes the comma form instead."""
+    n = D.shape[1]
+    text = (D + np.uint8(48)).tobytes().decode("latin-1")
+    cells = [text[i:i + n] for i in range(0, len(text), n)]
+    for i in np.flatnonzero(D.max(axis=1) > 9).tolist():
+        cells[i] = ",".join(map(str, D[i].tolist()))
+    return cells
+
+
+def _json_val(v) -> str:
+    v = _jsonable(v)
+    # json.dumps writes a finite float as its repr
+    return repr(v) if type(v) is float else json.dumps(v)
+
+
+def _cells(col, json_form: bool) -> list[str]:
+    """The cell strings of one column, as JSON values or as ``_fmt_val``."""
+    if isinstance(col, np.ndarray) and col.ndim == 2:
+        cells = _word_cells(col)
+        # digits and commas need no JSON escaping
+        return [f'"{c}"' for c in cells] if json_form else cells
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    return list(map(_json_val if json_form else _fmt_val, values))
+
+
+def _join_rows(lits: list[str], cols: list[list[str]]) -> list[str]:
+    """Row i is lits[0] + cols[0][i] + lits[1] + ... + cols[-1][i] + lits[-1],
+    built in one pass per column."""
+    rows = [lits[0] + c + lits[1] for c in cols[0]]
+    for col, lit in zip(cols[1:], lits[2:]):
+        rows = [r + c + lit for r, c in zip(rows, col)]
+    return rows
+
+
 def _render_table(rep: Report) -> str:
     out = [f"# symbeta {rep.command}  (m={rep.config.m}, beta={rep.config.beta})"]
     for k, v in rep.summary.items():
         out.append(f"{k:28s} {_fmt_val(v)}")
-    if rep.rows:
-        cols = list(rep.rows[0].keys())
+    if rep.n_rows:
         out.append("")
-        out.append("  ".join(f"{c:>16s}" for c in cols))
-        for r in rep.rows:
-            out.append("  ".join(f"{_fmt_val(r[c]):>16s}" for c in cols))
+        out.append("  ".join(f"{c:>16s}" for c in rep.columns))
+        cells = [[c.rjust(16) for c in _cells(col, False)] for col in rep.columns.values()]
+        out.extend(_join_rows([""] + ["  "] * (len(cells) - 1) + [""], cells))
     for w in rep.warnings:
         out.append(f"WARNING: {w}")
     return "\n".join(out) + "\n"
@@ -410,9 +457,19 @@ def _render_jsonl(rep: Report) -> str:
                             sort_keys=True))
     lines.append(json.dumps({"record": "summary", **_jsonable(rep.summary)},
                             sort_keys=True))
-    for r in rep.rows:
-        lines.append(json.dumps({"record": rep.row_kind, **_jsonable(r)},
-                                sort_keys=True))
+    if rep.n_rows:
+        # keys sorted as json.dumps sorts them; the record kind is constant,
+        # so it joins the text between the cells
+        lits, cells, text = [], [], "{"
+        for i, k in enumerate(sorted(["record", *rep.columns])):
+            text += (", " if i else "") + json.dumps(k) + ": "
+            if k == "record":
+                text += json.dumps(rep.row_kind)
+            else:
+                lits.append(text)
+                cells.append(_cells(rep.columns[k], True))
+                text = ""
+        lines.extend(_join_rows(lits + [text + "}"], cells))
     for w in rep.warnings:
         lines.append(json.dumps({"record": "warning", "message": w}, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -420,11 +477,10 @@ def _render_jsonl(rep: Report) -> str:
 
 def _render_csv(rep: Report) -> str:
     lines = []
-    if rep.rows:
-        cols = list(rep.rows[0].keys())
-        lines.append(",".join(cols))
-        for r in rep.rows:
-            lines.append(",".join(_fmt_val(r[c]) for c in cols))
+    if rep.n_rows:
+        lines.append(",".join(rep.columns))
+        cells = [_cells(col, False) for col in rep.columns.values()]
+        lines.extend(_join_rows([""] + [","] * (len(cells) - 1) + [""], cells))
     else:
         lines.append("key,value")
         for k, v in rep.summary.items():

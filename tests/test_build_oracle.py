@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from symbeta.expansion import Params
-from symbeta.operator import _Operator, build_system, canonical_point
+from symbeta.operator import _Operator, _in_degree, build_system, canonical_point
 from symbeta.potentials import PotentialSpec
 from symbeta.shift import (UndecidedError, _suffix_ok, build_kneading,
                            check_transitivity, enumerate_words, forbidden_words,
@@ -314,5 +314,6 @@ def test_kernels_on_dead_ends():
     cut = replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
     rows, cols = np.nonzero(cut.head[:, None] == cut.tail[None, :])
     assert len(np.unique(rows)) < cut.n_words
+    assert _in_degree(cut.head, cut.tail).min() == 0 < _in_degree(T.head, T.tail).min()
     assert np.array_equal(cut.rows, rows) and np.array_equal(cut.cols, cols)
     check_kernels(cut, rows, cols, 1.0, dense=True)

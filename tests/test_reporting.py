@@ -66,7 +66,7 @@ def test_cmd_words_counts():
     rep = cmd_words(RunConfig(m=2, beta="beta_T", depth=2))
     assert rep.summary["count"] == 7
     assert rep.summary["forbidden_words"] == ["00", "22"]
-    assert len(rep.rows) == 7
+    assert rep.n_rows == 7
 
 
 def test_cmd_spectrum_full_shift():
@@ -86,8 +86,8 @@ def test_cmd_spectrum_propagates_lower_warnings():
 
 def test_cmd_spectrum_full_dump():
     cfg = RunConfig(m=3, beta="4", depth=2, potential="zero")
-    assert len(cmd_spectrum(cfg).rows) == 10
-    assert len(cmd_spectrum(cfg, full=True).rows) == 16
+    assert cmd_spectrum(cfg).n_rows == 10
+    assert cmd_spectrum(cfg, full=True).n_rows == 16
 
 
 def test_spectrum_full_reads_eigenvectors_once(monkeypatch):
@@ -105,7 +105,7 @@ def test_spectrum_full_reads_eigenvectors_once(monkeypatch):
     for name in reads:
         monkeypatch.setattr(EigenData, name, counting(name))
     rep = cmd_spectrum(RunConfig(m=3, beta="3.5", depth=5, potential="zero"), full=True)
-    assert len(rep.rows) >= 100
+    assert rep.n_rows >= 100
     assert reads["psi"] <= 3 and reads["rho"] <= 3
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from symbeta.expansion import Params, unique_expansion
+from symbeta.operator import _in_degree, _word_graph
 from symbeta.sequences import PeriodicSeq, reflect_word
 from symbeta.shift import (UndecidedError, build_kneading, check_transitivity,
                            digit_interval, digit_interval_integers,
@@ -198,6 +199,15 @@ def test_point_preimages_exact():
     assert 2 in pre
     # 0·1^inf = 011... >= 01^inf: admissible
     assert pre == {0, 1, 2}
+
+
+@pytest.mark.parametrize("m, beta, n", [(4, "4.7", 7), (3, "3.5", 6)])
+def test_preimage_counts_are_graph_in_degrees(m, beta, n):
+    # check reads every word's preimage count from the word graph
+    p, K = kn(m, beta)
+    basis = enumerate_words(p, K, n)
+    counts = _in_degree(*_word_graph(basis.digits))
+    assert counts.tolist() == [len(preimage_digits(w, p, K)) for w in basis.words]
 
 
 def test_preimage_stability():
