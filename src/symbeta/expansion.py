@@ -235,12 +235,17 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
             if quasi and digits:
                 raise AssertionError("quasi recursion reached zero remainder")
             return digits + [0] * (depth - n), PeriodicSeq.from_word(tuple(digits))
-        key = (X, Y, k)
-        if key in seen:
-            start = seen[key]
-            pre, per = tuple(digits[:start]), tuple(digits[start:])
-            return digits + _extend(per, depth - n), PeriodicSeq(pre, per)
-        seen[key] = n
+        # For a rational base (Q == 0) a state with k >= 1 never recurs:
+        # its X and Y are not both divisible by s, and as gcd(P, s) = 1
+        # neither are the next state's, so k only grows.  Only k == 0
+        # states are kept.
+        if Q or not k:
+            key = (X, Y, k)
+            if key in seen:
+                start = seen[key]
+                pre, per = tuple(digits[:start]), tuple(digits[start:])
+                return digits + _extend(per, depth - n), PeriodicSeq(pre, per)
+            seen[key] = n
         X, Y = P * X + Qd * Y, Q * X + P * Y
         if s > 1:
             D *= s
@@ -324,37 +329,19 @@ def quasi_greedy_of_one(p: Params, depth: int = 64) -> PeriodicSeq | Word:
 def quasi_lazy(a: RealLike, p: Params, depth: int) -> PeriodicSeq | Word:
     """Smallest never-terminating expansion of a (0^inf for a = 0).
 
-    Computed by the direct smallest-digit recursion, which for a > 0 never
-    terminates, so it coincides with the lazy expansion.  The reflection
-    duality with the quasi-greedy expansion of m/(beta-1) - a is exercised
-    in tests where it holds; it is not used as the implementation.
+    For a > 0 the lazy expansion never terminates, so this is the lazy
+    expansion: the reflection of the greedy expansion of m/(beta-1) - a,
+    exact when that recursion terminates or cycles within ``depth`` steps,
+    else the truncated Word of length ``depth``.
     """
     a = as_real(a)
     _check_range(a, p)
     if a == 0:
         return PeriodicSeq.constant(0)
-    beta, m = p.beta, p.m
-    top = p.max_value
-    r = a
-    digits: list[int] = []
-    seen: dict[QuadReal, int] = {}
-    for n in range(depth):
-        if r in seen:
-            start = seen[r]
-            return PeriodicSeq(tuple(digits[:start]), tuple(digits[start:]))
-        seen[r] = n
-        t = beta * r
-        low = t - top  # digit must be > low to leave a representable remainder
-        d = max(0, low.floor_int() + 1)
-        if d > 0 and QuadReal.of(low.floor_int()) == low:
-            # remainder would sit exactly at the top boundary: the smaller
-            # digit is still representable (forced m^inf tail), take it
-            d -= 1
-        if d > m:
-            raise ValueError("value out of range for lazy recursion")
-        digits.append(d)
-        r = t - d
-    return tuple(digits)
+    digits, exact = _greedy_digits(p.max_value - a, p, depth, quasi=False)
+    if exact is not None:
+        return exact.reflect(p.m)
+    return reflect_word(digits, p.m)
 
 
 def unique_expansion(a: RealLike, p: Params, depth: int) -> bool:

@@ -271,9 +271,6 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     a_vals = A.values(points)
 
     head, tail = _word_graph(basis.digits)
-    if _in_degree(head, tail).min() == 0:
-        warnings.append("some words have no admissible predecessor at this depth")
-
     return TransferSystem(p, K, A, basis, a_vals, head, tail, trans, warnings)
 
 

@@ -64,8 +64,10 @@ class RunConfig:
             raise ConfigError("kneading_depth must exceed depth + 1")
         if self.fmt not in ("table", "jsonl", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
+        if not self.t_grid or not all(map(math.isfinite, self.t_grid)):
+            raise ConfigError("t_grid must be a non-empty list of finite values")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
         try:
@@ -87,7 +89,8 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str) -> "RunConfig":
+    def parse_text(text: str) -> dict[str, str]:
+        """The key -> value text of flat ``key = value`` lines."""
         kv: dict[str, str] = {}
         for line in text.splitlines():
             line = line.strip()
@@ -97,28 +100,34 @@ class RunConfig:
                 raise ConfigError(f"bad config line: {line!r}")
             k, _, v = line.partition("=")
             kv[k.strip()] = v.strip()
-        return RunConfig.from_mapping(kv)
+        return kv
+
+    @staticmethod
+    def from_text(text: str) -> "RunConfig":
+        return RunConfig.from_mapping(RunConfig.parse_text(text))
 
     @staticmethod
     def from_mapping(kv: dict[str, str]) -> "RunConfig":
+        """The configuration given as key -> value text.  This is the one
+        place where text from the config file, SYMBETA_TOL or a flag
+        becomes a value; a value that does not convert or fails the checks
+        raises ConfigError."""
         kwargs: dict[str, Any] = {}
         casts = {
             "m": int, "depth": int, "kneading_depth": int, "seed": int,
             "max_period": int, "irreducibility_j": int,
             "tol": float, "log_threshold": float,
+            "t_grid": lambda v: tuple(float(x) for x in v.split(",") if x),
             "beta": str, "a": str, "potential": str, "fmt": str,
         }
         for k, v in kv.items():
-            if k == "t_grid":
-                kwargs[k] = tuple(float(x) for x in v.split(",") if x)
-            elif k in casts:
-                kwargs[k] = casts[k](v)
-            else:
+            if k not in casts:
                 raise ConfigError(f"unknown config key {k!r}")
-        try:
-            return RunConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            try:
+                kwargs[k] = casts[k](v)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {k}: {exc}") from exc
+        return RunConfig(**kwargs)
 
     def params(self) -> Params:
         try:
@@ -245,18 +254,24 @@ def cmd_words(cfg: RunConfig) -> Report:
     return rep
 
 
-def _build_solved(cfg: RunConfig):
+def _build_solved(cfg: RunConfig, rep: Report):
+    """The solved system of ``cfg``; its warnings go to ``rep``, and an
+    unconverged solve sets exit code 4."""
     p = cfg.params()
     K = _kneading(cfg, p)
     A = parse_potential(cfg.potential)
     T = build_system(p, K, A, cfg.depth).solve(tol=cfg.tol)
+    rep.warnings.extend(T.warnings)
+    if not T.eigen.converged:
+        rep.warnings.append(f"power iteration did not converge "
+                            f"(residual {T.eigen.residual:.3e})")
+        rep.exit_code = 4
     return p, K, A, T
 
 
 def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     rep = Report("spectrum", cfg, row_kind="cylinder")
-    p, K, A, T = _build_solved(cfg)
-    rep.warnings.extend(T.warnings)
+    p, K, A, T = _build_solved(cfg, rep)
     eig = T.eigen
     psi, rho = eig.psi, eig.rho
     nrm = normalize_potential(T)
@@ -286,10 +301,6 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "psi_max": float(np.max(psi)),
         "support_size": int(np.sum(nrm.support)),
     }
-    if not eig.converged:
-        rep.warnings.append(f"power iteration did not converge "
-                            f"(residual {eig.residual:.3e})")
-        rep.exit_code = 4
     order = np.argsort(-mu)
     keep = order if full else order[:10]
     rep.columns = {"word": T.basis.digits[keep], "mu": mu[keep],
@@ -299,8 +310,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
 
 def cmd_thermo(cfg: RunConfig) -> Report:
     rep = Report("thermo", cfg, row_kind="gap")
-    p, K, A, T = _build_solved(cfg)
-    rep.warnings.extend(T.warnings)
+    p, K, A, T = _build_solved(cfg, rep)
     eig = T.eigen
     nrm = normalize_potential(T)
     mu = gibbs_measure(T).weights
@@ -333,8 +343,6 @@ def cmd_thermo(cfg: RunConfig) -> Report:
         "worst_gap_violation": worst,
         "converged": eig.converged,
     }
-    if not eig.converged:
-        rep.exit_code = 4
     return rep
 
 

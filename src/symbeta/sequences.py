@@ -114,9 +114,6 @@ class PeriodicSeq:
     def reflect(self, m: int) -> "PeriodicSeq":
         return PeriodicSeq(reflect_word(self.preperiod, m), reflect_word(self.period, m))
 
-    def max_digit(self) -> int:
-        return max(self.preperiod + self.period)
-
     def __str__(self):
         pre = "".join(map(str, self.preperiod)) if max(self.preperiod + self.period) <= 9 \
             else ",".join(map(str, self.preperiod))

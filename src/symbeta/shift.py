@@ -59,10 +59,6 @@ class Kneading:
             return None
         return self.upper[i - 1]
 
-    def lower_digit(self, i: int) -> int | None:
-        u = self.upper_digit(i)
-        return None if u is None else self.m - u
-
     def upper_prefix(self, n: int) -> Word:
         if not self.exact and n > self.depth:
             raise UndecidedError(f"kneading known to depth {self.depth} < {n}")

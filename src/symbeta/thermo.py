@@ -376,8 +376,7 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
                           t_grid: Sequence[float] = DEFAULT_T_GRID,
                           depth: int = 6, log_threshold: float = 32.0,
                           tol: float = 1e-14, max_iter: int = 20000,
-                          max_period: int = 6,
-                          system: TransferSystem | None = None) -> ThermoCurve:
+                          max_period: int = 6) -> ThermoCurve:
     """Scan the equilibrium family t -> (P(tA), h, avg) along a grid of
     inverse temperatures.
 
@@ -396,7 +395,7 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    T = system if system is not None else build_system(p, K, A, depth)
+    T = build_system(p, K, A, depth)
     warnings = list(T.warnings)
     points: list[ThermoPoint] = []
     eig = None

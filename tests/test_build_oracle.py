@@ -94,24 +94,16 @@ def oracle_build(p, K, A, n):
         digits = w if need <= n else canonical_point(w, K, need)
         a_vals[i] = A.value(digits)
 
-    deg = p.m + 1
-    N = len(words)
-    pred = np.full((N, deg), -1, dtype=np.int64)
     rows_l, cols_l = [], []
     for i, w in enumerate(words):
         head = w[:-1]
-        kslot = 0
         for a in p.alphabet:
             j = index.get((a,) + head)
             if j is not None:
-                pred[i, kslot] = j
-                kslot += 1
                 rows_l.append(i)
                 cols_l.append(j)
     rows = np.asarray(rows_l, dtype=np.int64)
     cols = np.asarray(cols_l, dtype=np.int64)
-    if np.any(pred[:, 0] < 0):
-        warnings.append("some words have no admissible predecessor at this depth")
     return a_vals, rows, cols, warnings
 
 
@@ -224,6 +216,24 @@ def test_build_matches_loop_reference(m, b, depths, kdepth):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, b, n)
             assert T.warnings == warns
             check_kernels(T, rows, cols, 1.0, dense=True)
+
+
+@pytest.mark.parametrize("m,b,n,tight", [
+    (3, 4, 4, False), (4, 5, 3, False), (5, 6, 2, False), (3, "3.5", 6, True),
+    (4, "4.7", 4, False), (4, "4.3", 4, True), (5, "5.5", 3, True), (6, "6.2", 3, True),
+])
+def test_every_word_has_a_predecessor(m, b, n, tight):
+    # every digit a with m - u1 < a < u1 (u1 the first kneading digit)
+    # precedes every word, so the in-degree is at least 2 u1 - m - 1, which
+    # is at least 1 in the operator regime
+    p = Params.make(m, b)
+    K = build_kneading(p, 64)
+    T = build_system(p, K, PotentialSpec.zero(), n)
+    bound = 2 * K.upper_digit(1) - m - 1
+    assert p.operator_regime and bound >= 1
+    least = _in_degree(T.head, T.tail).min()
+    assert least >= bound
+    assert (least == bound) == tight
 
 
 def test_empty_cylinder_fallback_points_match():

@@ -148,8 +148,8 @@ def test_quasi_greedy_is_infinite():
 
 
 def test_lazy_via_reflection_matches_direct_recursion():
-    # quasi_lazy runs the direct smallest-digit recursion; lazy_expansion
-    # goes through the reflection duality -- they must agree digitwise
+    # quasi_lazy returns the exact sequence when the recursion ends within
+    # the depth, lazy_expansion the digits -- they must agree digitwise
     rng = random.Random(9)
     for m, b in [(1, "golden"), (2, "beta_T"), (3, "3.5"), (3, 4), (4, "4.25")]:
         p = Params.make(m, b)

@@ -1,19 +1,23 @@
-"""The integer digit recursion against the QuadReal loop it replaced, kept
-here as the reference.
+"""The integer digit recursion against the QuadReal loops it replaced,
+kept here as the references.
 
 Both must return the same digits and the same exact ``PeriodicSeq`` (or
 both None) for greedy and quasi-greedy, on a value and on its dual
 ``max_value - a``, over golden ratios, the transitive bases and rational
 bases.  The grid reaches all three ends of the recursion: an exact zero
-remainder, an exact cycle and truncation at the depth.
+remainder, an exact cycle and truncation at the depth.  ``quasi_lazy``,
+now the reflected greedy recursion of the dual, is held to the direct
+smallest-digit loop on the same grid.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from symbeta.algebraic import QuadReal
-from symbeta.expansion import Params, _extend, _greedy_digits
+from symbeta.expansion import (Params, _extend, _greedy_digits, greedy_expansion,
+                               quasi_lazy)
 from symbeta.sequences import PeriodicSeq
 
 
@@ -46,6 +50,33 @@ def oracle_greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
         digits.append(d)
         r = t - d
     return digits, None
+
+
+def oracle_quasi_lazy(a: QuadReal, p: Params, depth: int):
+    if a == 0:
+        return PeriodicSeq.constant(0)
+    beta, m = p.beta, p.m
+    top = p.max_value
+    r = a
+    digits: list[int] = []
+    seen: dict[QuadReal, int] = {}
+    for n in range(depth):
+        if r in seen:
+            start = seen[r]
+            return PeriodicSeq(tuple(digits[:start]), tuple(digits[start:]))
+        seen[r] = n
+        t = beta * r
+        low = t - top  # digit must be > low to leave a representable remainder
+        d = max(0, low.floor_int() + 1)
+        if d > 0 and QuadReal.of(low.floor_int()) == low:
+            # remainder would sit exactly at the top boundary: the smaller
+            # digit is still representable (forced m^inf tail), take it
+            d -= 1
+        if d > m:
+            raise ValueError("value out of range for lazy recursion")
+        digits.append(d)
+        r = t - d
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -83,3 +114,42 @@ def test_integer_recursion_matches_quadreal_loop():
                     assert _greedy_digits(x, p, DEPTH, quasi) == want, case
                     branches.setdefault(_branch(want[1], quasi, x), case)
     assert set(branches) == {"terminated", "cycled", "truncated"}, branches
+
+
+def test_quasi_lazy_matches_smallest_digit_loop():
+    # The reflected recursion can close a cycle one step before the loop
+    # does: the loop then returns the truncated digits at ``depth`` and the
+    # same exact sequence at ``depth + 1``.  Short depths reach that case.
+    earlier = 0
+    for m, beta in BASES:
+        p = Params.make(m, beta)
+        for v in VALUES:
+            a = QuadReal.of(v)
+            for x in (a, p.max_value - a):
+                if not 0 <= x <= p.max_value:
+                    continue
+                for depth in (1, 2, 3, DEPTH):
+                    got = quasi_lazy(x, p, depth)
+                    want = oracle_quasi_lazy(x, p, depth)
+                    case = (m, beta, x, depth)
+                    if got == want:
+                        continue
+                    assert isinstance(got, PeriodicSeq) and isinstance(want, tuple), case
+                    assert got.prefix(depth) == want, case
+                    assert oracle_quasi_lazy(x, p, depth + 1) == got, case
+                    earlier += 1
+    assert earlier > 0
+
+
+def test_rational_base_cycle_memory_stays_small():
+    # beta_T at m = 3 is a rational with a 73-bit denominator, so the
+    # remainder grows by about 73 bits a step and never recurs
+    p = Params.make(3, "beta_T")
+    tracemalloc.start()
+    try:
+        digits = greedy_expansion(1, p, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(digits) == 4000
+    assert peak < 5 * 2 ** 20

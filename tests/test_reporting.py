@@ -238,3 +238,66 @@ def test_cli_byte_identical_runs(capsys):
     main(args)
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    (["check"], "m = x\n"),
+    (["zerotemp"], "t_grid = 1,x\n"),
+    (["zerotemp", "--t-grid", "1,x"], None),
+    (["check", "--m", "x"], None),
+    (["check", "--tol", "abc"], None),
+    (["check", "--format", "xml"], None),
+    (["thermo", "--depth", "2", "--t-grid", ","], None),
+    (["spectrum", "--depth", "2", "--tol", "nan"], None),
+    (["zerotemp", "--depth", "2"], "t_grid = 1,inf\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
+    if config_text is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config_text)
+        argv = argv + ["--config", str(cfgfile)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert not captured.out
+
+
+def test_cli_unreadable_sources_exit_2(tmp_path, capsys, monkeypatch):
+    assert main(["check", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file")
+    monkeypatch.setenv("SYMBETA_TOL", "abc")
+    assert main(["check", "--m", "1", "--beta", "golden"]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad value for tol")
+
+
+def test_cli_precedence_file_env_flag(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("m = 2\ntol = 1e-8\nfmt = jsonl\n")
+    base = ["check", "--beta", "2.5", "--depth", "2", "--config", str(cfgfile)]
+
+    def config_record(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[0])
+
+    assert config_record(base)["tol"] == 1e-8
+    monkeypatch.setenv("SYMBETA_TOL", "1e-9")
+    assert config_record(base)["tol"] == 1e-9
+    rec = config_record(base + ["--tol", "1e-10", "--m", "1", "--beta", "golden"])
+    assert (rec["tol"], rec["m"]) == (1e-10, 1)
+
+
+def test_cli_checks_only_the_merged_config(tmp_path, capsys):
+    # the file alone fails (kneading_depth <= depth + 1); the flag mends it
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("depth = 6\nkneading_depth = 5\n")
+    argv = ["words", "--m", "1", "--beta", "golden", "--config", str(cfgfile)]
+    assert main(argv) == 2
+    assert main(argv + ["--kneading-depth", "64"]) == 0
+    assert "count" in capsys.readouterr().out
+
+
+def test_cli_thermo_says_why_it_exits_4(capsys):
+    code = main(["thermo", "--m", "3", "--beta", "4", "--depth", "3",
+                 "--potential", "digit_table:0.3,0,0.1,0.05", "--tol", "1e-30"])
+    assert code == 4
+    assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out

@@ -39,6 +39,8 @@ def test_cli_passes_report_solver_counts(capsys):
     args = ["--m", "3", "--beta", "3.5", "--depth", "4", "--potential", POTENTIAL]
     code, _, spec = _traced(lambda: cli.main(["spectrum", *args]))
     assert code == 0
+    # the command table must reach the rebound cmd_* name
+    assert spec["reporting.cmd_spectrum.s"] > 0
     assert spec["operator.power_solve.calls"] > 0
     assert spec["operator.power_solve.iters"] > 0
     assert spec["operator.build_system.edges"] == edges > 0
