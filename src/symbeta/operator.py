@@ -429,12 +429,29 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
     as converged; the best iterate is returned with ``converged=False``
     rather than raising.  ``start`` (eigendata at another scale)
     warm-starts both halves from its eigenvectors, see ``_warm_start``.
+
+    Each half starts undamped, v -> L v, which contracts by |lam_2|/lam
+    per step, and switches for good to the damped update
+    v -> L v + max(lam, 0) v once the iterate change at step k exceeds
+    2^-n times the change at step k - n, n = ``T.depth``.  Damping breaks
+    the modulus tie of operators concentrating on a periodic orbit
+    (lam_2 near -lam).  But L is singular (words with the same
+    (n-1)-prefix have equal rows), so the damped map keeps the eigenvalue
+    lam beside 2 lam and never contracts faster than 1/2 per step.  The
+    window of n steps outlasts the transient of the zero eigenvalue,
+    which can move the iterate by a constant amount for up to n steps.
+    ``gap_estimate`` is 1 minus the last one-step contraction of the
+    forward iteration actually run, damped or not.  ``log_power_solve``
+    damps every step: its operators, above the log threshold,
+    concentrate on periodic orbits, where undamped log iteration is
+    slower or stalls (at (3, 3.5), depths 6 and 7: 111-112 iterations per
+    half instead of 33-46 at t = 64, and max_iter at t = 512).
     """
     L = _Operator(T, t_scale)
     v0, u0 = (np.ones(T.n_words) if v is None else np.exp(v)
               for v in _warm_start(start, t_scale))
-    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(L.fwd, tol, max_iter, v0)
-    lam_b, rho, it_b, res_b, _, stop_b = _power_one(L.bwd, tol, max_iter, u0)
+    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(L.fwd, tol, max_iter, v0, T.depth)
+    lam_b, rho, it_b, res_b, _, stop_b = _power_one(L.bwd, tol, max_iter, u0, T.depth)
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
     with np.errstate(divide="ignore"):
@@ -444,12 +461,18 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
                   (stop_f, stop_b), resid, gap, tol, "linear")
 
 
-def _power_one(apply, tol: float, max_iter: int, v: np.ndarray):
-    # Damped iteration on M + lam*I: the Perron vector is unchanged while
-    # near-antipodal eigenvalues (operators concentrating on a periodic
-    # orbit at strong scaling) lose their modulus tie.
+def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int):
+    # Undamped (contraction |lam_2|/lam) until the change over the last
+    # ``window`` steps, the depth, shrank by less than 2^-window; then
+    # damped on M + lam*I for good.  That keeps the Perron vector and
+    # breaks the modulus tie of near-antipodal eigenvalues, but M is
+    # singular, so M + lam*I never contracts faster than 1/2 per step.  The
+    # window outlasts the zero eigenvalue's transient of up to depth steps.
+    # ``gap`` measures the iteration actually run.  The log-domain half
+    # damps every step (see ``power_solve``).
     lam_prev = 0.0
-    diff_prev = None
+    diffs: list[float] = []
+    damped = False
     gap = None
     stop = "max_iter"
     it = 0
@@ -458,21 +481,22 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray):
         if not np.all(np.isfinite(w_raw)):
             raise FloatingPointError("power iteration overflowed")
         lam = float(np.dot(v, w_raw) / np.dot(v, v))
-        w = w_raw + max(lam, 0.0) * v
+        w = w_raw + max(lam, 0.0) * v if damped else w_raw
         top = w.max()
         if top <= 0 or not np.isfinite(top):
             raise FloatingPointError("power iteration left the positive cone")
         w = w / top
         diff = float(np.max(np.abs(w - v)))
-        if diff_prev is not None and diff_prev > 0 and diff > 0:
-            gap = 1.0 - min(diff / diff_prev, 1.0)
+        if diffs and diffs[-1] > 0 and diff > 0:
+            gap = 1.0 - min(diff / diffs[-1], 1.0)
         v = w
         lam_ok = abs(lam - lam_prev) < tol * max(1.0, abs(lam))
         lam_prev = lam
         if lam_ok and diff < 10 * tol:
             stop = "tol"
             break
-        diff_prev = diff
+        diffs.append(diff)
+        damped = damped or (it > window and diff > diffs[-1 - window] * 0.5 ** window)
     resid = float(np.max(np.abs(apply(v) - lam_prev * v)) / max(lam_prev, 1e-300))
     return lam_prev, v, it, resid, gap, stop
 

@@ -275,7 +275,8 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     eig = T.eigen
     psi, rho = eig.psi, eig.rho
     nrm = normalize_potential(T)
-    mu = gibbs_measure(T).weights
+    gibbs = gibbs_measure(T)
+    mu = gibbs.weights
     lk = lk_solve(T, inner_tol=max(cfg.tol, 1e-14))
     h = entropy_of_gibbs(T, nrm)
     avg = average_energy(T, mu)
@@ -301,8 +302,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "psi_max": float(np.max(psi)),
         "support_size": int(np.sum(nrm.support)),
     }
-    order = np.argsort(-mu)
-    keep = order if full else order[:10]
+    keep = gibbs.ranked(None if full else 10)
     rep.columns = {"word": T.basis.digits[keep], "mu": mu[keep],
                    "psi": psi[keep], "rho": rho[keep]}
     return rep

@@ -39,9 +39,20 @@ class GibbsMeasure:
     depth: int
     weights: np.ndarray
 
+    def ranked(self, k: int | None = None) -> np.ndarray:
+        """Indices of the k heaviest words (all words when k is None), by
+        descending weight and, among equal weights, ascending index (lex
+        order).  For k < N only the words weighing at least the k-th
+        largest weight are sorted."""
+        w = self.weights
+        cand = np.arange(len(w))
+        if k is not None and 0 < k < len(w):
+            kth = w[np.argpartition(-w, k - 1)[k - 1]]
+            cand = np.flatnonzero(w >= kth)
+        return cand[np.argsort(-w[cand], kind="stable")][:k]
+
     def top(self, k: int = 10) -> list[tuple[int, float]]:
-        order = np.argsort(-self.weights)[:k]
-        return [(int(i), float(self.weights[i])) for i in order]
+        return [(int(i), float(self.weights[i])) for i in self.ranked(k)]
 
 
 def gibbs_measure(T: TransferSystem, eigen: EigenData | None = None) -> GibbsMeasure:

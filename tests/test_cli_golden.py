@@ -44,15 +44,15 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "487b30e572d46124b1fc9903df1e38b10f6071bd0d777f3adcf27b1f9dca192a"),
+     "b9e06a4460645802974cea9eeea59c1d3d8405aa84d40b888e95df62ddb3f51c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
-     "ddcaaae587ca05c960a29526eb5d5b3e6f81a484b940f3ec15e153418cf26ad4"),
+     "e9aa4196c6e5a1aef8eb5fa776c95350727deb57cbe79aaec5d0275a74e55efc"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "cdc096b6452810b9d1aa8a061fc90ab7236c0d393ec65f39c469d7e73e4ed924"),
+     "a157bb9235565a299e29a72d5bb71987d6ee87129cdd0c580b0aa7844793ad0b"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
-     "308e12764006165c1a196e267d12c5bfb658bcbde5d01a65f49d1602a1b44128"),
+     "b7ebfab5a8c97e6670d39042648a3111cc98585acc57685f02d480a2a187088d"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "b45cef80297945b2fb5e2c5a014a20f5046d1017d13bfb8159b4e9f3307aa1a2"),
+     "9af310c73f6ba67bd281851832bbf151d3863a5efbbdf7c1938a8bcd6eaa7e9d"),
 ]
 
 

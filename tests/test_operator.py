@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -185,6 +186,35 @@ def test_log_solve_without_predecessors_emits_no_warning():
         eig = log_power_solve(T, t_scale=64.0)
     assert eig.stop_reason == "tol"
     assert np.isfinite(eig.log_lam)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 7), (4, 5)])
+def test_full_shift_solve_never_damps(m, n):
+    # on a full shift L^n has rank one, so the undamped iteration is exact
+    # after n steps; a switch to damping could first act at step n + 2
+    A = PotentialSpec.digit_table([0.2, -0.3, 0.1, 0.0, 0.25][:m + 1])
+    eig = power_solve(system(m, m + 1, A, n=n))
+    assert eig.converged and eig.stop_reason == "tol"
+    assert max(eig.iterations_fwd, eig.iterations_bwd) <= n + 1
+
+
+@pytest.mark.parametrize("t", [8.0, 32.0])
+@pytest.mark.parametrize("b, n", [(4, 4), ("3.5", 6)])
+def test_nearly_periodic_solve_switches_to_damping(b, n, t):
+    # A concentrates on the 2-cycle 0303...: L has an eigenvalue next to
+    # -lambda, and undamped iteration from a generic start never settles
+    A = PotentialSpec.block_table(2, {w: float(w in ((0, 3), (3, 0)))
+                                      for w in itertools.product(range(4), repeat=2)})
+    T = system(3, b, A, n=n)
+    vals = dense_spectrum(T, t)[0]
+    assert vals[1].real < -0.999 * abs(vals[0])
+    rng = np.random.default_rng(0)
+    start = dataclasses.replace(power_solve(T, max_iter=1, t_scale=t),
+                                log_psi=np.log(rng.uniform(0.01, 1.0, T.n_words)),
+                                log_rho=np.log(rng.uniform(0.01, 1.0, T.n_words)))
+    eig = power_solve(T, max_iter=5000, t_scale=t, start=start)
+    assert eig.converged and eig.stop_reason == "tol"
+    assert eig.lam == pytest.approx(abs(vals[0]), rel=1e-12)
 
 
 def test_lk_solver_agrees_with_power():

@@ -297,7 +297,7 @@ def test_cli_checks_only_the_merged_config(tmp_path, capsys):
 
 
 def test_cli_thermo_says_why_it_exits_4(capsys):
-    code = main(["thermo", "--m", "3", "--beta", "4", "--depth", "3",
+    code = main(["thermo", "--m", "3", "--beta", "3.5", "--depth", "3",
                  "--potential", "digit_table:0.3,0,0.1,0.05", "--tol", "1e-30"])
     assert code == 4
     assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out

@@ -7,9 +7,10 @@ from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.operator import build_system, normalize_potential
 from symbeta.shift import build_kneading
-from symbeta.thermo import (InvariantTestMeasure, PeriodicOrbit, average_energy,
-                            entropy_inf_check, entropy_of_gibbs, gibbs_measure,
-                            max_ergodic_average, orbit_measure, periodic_orbits, pressure,
+from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
+                            average_energy, entropy_inf_check, entropy_of_gibbs,
+                            gibbs_measure, max_ergodic_average, orbit_measure,
+                            periodic_orbits, pressure,
                             random_markov_measure, variational_gap,
                             zero_temperature_scan)
 
@@ -82,6 +83,15 @@ def test_gibbs_measure_invariants():
     assert set(by_suffix) == set(by_prefix)
     for v in by_suffix:
         assert by_suffix[v] == pytest.approx(by_prefix[v], abs=1e-12)
+
+
+def test_gibbs_ranking_breaks_ties_by_word_index():
+    w = np.array([0.1, 0.3, 0.2, 0.3, 0.0, 0.2, 0.2, 0.3])
+    mu = GibbsMeasure(1, w)
+    assert mu.ranked().tolist() == [1, 3, 7, 2, 5, 6, 0, 4]
+    for k in range(len(w) + 2):
+        assert mu.ranked(k).tolist() == mu.ranked().tolist()[:k]
+    assert mu.top(2) == [(1, 0.3), (3, 0.3)]
 
 
 # ---------------------------------------------------------------------------
