@@ -21,7 +21,7 @@ from .sequences import PeriodicSeq, Word, reflect_word
 
 RealLike = Union[int, Fraction, str, QuadReal]
 
-#: default bisection tolerance for the distinguished transitive base
+#: bisection tolerance for the distinguished transitive base
 BETA_T_TOL = Fraction(1, 10 ** 15)
 
 
@@ -60,13 +60,13 @@ def transitive_pattern(m: int) -> PeriodicSeq:
 
 
 @functools.lru_cache(maxsize=None)
-def beta_t(m: int, tol: Fraction = BETA_T_TOL) -> QuadReal:
+def beta_t(m: int) -> QuadReal:
     """The unique base in (1, m+1] whose quasi-greedy expansion of 1 is
     ``transitive_pattern(m)``.
 
     For even m the root is quadratic (beta^2 - (k+2) beta + 1 = 0) and is
     returned exactly; for odd m the defining series equation is solved by
-    bisection in exact rational arithmetic down to ``tol``.
+    bisection in exact rational arithmetic down to ``BETA_T_TOL``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -83,7 +83,7 @@ def beta_t(m: int, tol: Fraction = BETA_T_TOL) -> QuadReal:
     lo, hi = Fraction(1) + Fraction(1, 10 ** 6), Fraction(m + 1)
     if excess(hi) > 0:
         raise ArithmeticError("bisection bracket failed")
-    while hi - lo > tol:
+    while hi - lo > BETA_T_TOL:
         mid = (lo + hi) / 2
         if excess(mid) > 0:
             lo = mid
@@ -133,10 +133,6 @@ class Params:
         return Params(m, as_real(beta))
 
     @property
-    def beta_transitive(self) -> QuadReal:
-        return beta_t(self.m)
-
-    @property
     def max_value(self) -> QuadReal:
         """m / (beta - 1), the largest representable number."""
         return QuadReal.of(self.m) / (self.beta - 1)
@@ -144,16 +140,6 @@ class Params:
     @property
     def alphabet(self) -> range:
         return range(self.m + 1)
-
-    def describe(self) -> dict:
-        return {
-            "m": self.m,
-            "beta": float(self.beta),
-            "golden_ratio": float(self.golden_ratio),
-            "beta_T": float(self.beta_transitive),
-            "operator_regime": self.operator_regime,
-            "max_value": float(self.max_value),
-        }
 
 
 # ---------------------------------------------------------------------------

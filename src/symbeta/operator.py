@@ -15,9 +15,10 @@ induced discretization error is controlled by the potential's Holder bound.
 
 Solvers: sup-normalized power iteration for the Perron eigenvalue with the
 right (eigenfunction) and left (eigenmeasure) eigenvectors, a log-domain
-variant for strongly scaled potentials, and the perturbed fixed-point
-scheme psi -> L(psi + 1/k)/||L(psi + 1/k)|| whose values lambda_k decrease
-the perturbation as k grows.  All solves are deterministic.
+variant for strongly scaled potentials (``TransferSystem.solve`` picks one
+by the scale t), and the perturbed fixed-point scheme
+psi -> L(psi + 1/k)/||L(psi + 1/k)|| whose values lambda_k decrease the
+perturbation as k grows.  All solves are deterministic.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ class EigenData:
         return np.exp(self.log_rho)
 
 
+# ``TransferSystem.solve`` iterates in log scale above this t, where exp(t A)
+# soon overflows.  Fixed: the pinned zerotemp and thermo outputs switch here.
+LOG_THRESHOLD = 32.0
+
+
 @dataclass(frozen=True)
 class TransferSystem:
     """Cylinder basis, word graph and potential samples.  Frozen: ``solve``
@@ -206,15 +212,18 @@ class TransferSystem:
 
     def solve(self, tol: float = 1e-14, max_iter: int = 20000,
               t_scale: float = 1.0) -> "TransferSystem":
-        solved = replace(self, eigen=power_solve(self, tol=tol, max_iter=max_iter,
-                                                 t_scale=t_scale))
+        """The system with its Perron eigendata at scale ``t_scale``, by
+        ``power_solve`` up to ``LOG_THRESHOLD`` and ``log_power_solve``
+        above it.  A solved system warm-starts from its own eigendata."""
+        solve = power_solve if t_scale <= LOG_THRESHOLD else log_power_solve
+        solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
+                                           t_scale=t_scale, start=self.eigen))
         if "_edges" in vars(self):   # same graph: keep the cached edge lists
             vars(solved)["_edges"] = self._edges
         return solved
 
 
 def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
-                 transitivity: TransitivityResult | None = None,
                  require_regime: bool = True) -> TransferSystem:
     """Build the depth-n discretization of the transfer operator.
 
@@ -231,7 +240,6 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     p, K : parameters and kneading data of the shift.
     A : potential specification, sampled at canonical cylinder points.
     n : cylinder depth (basis = admissible words of length n).
-    transitivity : optionally a precomputed transitivity verdict.
     require_regime : enforce the operator regime m > 2, beta in [m/2+2, m+1].
 
     Raises
@@ -247,7 +255,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
         raise RegimeError(
             f"(m={p.m}, beta={float(p.beta):.6g}) outside the operator regime "
             f"m > 2, beta in [m/2 + 2, m + 1]")
-    trans = transitivity if transitivity is not None else check_transitivity(p, K)
+    trans = check_transitivity(p, K)
     if trans.verdict == "not_transitive":
         raise RegimeError(f"shift is not transitive ({trans.reason})")
     if trans.verdict == "unknown":
@@ -579,20 +587,19 @@ class LkResult:
 
 
 def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
-             inner_tol: float = 1e-14, max_inner: int = 10000,
-             t_scale: float = 1.0) -> LkResult:
-    """Alternate Perron solver through the perturbed normalized maps
-    psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf.
+             inner_tol: float = 1e-14) -> LkResult:
+    """Alternate Perron solver (at scale t = 1) through the perturbed
+    normalized maps psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf.
 
-    Each map is iterated to its fixed point psi_k (warm-started), with
-    lambda_k = ||L(psi_k + 1/k)||_inf; lambda_k converges to the Perron
-    eigenvalue as k grows and always exceeds exp(-sup|A|).
+    Each map is iterated to its fixed point psi_k (warm-started, at most
+    10000 steps), with lambda_k = ||L(psi_k + 1/k)||_inf; lambda_k
+    converges to the Perron eigenvalue as k grows and always exceeds
+    exp(-sup|A|).
     """
     if k_schedule is None:
         k_schedule = [2.0 ** j for j in range(0, 36, 2)]
-    L = _Operator(T, t_scale)
-    sup_a = T.potential.sup_norm_bound(T.params.m) * abs(t_scale)
-    floor = math.exp(-sup_a)
+    L = _Operator(T, 1.0)
+    floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
     psi = np.full(T.n_words, 1.0)
     history = []
     min_margin = math.inf
@@ -600,7 +607,7 @@ def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
     lam_k = 0.0
     for k in k_schedule:
         ok = False
-        for _ in range(max_inner):
+        for _ in range(10000):
             w = L.fwd(psi + 1.0 / k)
             lam_k = float(w.max())
             w /= lam_k
@@ -640,11 +647,11 @@ class NormalizedSystem:
         return M
 
 
-def normalize_potential(T: TransferSystem, eigen: EigenData | None = None) -> NormalizedSystem:
+def normalize_potential(T: TransferSystem) -> NormalizedSystem:
     """Rescale the operator by its Perron data.  Requires a solved system."""
-    eig = eigen if eigen is not None else T.eigen
+    eig = T.eigen
     if eig is None:
-        raise ValueError("system is not solved; run power_solve first")
+        raise ValueError("system is not solved; run TransferSystem.solve first")
     rows, cols = T.rows, T.cols
     log_mbar = (eig.t_scale * T.a_vals[cols] + eig.log_psi[cols]
                 - eig.log_psi[rows] - eig.log_lam)

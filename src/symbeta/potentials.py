@@ -43,25 +43,24 @@ class PotentialSpec:
         return PotentialSpec(kind="zero", alpha=1.0, holder_const=0.0)
 
     @staticmethod
-    def digit_table(values: Sequence[float], alpha: float = 1.0) -> "PotentialSpec":
+    def digit_table(values: Sequence[float]) -> "PotentialSpec":
         vals = tuple(float(v) for v in values)
         spread = max(vals) - min(vals) if vals else 0.0
         return PotentialSpec(kind="digit_table", digit_values=vals,
-                             alpha=alpha, holder_const=spread)
+                             alpha=1.0, holder_const=spread)
 
     @staticmethod
-    def block_table(k: int, table: Mapping[Sequence[int], float],
-                    alpha: float = 1.0) -> "PotentialSpec":
+    def block_table(k: int, table: Mapping[Sequence[int], float]) -> "PotentialSpec":
         tbl = {tuple(w): float(v) for w, v in table.items()}
         if any(len(w) != k for w in tbl):
             raise ValueError(f"block_table keys must have length {k}")
         vals = list(tbl.values())
         spread = (max(vals) - min(vals)) if vals else 0.0
         # variation can persist down to depth k: scale so that
-        # spread <= C * 2^(-alpha (k-1)) holds
-        const = spread * 2.0 ** (alpha * (k - 1))
+        # spread <= C * 2^(-alpha (k-1)) holds, with alpha = 1
+        const = spread * 2.0 ** (k - 1)
         return PotentialSpec(kind="block_table", block_k=k, block_values=tbl,
-                             alpha=alpha, holder_const=const)
+                             alpha=1.0, holder_const=const)
 
     @staticmethod
     def geometric(c: float, theta: float = 0.25, kmax: int = 12,

@@ -49,11 +49,9 @@ class RunConfig:
     potential: str = "zero"
     t_grid: tuple[float, ...] = DEFAULT_T_GRID
     tol: float = 1e-12
-    log_threshold: float = 32.0
     fmt: str = "table"
     seed: int = 0
     max_period: int = 6
-    irreducibility_j: int = 32
 
     def __post_init__(self):
         if self.m < 1:
@@ -70,10 +68,19 @@ class RunConfig:
             raise ConfigError("t_grid must be a non-empty list of finite values")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.max_period < 1:
+            raise ConfigError("max_period must be >= 1")
         try:
-            parse_potential(self.potential)
+            A = parse_potential(self.potential)
         except Exception as exc:
             raise ConfigError(f"bad potential spec: {exc}") from exc
+        if A.kind == "digit_table" and len(A.digit_values) < self.m + 1:
+            raise ConfigError("bad potential spec: digit_table needs m + 1 values")
+        values = (*A.digit_values, *(A.block_values or {}).values(), A.geo_c)
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("bad potential spec: every value must be finite")
 
     # -- flat key-value config text ------------------------------------
 
@@ -115,8 +122,7 @@ class RunConfig:
         kwargs: dict[str, Any] = {}
         casts = {
             "m": int, "depth": int, "kneading_depth": int, "seed": int,
-            "max_period": int, "irreducibility_j": int,
-            "tol": float, "log_threshold": float,
+            "max_period": int, "tol": float,
             "t_grid": lambda v: tuple(float(x) for x in v.split(",") if x),
             "beta": str, "a": str, "potential": str, "fmt": str,
         }
@@ -194,7 +200,7 @@ def cmd_check(cfg: RunConfig) -> Report:
     p = cfg.params()
     K = _kneading(cfg, p)
     rep = Report("check", cfg)
-    trans = check_transitivity(p, K, J=cfg.irreducibility_j)
+    trans = check_transitivity(p, K)
     lo, hi = digit_interval(p)
     ints = sorted(digit_interval_integers(p))
     basis = enumerate_words(p, K, cfg.depth)
@@ -352,8 +358,7 @@ def cmd_zerotemp(cfg: RunConfig) -> Report:
     K = _kneading(cfg, p)
     A = parse_potential(cfg.potential)
     curve = zero_temperature_scan(p, K, A, t_grid=cfg.t_grid, depth=cfg.depth,
-                                  log_threshold=cfg.log_threshold, tol=cfg.tol,
-                                  max_period=cfg.max_period)
+                                  tol=cfg.tol, max_period=cfg.max_period)
     rep.warnings.extend(curve.warnings)
     rep.summary = {
         "depth": cfg.depth,

@@ -518,10 +518,10 @@ class TransitivityResult:
     self_admissible: bool | None
 
 
-def check_transitivity(p: Params, K: Kneading, J: int = 32,
-                       tol: Fraction = Fraction(1, 10 ** 12)) -> TransitivityResult:
+def check_transitivity(p: Params, K: Kneading) -> TransitivityResult:
     """Topological transitivity of the shift: the kneading sequence is
-    irreducible, or beta equals the distinguished base beta_T.
+    irreducible (checked for j <= 32), or beta is within 1e-12 of the
+    distinguished base beta_T.
 
     The criterion presumes the kneading sequence is self-admissible (the
     base lies in the closure of the univoque set).  When it is not, the
@@ -532,8 +532,8 @@ def check_transitivity(p: Params, K: Kneading, J: int = 32,
     diff = p.beta - bt
     if diff.sign() < 0:
         diff = -diff
-    at_bt = diff < tol
-    irr = is_irreducible(K, J)
+    at_bt = diff < Fraction(1, 10 ** 12)
+    irr = is_irreducible(K, 32)
     sa = kneading_self_admissible(K)
     if at_bt:
         return TransitivityResult("transitive", "beta = beta_T", irr, sa)
@@ -543,7 +543,8 @@ def check_transitivity(p: Params, K: Kneading, J: int = 32,
             "kneading sequence is not self-admissible: base outside the "
             "univoque closure, transitivity criterion inapplicable", irr, sa)
     if irr.verdict is True:
-        return TransitivityResult("transitive", f"irreducible (J={J})", irr, sa)
+        return TransitivityResult("transitive", f"irreducible (J={irr.checked})",
+                                  irr, sa)
     if irr.verdict is False:
         return TransitivityResult(
             "not_transitive", f"irreducibility fails at j={irr.failed_at}", irr, sa)

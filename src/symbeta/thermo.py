@@ -19,9 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import Params
-from .operator import (EigenData, NormalizedSystem, TransferSystem,
-                       build_system, iterate, log_power_solve,
-                       normalize_potential, power_solve)
+from .operator import (NormalizedSystem, TransferSystem, build_system, iterate,
+                       normalize_potential)
 from .potentials import PotentialSpec
 from .sequences import Word
 from .shift import (Kneading, _levels, _periodic_verdicts, _rotation_points,
@@ -55,20 +54,19 @@ class GibbsMeasure:
         return [(int(i), float(self.weights[i])) for i in self.ranked(k)]
 
 
-def gibbs_measure(T: TransferSystem, eigen: EigenData | None = None) -> GibbsMeasure:
-    eig = eigen if eigen is not None else T.eigen
+def gibbs_measure(T: TransferSystem) -> GibbsMeasure:
+    eig = T.eigen
     if eig is None:
         raise ValueError("system is not solved")
     w = np.exp(eig.log_psi + eig.log_rho)
     return GibbsMeasure(T.depth, w / w.sum())
 
 
-def pressure(T: TransferSystem, eigen: EigenData | None = None) -> float:
+def pressure(T: TransferSystem) -> float:
     """Topological pressure of (t_scale * A): log of the Perron eigenvalue."""
-    eig = eigen if eigen is not None else T.eigen
-    if eig is None:
+    if T.eigen is None:
         raise ValueError("system is not solved")
-    return eig.log_lam
+    return T.eigen.log_lam
 
 
 def average_energy(T: TransferSystem, weights: np.ndarray) -> float:
@@ -135,7 +133,7 @@ def entropy_inf_check(T: TransferSystem, normalized: NormalizedSystem | None = N
     and attains the entropy exactly.
     """
     nrm = normalized if normalized is not None else normalize_potential(T)
-    mu = gibbs_measure(T, nrm.eigen).weights
+    mu = gibbs_measure(nrm.system).weights
     h = entropy_of_gibbs(T, nrm)
     rng = np.random.default_rng(seed)
     trials: list[tuple[str, np.ndarray]] = [
@@ -237,15 +235,14 @@ class GapReport:
 
 
 def variational_gap(T: TransferSystem, nu: InvariantTestMeasure,
-                    normalized: NormalizedSystem | None = None,
-                    n_random: int = 8, seed: int = 1) -> GapReport:
+                    normalized: NormalizedSystem | None = None) -> GapReport:
     """P(A) - (h(nu) + integral A d nu), with h(nu) bounded from above by
     the entropy infimum formula over a trial family that includes
     u0 = exp(normalized potential).  Nonnegative up to rounding for every
     invariant test measure, zero at the Gibbs state."""
     nrm = normalized if normalized is not None else normalize_potential(T)
     eig = nrm.eigen
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     # u0 at transition resolution: -sum J log Mbar over nu's own transitions
     mask = nu.edge_j > 0.0
     u0_val = float(-np.sum(nu.edge_j[mask] * nrm.log_mbar[mask]))
@@ -255,12 +252,12 @@ def variational_gap(T: TransferSystem, nu: InvariantTestMeasure,
     for kappa in (1e2, 1e4, 1e6, 1e8):
         u = np.ones(T.n_words) + kappa * support
         values.append(inf_formula_value(T, nu.weights, u))
-    for _ in range(n_random):
+    for _ in range(8):
         values.append(inf_formula_value(
             T, nu.weights, np.exp(0.5 * rng.standard_normal(T.n_words))))
     h_up = min(values)
     avg = nu.average(T)
-    gap = pressure(T, eig) - (h_up + eig.t_scale * avg)
+    gap = eig.log_lam - (h_up + eig.t_scale * avg)
     return GapReport(nu.label, h_up, avg, gap, nu.entropy_true)
 
 
@@ -333,8 +330,8 @@ def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
     """Lower bound on the maximal ergodic average from periodic orbits,
     cross-checked against the pressure asymptote when a system is given.
 
-    The two asymptote solves continue in t: the first starts from the
-    system's own eigendata when it is solved, the second from the first.
+    The asymptote solves ``system`` at t1, then that solved system at t2,
+    so each ``TransferSystem.solve`` continues from the eigendata before it.
     """
     orbits = periodic_orbits(p, K, A, max_period)
     best = max(orbits, key=lambda o: o.average, default=None)
@@ -342,10 +339,10 @@ def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
     upper = slope = None
     if system is not None:
         t1, t2 = t_pair
-        e1 = log_power_solve(system, t_scale=t1, start=system.eigen)
-        e2 = log_power_solve(system, t_scale=t2, start=e1)
-        upper = e2.log_lam / t2
-        slope = (e2.log_lam - e1.log_lam) / (t2 - t1)
+        s1 = system.solve(t_scale=t1)
+        s2 = s1.solve(t_scale=t2)
+        upper = pressure(s2) / t2
+        slope = (pressure(s2) - pressure(s1)) / (t2 - t1)
     return ErgodicMaxReport(best, lower, upper, slope)
 
 
@@ -385,23 +382,20 @@ DEFAULT_T_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
                           t_grid: Sequence[float] = DEFAULT_T_GRID,
-                          depth: int = 6, log_threshold: float = 32.0,
-                          tol: float = 1e-14, max_iter: int = 20000,
+                          depth: int = 6, tol: float = 1e-14,
                           max_period: int = 6) -> ThermoCurve:
     """Scan the equilibrium family t -> (P(tA), h, avg) along a grid of
     inverse temperatures.
 
-    Solves switch to log-domain above ``log_threshold`` (exp(tA) would
-    overflow).  The scan is a continuation in t: each solve is warm-started
-    from the eigendata of the grid point before it (across the switch to
-    log-domain too), and stops by the rules of ``power_solve`` /
-    ``log_power_solve``, so a point that runs into ``max_iter`` is reported
-    unconverged.  The upper estimate of the maximal ergodic average is
-    P(t_max A)/t_max of the last point, and the periodic-orbit lower bound
-    needs no further solve.  The entropy at large t estimates the residual
-    entropy of the zero-temperature limit; tail diagnostics (Cesaro mean of
-    the last grid points, a Richardson step, tail monotonicity) are
-    reported.
+    The scan is a continuation in t: each grid point solves the system
+    solved at the point before it (``TransferSystem.solve``, log scale
+    above t = 32), warm-started from its eigendata and with its edge
+    lists; a point that runs into ``max_iter`` is reported unconverged.
+    The upper estimate of the maximal ergodic average is P(t_max A)/t_max
+    of the last point, and the periodic-orbit lower bound needs no further
+    solve.  The entropy at large t estimates the residual entropy of the
+    zero-temperature limit; tail diagnostics (Cesaro mean of the last grid
+    points, a Richardson step, tail monotonicity) are reported.
     """
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -409,13 +403,12 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     T = build_system(p, K, A, depth)
     warnings = list(T.warnings)
     points: list[ThermoPoint] = []
-    eig = None
     for t in t_grid:
-        solve = power_solve if t <= log_threshold else log_power_solve
-        eig = solve(T, tol=tol, max_iter=max_iter, t_scale=t, start=eig)
-        nrm = normalize_potential(T, eig)
-        mu = gibbs_measure(T, eig).weights
-        P = pressure(T, eig)
+        T = T.solve(tol=tol, t_scale=t)
+        eig = T.eigen
+        nrm = normalize_potential(T)
+        mu = gibbs_measure(T).weights
+        P = pressure(T)
         h = entropy_of_gibbs(T, nrm)
         avg = average_energy(T, mu)
         resid = abs(P - (h + t * avg))

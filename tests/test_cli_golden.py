@@ -22,11 +22,11 @@ CASES = [
     ("check --m 2 --beta beta_T --depth 4",
      "674b3281a21dd750e6571ce22ffea9bb4accc151d01d07881d8b2bf7f66ba29a"),
     ("words --m 3 --beta 3.5 --depth 4 --format jsonl",
-     "a0c6a43823f31025112fc6d80cf01fa5a72d921820aee8ecb5e7449d1368999d"),
+     "b552d59e1f574709dc7c007272eea59ace7355e5311b5c5526bd055e73ed21a3"),
     ("expand --m 2 --beta beta_T --a 0.7 --depth 60",
      "66955cbbe7af77ba7b65464b0beebe9e7253b87292e39fb3ec36d660fc1c0604"),
     ("expand --m 3 --beta golden --a 0.35 --depth 60 --format jsonl",
-     "611dba792825c6162f0e6efd8edb47e33182b200ccb8a243bcdeb0a7c7dd93ed"),
+     "bc31ec1445e24146af4dafc52c942370c157efc8e456b56e207d5c472443feab"),
     ("expand --m 3 --beta 3.5 --a 0.9 --depth 120 --kneading-depth 122",
      "4ac0cf2004b77176176f7689b3bcb7f5bae73e3a924bf7989b232cdfa0087981"),
     ("expand --m 3 --beta beta_T --a 1 --depth 80 --kneading-depth 82",
@@ -34,13 +34,13 @@ CASES = [
     ("expand --m 12 --beta 12.5 --a 1 --depth 30 --format csv",
      "4988db60b0148b859d8c24777fd460282043b93eb3f6824e271ad00882cd4408"),
     ("check --m 4 --beta 4.7 --depth 5 --format jsonl",
-     "c049a431c23d80ea1705ff322f82de4348053c14a51093ead76dc74f55debab0"),
+     "2d7f31ba65d5ad74dde174bea7e46cba4d868b6ade54482e33ea76b7ecb2ea3e"),
     ("check --m 3 --beta beta_T --depth 4 --kneading-depth 128",
      "d45af51d4286752782f2bdff92f7172e86f02798c51b83997302f7f8e66101b6"),
     ("words --m 12 --beta 12.5 --depth 2 --format csv",
      "f22efe1a88899d01a8456399b17ddbe055260c14de7bd64981bb0720c96d3b16"),
     ("words --m 12 --beta 12.5 --depth 2 --format jsonl",
-     "d7bb10500168eae6e5320387ef7b3efbf7a26c4a856cb648fde12f75b5b88ba6"),
+     "190dda1c08f4f532abe17fc999d8fdfef85f231a337848d8a59d8551fa0af1e4"),
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
@@ -48,11 +48,11 @@ CASES = [
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
      "e9aa4196c6e5a1aef8eb5fa776c95350727deb57cbe79aaec5d0275a74e55efc"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "a157bb9235565a299e29a72d5bb71987d6ee87129cdd0c580b0aa7844793ad0b"),
+     "3d73f047eaf2645c03667f725f290479d187c5fd0a02c2d0254ea85318aac620"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "b7ebfab5a8c97e6670d39042648a3111cc98585acc57685f02d480a2a187088d"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "9af310c73f6ba67bd281851832bbf151d3863a5efbbdf7c1938a8bcd6eaa7e9d"),
+     "262a5340c8e345ae82469522579038a03621653eeef7315f41e7d92ed265e084"),
 ]
 
 

@@ -175,6 +175,22 @@ def test_warm_start_matches_cold_solve():
     assert np.max(np.abs(warm.psi - cold.psi)) < 1e-11
 
 
+@pytest.mark.parametrize("t, mode", [(1.0, "linear"), (32.0, "linear"), (64.0, "log")])
+def test_solve_runs_in_log_scale_above_32(t, mode):
+    T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=4)
+    assert T.solve(t_scale=t).eigen.mode == mode
+
+
+def test_solving_a_solved_system_continues_from_its_eigendata():
+    T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=5).solve()
+    warm = T.solve(t_scale=64.0).eigen
+    ref = log_power_solve(T, t_scale=64.0, start=T.eigen)
+    for f in dataclasses.fields(ref):
+        assert np.array_equal(getattr(warm, f.name), getattr(ref, f.name)), f.name
+    assert warm.converged
+    assert warm.iterations < log_power_solve(T, t_scale=64.0).iterations
+
+
 def test_log_solve_without_predecessors_emits_no_warning():
     # at depth 9 some words have no successor: their rows of the transposed
     # (eigenmeasure) iteration are all padding

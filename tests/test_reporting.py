@@ -1,10 +1,11 @@
 import json
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from symbeta.cli import main
+from symbeta.cli import _FLAGS, main
 from symbeta.operator import EigenData
 from symbeta.reporting import (ConfigError, RunConfig, cmd_check, cmd_expand,
                                cmd_spectrum, cmd_words, cmd_zerotemp,
@@ -250,6 +251,12 @@ def test_cli_byte_identical_runs(capsys):
     (["thermo", "--depth", "2", "--t-grid", ","], None),
     (["spectrum", "--depth", "2", "--tol", "nan"], None),
     (["zerotemp", "--depth", "2"], "t_grid = 1,inf\n"),
+    (["thermo", "--m", "3", "--beta", "4", "--depth", "3", "--seed", "-1"], None),
+    (["thermo", "--m", "3", "--beta", "4", "--depth", "3", "--max-period", "0"], None),
+    (["spectrum", "--m", "3", "--beta", "4", "--depth", "3",
+      "--potential", "digit_table:0.1,0.2"], None),
+    (["spectrum", "--m", "3", "--beta", "4", "--depth", "3",
+      "--potential", "digit_table:nan,0,0,0"], None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
 def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:
@@ -260,6 +267,20 @@ def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert not captured.out
+
+
+@pytest.mark.parametrize("config_text", ["log_threshold = 16\n", "irreducibility_j = 8\n"])
+def test_cli_removed_config_keys_exit_2(config_text, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(config_text)
+    assert main(["check", "--m", "3", "--beta", "4", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown config key")
+
+
+def test_every_config_field_but_a_has_a_flag():
+    # ``a`` is expand's own --a; no setting may be reachable from a config
+    # file alone
+    assert {f.name for f in fields(RunConfig)} - set(_FLAGS) == {"a"}
 
 
 def test_cli_unreadable_sources_exit_2(tmp_path, capsys, monkeypatch):

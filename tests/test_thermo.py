@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
-from symbeta.operator import build_system, normalize_potential
+from symbeta.operator import (build_system, log_power_solve, normalize_potential,
+                              power_solve)
 from symbeta.shift import build_kneading
 from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
-                            average_energy, entropy_inf_check, entropy_of_gibbs,
-                            gibbs_measure, max_ergodic_average, orbit_measure,
-                            periodic_orbits, pressure,
+                            ThermoPoint, average_energy, entropy_inf_check,
+                            entropy_of_gibbs, gibbs_measure, max_ergodic_average,
+                            orbit_measure, periodic_orbits, pressure,
                             random_markov_measure, variational_gap,
                             zero_temperature_scan)
 
@@ -351,6 +353,28 @@ def test_scan_points_all_converge():
     assert all(pt.converged for pt in curve.points)
     assert not any("did not converge" in w for w in curve.warnings)
     assert [pt.mode for pt in curve.points] == ["linear"] * 6 + ["log"] * 4
+
+
+def test_scan_matches_an_explicit_solver_chain():
+    # the reference: each grid point solved by power_solve (t <= 32) or
+    # log_power_solve, warm-started from the point before it
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    A = PotentialSpec.digit_table(C)
+    curve = zero_temperature_scan(p, K, A, depth=5)
+    T = build_system(p, K, A, 5)
+    eig = None
+    for pt in curve.points:
+        solve = power_solve if pt.t <= 32.0 else log_power_solve
+        eig = solve(T, tol=1e-14, t_scale=pt.t, start=eig)
+        Tt = dataclasses.replace(T, eigen=eig)
+        nrm = normalize_potential(Tt)
+        h = entropy_of_gibbs(Tt, nrm)
+        avg = average_energy(Tt, gibbs_measure(Tt).weights)
+        assert pt == ThermoPoint(pt.t, eig.log_lam, h, avg,
+                                 abs(eig.log_lam - (h + pt.t * avg)),
+                                 nrm.row_sum_residual, eig.converged, eig.mode)
+    assert len(curve.points) == 10
 
 
 def test_scan_rejects_bad_grid():
