@@ -35,9 +35,9 @@ nrm = normalize_potential(T)
 mu = gibbs_measure(T)
 print()
 print(f"pressure P(A) = log lambda = {pressure(T):.12f}")
-print(f"entropy of the Gibbs state = {entropy_of_gibbs(T, nrm):.12f}")
+print(f"entropy of the Gibbs state = {entropy_of_gibbs(nrm):.12f}")
 print(f"normalized row-sum residual = {nrm.row_sum_residual:.2e}")
-rep = entropy_inf_check(T, nrm, n_random=10)
+rep = entropy_inf_check(nrm, n_random=10)
 print(f"entropy infimum formula: min over trials = {rep.min_trial:.12f} "
       f"(>= entropy), u0 attains {rep.u0_value:.12f}")
 print()

@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 
 from .operator import RegimeError
+from .potentials import MissingBlockError
 from .reporting import (ConfigError, Report, RunConfig, cmd_check, cmd_expand,
                         cmd_spectrum, cmd_thermo, cmd_words, cmd_zerotemp,
                         render_report)
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         rep = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, MissingBlockError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except UndecidedError as exc:

@@ -586,18 +586,19 @@ class LkResult:
     converged: bool
 
 
-def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
-             inner_tol: float = 1e-14) -> LkResult:
+# the perturbations 1/k of ``lk_solve``, decreasing
+LK_SCHEDULE = tuple(2.0 ** j for j in range(0, 36, 2))
+
+
+def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
     """Alternate Perron solver (at scale t = 1) through the perturbed
     normalized maps psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf.
 
-    Each map is iterated to its fixed point psi_k (warm-started, at most
-    10000 steps), with lambda_k = ||L(psi_k + 1/k)||_inf; lambda_k
-    converges to the Perron eigenvalue as k grows and always exceeds
-    exp(-sup|A|).
+    Each map, k along ``LK_SCHEDULE``, is iterated to its fixed point
+    psi_k (warm-started, at most 10000 steps), with lambda_k =
+    ||L(psi_k + 1/k)||_inf; lambda_k converges to the Perron eigenvalue
+    as k grows and always exceeds exp(-sup|A|).
     """
-    if k_schedule is None:
-        k_schedule = [2.0 ** j for j in range(0, 36, 2)]
     L = _Operator(T, 1.0)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
     psi = np.full(T.n_words, 1.0)
@@ -605,7 +606,7 @@ def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
     min_margin = math.inf
     converged = True
     lam_k = 0.0
-    for k in k_schedule:
+    for k in LK_SCHEDULE:
         ok = False
         for _ in range(10000):
             w = L.fwd(psi + 1.0 / k)
@@ -628,22 +629,22 @@ def lk_solve(T: TransferSystem, k_schedule: Sequence[float] | None = None,
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Normalized operator data: log Mbar[t,s] = t A(s) + log psi(s)
-    - log psi(t) - log lambda on every edge, making L_bar 1 = 1 exactly
-    (row sums of Mbar equal 1 on the support of the Gibbs weights)."""
+    """Normalized operator data of a solved system: log Mbar[t,s] = t A(s)
+    + log psi(s) - log psi(t) - log lambda on every edge of ``system``
+    (aligned with ``system.rows``, ``system.cols``), making L_bar 1 = 1
+    exactly (row sums of Mbar equal 1 on the support of the Gibbs
+    weights)."""
 
     system: TransferSystem
-    eigen: EigenData
-    rows: np.ndarray
-    cols: np.ndarray
     log_mbar: np.ndarray
     row_sum_residual: float
     support: np.ndarray  # bool mask of words carrying Gibbs mass
 
     def dense(self) -> np.ndarray:
         """Mbar as a dense (N, N) array, for small systems."""
-        M = np.zeros((self.system.n_words,) * 2)
-        M[self.rows, self.cols] = np.exp(self.log_mbar)
+        T = self.system
+        M = np.zeros((T.n_words,) * 2)
+        M[T.rows, T.cols] = np.exp(self.log_mbar)
         return M
 
 
@@ -657,14 +658,12 @@ def normalize_potential(T: TransferSystem) -> NormalizedSystem:
                 - eig.log_psi[rows] - eig.log_lam)
     log_mu = eig.log_psi + eig.log_rho
     support = log_mu > (np.max(log_mu) - 600.0)
-    n = T.n_words
     # row sums restricted to supported sources: unconverged deeply-decayed
     # components hold no reliable eigenvector ratios and no mass
     keep = support[cols]
-    sums = np.zeros(n)
-    np.add.at(sums, rows[keep], np.exp(log_mbar[keep]))
+    sums = np.bincount(rows[keep], np.exp(log_mbar[keep]), minlength=T.n_words)
     resid = float(np.max(np.abs(sums[support] - 1.0))) if support.any() else math.inf
-    return NormalizedSystem(T, eig, rows, cols, log_mbar, resid, support)
+    return NormalizedSystem(T, log_mbar, resid, support)
 
 
 # ---------------------------------------------------------------------------

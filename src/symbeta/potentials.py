@@ -24,6 +24,13 @@ import numpy as np
 from .sequences import Word
 
 
+class MissingBlockError(KeyError):
+    """A ``block_table`` potential has no value for a block it is read on."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str
@@ -94,7 +101,7 @@ class PotentialSpec:
         if self.kind == "block_table":
             key = tuple(digits[:self.block_k])
             if self.block_values is None or key not in self.block_values:
-                raise KeyError(f"block_table has no value for {key}")
+                raise MissingBlockError(f"block_table has no value for {key}")
             return self.block_values[key]
         c, theta, kmax = self.geo_c, self.geo_theta, self.geo_kmax
         acc = 0.0

@@ -284,7 +284,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     gibbs = gibbs_measure(T)
     mu = gibbs.weights
     lk = lk_solve(T, inner_tol=max(cfg.tol, 1e-14))
-    h = entropy_of_gibbs(T, nrm)
+    h = entropy_of_gibbs(nrm)
     avg = average_energy(T, mu)
     rep.summary = {
         "depth": cfg.depth,
@@ -320,13 +320,18 @@ def cmd_thermo(cfg: RunConfig) -> Report:
     eig = T.eigen
     nrm = normalize_potential(T)
     mu = gibbs_measure(T).weights
-    h = entropy_of_gibbs(T, nrm)
+    h = entropy_of_gibbs(nrm)
     avg = average_energy(T, mu)
-    inf_rep = entropy_inf_check(T, nrm, seed=cfg.seed)
-    erg = max_ergodic_average(p, K, A, cfg.max_period, system=T,
-                              t_pair=(cfg.t_grid[-1] / 2, cfg.t_grid[-1]))
+    inf_rep = entropy_inf_check(nrm, seed=cfg.seed)
+    erg = max_ergodic_average(p, K, A, cfg.max_period)
+    # the pressure asymptote of the maximal average: P(tA)/t at the last
+    # grid point t2, and the slope of P from t2/2, each solve continuing
+    # from the one before it
+    t1, t2 = cfg.t_grid[-1] / 2, cfg.t_grid[-1]
+    s1 = T.solve(t_scale=t1)
+    s2 = s1.solve(t_scale=t2)
     rng = np.random.default_rng(cfg.seed)
-    gaps = [variational_gap(T, random_markov_measure(T, rng, label=f"markov_{i}"), nrm)
+    gaps = [variational_gap(nrm, random_markov_measure(T, rng, label=f"markov_{i}"))
             for i in range(20)]
     rep.columns = {"measure": [g.label for g in gaps],
                    "entropy_upper": [g.entropy_upper for g in gaps],
@@ -343,8 +348,8 @@ def cmd_thermo(cfg: RunConfig) -> Report:
         "inf_check_min_gap": inf_rep.min_gap,
         "inf_check_u0_gap": inf_rep.u0_gap,
         "max_average_lower": erg.lower_bound,
-        "max_average_upper": erg.upper_estimate,
-        "max_average_slope": erg.slope_estimate,
+        "max_average_upper": pressure(s2) / t2,
+        "max_average_slope": (pressure(s2) - pressure(s1)) / (t2 - t1),
         "best_orbit": _digits_str(erg.best_orbit.word) if erg.best_orbit else None,
         "worst_gap_violation": worst,
         "converged": eig.converged,

@@ -35,7 +35,6 @@ from .shift import (Kneading, _levels, _periodic_verdicts, _rotation_points,
 class GibbsMeasure:
     """Cylinder weights of the equilibrium state: mu = psi * rho."""
 
-    depth: int
     weights: np.ndarray
 
     def ranked(self, k: int | None = None) -> np.ndarray:
@@ -59,7 +58,7 @@ def gibbs_measure(T: TransferSystem) -> GibbsMeasure:
     if eig is None:
         raise ValueError("system is not solved")
     w = np.exp(eig.log_psi + eig.log_rho)
-    return GibbsMeasure(T.depth, w / w.sum())
+    return GibbsMeasure(w / w.sum())
 
 
 def pressure(T: TransferSystem) -> float:
@@ -74,16 +73,16 @@ def average_energy(T: TransferSystem, weights: np.ndarray) -> float:
     return float(np.dot(weights, T.a_vals))
 
 
-def entropy_of_gibbs(T: TransferSystem, normalized: NormalizedSystem | None = None) -> float:
-    """Entropy of the Gibbs state: -integral of the normalized potential.
+def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
+    """Entropy of the Gibbs state of ``nrm.system``: -integral of the
+    normalized potential.
 
     Uses the transition-resolved quadrature (see module docstring); agrees
     with pressure - t * average to rounding error by construction.
     """
-    nrm = normalized if normalized is not None else normalize_potential(T)
-    eig = nrm.eigen
-    log_mu = eig.log_psi + eig.log_rho
-    log_j = log_mu[nrm.rows] + nrm.log_mbar
+    T = nrm.system
+    log_mu = T.eigen.log_psi + T.eigen.log_rho
+    log_j = log_mu[T.rows] + nrm.log_mbar
     # transitions below ~e^-100 relative weight contribute nothing and, at
     # strong scaling, may sit on unconverged eigenvector components
     mask = log_j > (np.max(log_j) - 100.0)
@@ -123,22 +122,24 @@ class InfCheckReport:
         return abs(self.u0_value - self.entropy_reference)
 
 
-def entropy_inf_check(T: TransferSystem, normalized: NormalizedSystem | None = None,
-                      n_random: int = 20, seed: int = 0) -> InfCheckReport:
-    """Evaluate the entropy infimum formula on a family of trial functions.
+def entropy_inf_check(nrm: NormalizedSystem, n_random: int = 20,
+                      seed: int = 0) -> InfCheckReport:
+    """Evaluate the entropy infimum formula against the Gibbs state of
+    ``nrm.system`` on a family of trial functions.
 
     Word-indexed trials (constants, the eigenfunction, random positive
     vectors) must all stay above the Gibbs entropy; the distinguished
     trial u0 = exp(normalized potential) lives at transition resolution
     and attains the entropy exactly.
     """
-    nrm = normalized if normalized is not None else normalize_potential(T)
-    mu = gibbs_measure(nrm.system).weights
-    h = entropy_of_gibbs(T, nrm)
+    T = nrm.system
+    mu = gibbs_measure(T).weights
+    h = entropy_of_gibbs(nrm)
+    log_psi = T.eigen.log_psi
     rng = np.random.default_rng(seed)
     trials: list[tuple[str, np.ndarray]] = [
         ("constant", np.ones(T.n_words)),
-        ("eigenfunction", np.exp(nrm.eigen.log_psi - np.max(nrm.eigen.log_psi))),
+        ("eigenfunction", np.exp(log_psi - np.max(log_psi))),
     ]
     for i in range(n_random):
         trials.append((f"random_{i}", np.exp(0.5 * rng.standard_normal(T.n_words))))
@@ -156,13 +157,13 @@ def entropy_inf_check(T: TransferSystem, normalized: NormalizedSystem | None = N
 class InvariantTestMeasure:
     """An invariant measure of the depth-n word system, given by cylinder
     weights plus joint edge weights J[s -> t] whose marginals both equal
-    the weights (word-level shift invariance)."""
+    the weights (word-level shift invariance).  ``edge_j`` is aligned with
+    the system's edge list: entry k weighs source ``T.cols[k]`` followed
+    by target ``T.rows[k]``."""
 
     label: str
     weights: np.ndarray
-    edge_rows: np.ndarray   # target indices, aligned with system edges
-    edge_cols: np.ndarray   # source indices
-    edge_j: np.ndarray      # joint weights on edges (s=col followed by t=row)
+    edge_j: np.ndarray
     entropy_true: float | None = None
 
     def average(self, T: TransferSystem) -> float:
@@ -171,36 +172,35 @@ class InvariantTestMeasure:
 
 def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
                           label: str = "markov") -> InvariantTestMeasure:
-    """A random stationary Markov measure supported on the word graph."""
-    n = T.n_words
-    # the targets of s are the words of prefix group tail[s], a run of the
-    # sorted basis; slot k of s holds the k-th, ascending
-    succ = np.searchsorted(T.head, T.tail)[:, None] + np.arange(T.params.m + 1)
-    succ_ok = (succ < n) & (T.head[np.minimum(succ, n - 1)] == T.tail[:, None])
-    succ = np.where(succ_ok, succ, 0)
-    raw = np.where(succ_ok, rng.uniform(0.1, 1.0, size=succ.shape), 0.0)
+    """A random stationary Markov measure supported on the word graph.
+
+    Source s draws m + 1 uniform slot weights and keeps the first
+    out-degree of them: slot k goes to its k-th target, ascending, the
+    k-th word of its successor run (the words of prefix group tail[s]).
+    The stationary loop runs on the edge list (``T.rows``, ``T.cols``).
+    """
+    n, rows, cols = T.n_words, T.rows, T.cols
+    raw = rng.uniform(0.1, 1.0, size=(n, T.params.m + 1))
+    raw = np.where(np.arange(raw.shape[1]) < np.bincount(cols, minlength=n)[:, None],
+                   raw, 0.0)
     totals = raw.sum(axis=1)
     if np.any(totals <= 0):
         raise ValueError("word graph has a sink; cannot build a Markov kernel")
-    q = raw / totals[:, None]          # q[s, slot] = P(s -> succ[s, slot])
+    q = raw / totals[:, None]          # q[s, k] = P(s -> k-th target of s)
+    # the slot of edge t <- s: t's place in its run, the prefix group head[t]
+    first = np.flatnonzero(np.diff(T.head, prepend=-1))
+    q_edge = q[cols, rows - first[T.head[rows]]]
     pi = np.full(n, 1.0 / n)
     for _ in range(20000):
-        nxt = np.zeros(n)
-        np.add.at(nxt, succ.ravel(), (pi[:, None] * q).ravel())
-        if float(np.max(np.abs(nxt - pi))) < 1e-15:
-            pi = nxt
+        # bincount adds each target's sources in ascending order
+        pi, prev = np.bincount(rows, pi[cols] * q_edge, minlength=n), pi
+        if float(np.max(np.abs(pi - prev))) < 1e-15:
             break
-        pi = nxt
     pi = pi / pi.sum()
     # entropy rate of the chain
     mask = q > 0
     h = float(-np.sum((pi[:, None] * q)[mask] * np.log(q[mask])))
-    # edge joint weights aligned with the system edge list (rows=target):
-    # the successor slots of s hold its targets in ascending order, so
-    # row-major order of the slots is the edge order by (source, target)
-    ej = np.empty(len(T.rows))
-    ej[np.lexsort((T.rows, T.cols))] = (pi[:, None] * q)[succ_ok]
-    return InvariantTestMeasure(label, pi, T.rows, T.cols, ej, entropy_true=h)
+    return InvariantTestMeasure(label, pi, pi[cols] * q_edge, entropy_true=h)
 
 
 def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMeasure:
@@ -221,8 +221,7 @@ def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMea
     edge = np.searchsorted(codes, steps)
     ej = np.zeros(len(T.rows))
     np.add.at(ej, edge, 1.0 / p)
-    return InvariantTestMeasure(f"orbit_{orbit.word}", weights, T.rows, T.cols, ej,
-                       entropy_true=0.0)
+    return InvariantTestMeasure(f"orbit_{orbit.word}", weights, ej, entropy_true=0.0)
 
 
 @dataclass(frozen=True)
@@ -234,14 +233,14 @@ class GapReport:
     entropy_true: float | None
 
 
-def variational_gap(T: TransferSystem, nu: InvariantTestMeasure,
-                    normalized: NormalizedSystem | None = None) -> GapReport:
-    """P(A) - (h(nu) + integral A d nu), with h(nu) bounded from above by
-    the entropy infimum formula over a trial family that includes
-    u0 = exp(normalized potential).  Nonnegative up to rounding for every
-    invariant test measure, zero at the Gibbs state."""
-    nrm = normalized if normalized is not None else normalize_potential(T)
-    eig = nrm.eigen
+def variational_gap(nrm: NormalizedSystem, nu: InvariantTestMeasure) -> GapReport:
+    """P(A) - (h(nu) + integral A d nu) on the system ``nrm.system``, with
+    h(nu) bounded from above by the entropy infimum formula over a trial
+    family that includes u0 = exp(normalized potential).  Nonnegative up
+    to rounding for every invariant test measure, zero at the Gibbs
+    state."""
+    T = nrm.system
+    eig = T.eigen
     rng = np.random.default_rng(1)
     # u0 at transition resolution: -sum J log Mbar over nu's own transitions
     mask = nu.edge_j > 0.0
@@ -319,31 +318,16 @@ def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
 class ErgodicMaxReport:
     best_orbit: PeriodicOrbit | None
     lower_bound: float         # best periodic-orbit average
-    upper_estimate: float | None   # P(tA)/t at the largest scanned t
-    slope_estimate: float | None   # (P(t2 A) - P(t1 A)) / (t2 - t1)
 
 
 def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
-                        max_period: int,
-                        system: TransferSystem | None = None,
-                        t_pair: tuple[float, float] = (100.0, 200.0)) -> ErgodicMaxReport:
-    """Lower bound on the maximal ergodic average from periodic orbits,
-    cross-checked against the pressure asymptote when a system is given.
-
-    The asymptote solves ``system`` at t1, then that solved system at t2,
-    so each ``TransferSystem.solve`` continues from the eigendata before it.
-    """
+                        max_period: int) -> ErgodicMaxReport:
+    """Lower bound on the maximal ergodic average: the best average over
+    the admissible periodic orbits of period <= max_period (-inf, with no
+    best orbit, when there are none)."""
     orbits = periodic_orbits(p, K, A, max_period)
     best = max(orbits, key=lambda o: o.average, default=None)
-    lower = best.average if best is not None else -math.inf
-    upper = slope = None
-    if system is not None:
-        t1, t2 = t_pair
-        s1 = system.solve(t_scale=t1)
-        s2 = s1.solve(t_scale=t2)
-        upper = pressure(s2) / t2
-        slope = (pressure(s2) - pressure(s1)) / (t2 - t1)
-    return ErgodicMaxReport(best, lower, upper, slope)
+    return ErgodicMaxReport(best, best.average if best is not None else -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +393,7 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
         nrm = normalize_potential(T)
         mu = gibbs_measure(T).weights
         P = pressure(T)
-        h = entropy_of_gibbs(T, nrm)
+        h = entropy_of_gibbs(nrm)
         avg = average_energy(T, mu)
         resid = abs(P - (h + t * avg))
         if not eig.converged:

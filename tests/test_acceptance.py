@@ -85,7 +85,7 @@ def test_criterion_03_full_shift_recovery():
         T = build_system(p, K, PotentialSpec.zero(), 4).solve(tol=1e-15)
         assert abs(T.eigen.lam - (m + 1)) < 1e-10
         assert abs(pressure(T) - math.log(m + 1)) < 1e-10
-        assert abs(entropy_of_gibbs(T) - math.log(m + 1)) < 1e-8
+        assert abs(entropy_of_gibbs(normalize_potential(T)) - math.log(m + 1)) < 1e-8
     _ok(3, "beta = m+1 (m=3,4): (m+1)^n words, no forbidden words, "
            "lambda_0 = m+1 (1e-10), P(0) = h = log(m+1) (1e-8)")
 
@@ -124,13 +124,13 @@ def test_criterion_06_variational_principle():
         for i in range(100):
             nu = random_markov_measure(T, rng)
             assert nu.entropy_true + nu.average(T) <= P + 1e-8, (label, i)
-            assert variational_gap(T, nu, nrm).gap >= -1e-8, (label, i)
+            assert variational_gap(nrm, nu).gap >= -1e-8, (label, i)
         # equality at the Gibbs state
-        eig = nrm.eigen
+        eig = T.eigen
         mu = gibbs_measure(T).weights
-        ej = np.exp((eig.log_psi + eig.log_rho)[nrm.rows] + nrm.log_mbar)
-        nu_g = InvariantTestMeasure("gibbs", mu, nrm.rows, nrm.cols, ej)
-        assert abs(variational_gap(T, nu_g, nrm).gap) < 1e-8, label
+        ej = np.exp((eig.log_psi + eig.log_rho)[T.rows] + nrm.log_mbar)
+        nu_g = InvariantTestMeasure("gibbs", mu, ej)
+        assert abs(variational_gap(nrm, nu_g).gap) < 1e-8, label
     _ok(6, "h(nu) + avg(nu) <= P(A) + 1e-8 on 100 random invariant measures "
            "per system, equality at the Gibbs state (1e-8)")
 
@@ -138,10 +138,10 @@ def test_criterion_06_variational_principle():
 def test_criterion_07_entropy_formulas():
     for label, T in _registry():
         nrm = normalize_potential(T)
-        h = entropy_of_gibbs(T, nrm)
+        h = entropy_of_gibbs(nrm)
         mu = gibbs_measure(T).weights
-        assert abs(h - (pressure(T) - average_energy(T, mu) * nrm.eigen.t_scale)) < 1e-8, label
-        rep = entropy_inf_check(T, nrm, n_random=25, seed=11)
+        assert abs(h - (pressure(T) - average_energy(T, mu) * T.eigen.t_scale)) < 1e-8, label
+        rep = entropy_inf_check(nrm, n_random=25, seed=11)
         assert rep.u0_gap < 1e-6, label
         assert rep.min_trial >= h - 1e-8, label
     _ok(7, "entropy equals P - avg within 1e-8; infimum formula attains its "

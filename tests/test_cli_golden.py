@@ -4,7 +4,8 @@ The cases are the README's ``expand``, ``check`` and ``words`` commands,
 expansions over rational and quadratic bases (terminating, cycling and
 truncated), words with digits above 9 (the comma form), and the row
 renderers of ``spectrum --full``, ``zerotemp`` and ``thermo`` in every
-format.  Any change to the digit recursions or the renderers that moves
+format, plus ``thermo`` on a shift that is not full (words with fewer
+than m + 1 successors).  Any change to the digit recursions or the renderers that moves
 one byte of output fails here.
 """
 
@@ -53,6 +54,8 @@ CASES = [
      "b7ebfab5a8c97e6670d39042648a3111cc98585acc57685f02d480a2a187088d"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
      "262a5340c8e345ae82469522579038a03621653eeef7315f41e7d92ed265e084"),
+    (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
+     "94d169e1cc5a10029a8bcb02bd885d19c9c040cd58f81a8242e62a54ed4e1eac"),
 ]
 
 

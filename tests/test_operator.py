@@ -247,7 +247,7 @@ def test_lk_solver_agrees_with_power():
 
 def test_lk_full_shift_constant_eigenfunction():
     T = system(3, 4, n=2)
-    res = lk_solve(T, k_schedule=[1, 4, 16, 64, 256, 4096, 2 ** 20, 2 ** 30])
+    res = lk_solve(T)
     assert res.lam == pytest.approx(4.0, abs=1e-8)
     assert np.allclose(res.psi, res.psi[0], atol=1e-10)
 

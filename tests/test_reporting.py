@@ -257,6 +257,8 @@ def test_cli_byte_identical_runs(capsys):
       "--potential", "digit_table:0.1,0.2"], None),
     (["spectrum", "--m", "3", "--beta", "4", "--depth", "3",
       "--potential", "digit_table:nan,0,0,0"], None),
+    (["spectrum", "--m", "3", "--beta", "4", "--depth", "3",
+      "--potential", "block_table:1:0=1"], None),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
 def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:

@@ -8,6 +8,7 @@ from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.operator import (build_system, log_power_solve, normalize_potential,
                               power_solve)
+from symbeta.reporting import RunConfig, cmd_thermo
 from symbeta.shift import build_kneading
 from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
                             ThermoPoint, average_energy, entropy_inf_check,
@@ -47,14 +48,15 @@ def test_pressure_closed_form_and_constant_shift():
 def test_entropy_closed_forms():
     # A = 0: uniform Bernoulli, h = log(m + 1)
     _, _, T0 = solved(3, 4)
-    assert entropy_of_gibbs(T0) == pytest.approx(math.log(4), abs=1e-10)
+    assert entropy_of_gibbs(normalize_potential(T0)) == pytest.approx(math.log(4), abs=1e-10)
     # digit table: Shannon entropy of the induced Bernoulli weights
     _, _, T = solved(3, 4, PotentialSpec.digit_table(C))
     Z = sum(math.exp(v) for v in C)
     probs = [math.exp(v) / Z for v in C]
     h_ref = -sum(q * math.log(q) for q in probs)
-    assert entropy_of_gibbs(T) == pytest.approx(h_ref, abs=1e-10)
-    assert entropy_of_gibbs(T) <= math.log(4)
+    h = entropy_of_gibbs(normalize_potential(T))
+    assert h == pytest.approx(h_ref, abs=1e-10)
+    assert h <= math.log(4)
 
 
 def test_entropy_identity_with_pressure():
@@ -64,7 +66,7 @@ def test_entropy_identity_with_pressure():
                        (6, 5, PotentialSpec.digit_table([0.1] * 3 + [0.0] * 4), 4)]:
         _, _, T = solved(m, b, A, n)
         nrm = normalize_potential(T)
-        h = entropy_of_gibbs(T, nrm)
+        h = entropy_of_gibbs(nrm)
         mu = gibbs_measure(T).weights
         assert abs(pressure(T) - h - average_energy(T, mu)) < 1e-10
         assert 0.0 <= h <= math.log(m + 1) + 1e-12
@@ -89,7 +91,7 @@ def test_gibbs_measure_invariants():
 
 def test_gibbs_ranking_breaks_ties_by_word_index():
     w = np.array([0.1, 0.3, 0.2, 0.3, 0.0, 0.2, 0.2, 0.3])
-    mu = GibbsMeasure(1, w)
+    mu = GibbsMeasure(w)
     assert mu.ranked().tolist() == [1, 3, 7, 2, 5, 6, 0, 4]
     for k in range(len(w) + 2):
         assert mu.ranked(k).tolist() == mu.ranked().tolist()[:k]
@@ -103,8 +105,8 @@ def test_gibbs_ranking_breaks_ties_by_word_index():
 def test_inf_check_minimum_at_u0():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
-    rep = entropy_inf_check(T, nrm, n_random=30, seed=3)
-    h = entropy_of_gibbs(T, nrm)
+    rep = entropy_inf_check(nrm, n_random=30, seed=3)
+    h = entropy_of_gibbs(nrm)
     assert rep.u0_gap < 1e-12
     assert rep.min_trial >= h - 1e-10
     # a constant trial gives the log of the mean preimage count, above h
@@ -114,7 +116,7 @@ def test_inf_check_minimum_at_u0():
 
 def test_inf_check_full_shift_jensen_bound():
     _, _, T = solved(3, 4)
-    rep = entropy_inf_check(T, n_random=25, seed=5)
+    rep = entropy_inf_check(normalize_potential(T), n_random=25, seed=5)
     for _, v in rep.trial_values:
         assert v >= math.log(4) - 1e-10
 
@@ -132,12 +134,12 @@ def test_variational_gap_random_markov():
         nu = random_markov_measure(T, rng)
         # marginal consistency of the edge weights
         left = np.zeros(T.n_words)
-        np.add.at(left, nu.edge_rows, nu.edge_j)
+        np.add.at(left, T.rows, nu.edge_j)
         right = np.zeros(T.n_words)
-        np.add.at(right, nu.edge_cols, nu.edge_j)
+        np.add.at(right, T.cols, nu.edge_j)
         assert np.max(np.abs(left - nu.weights)) < 1e-10
         assert np.max(np.abs(right - nu.weights)) < 1e-10
-        g = variational_gap(T, nu, nrm)
+        g = variational_gap(nrm, nu)
         assert g.gap >= -1e-10
         # the true chain entropy also satisfies the variational bound
         assert nu.entropy_true + nu.average(T) <= P + 1e-10
@@ -146,11 +148,11 @@ def test_variational_gap_random_markov():
 def test_variational_equality_at_gibbs():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
-    eig = nrm.eigen
+    eig = T.eigen
     mu = gibbs_measure(T).weights
-    ej = np.exp((eig.log_psi + eig.log_rho)[nrm.rows] + nrm.log_mbar)
-    nu = InvariantTestMeasure("gibbs", mu, nrm.rows, nrm.cols, ej)
-    g = variational_gap(T, nu, nrm)
+    ej = np.exp((eig.log_psi + eig.log_rho)[T.rows] + nrm.log_mbar)
+    nu = InvariantTestMeasure("gibbs", mu, ej)
+    g = variational_gap(nrm, nu)
     assert abs(g.gap) < 1e-10
 
 
@@ -160,7 +162,7 @@ def test_orbit_measure_gap_zero_potential():
     orbits = periodic_orbits(T.params, T.kneading, T.potential, 1)
     fp = next(o for o in orbits if o.word == (0,))
     nu = orbit_measure(T, fp)
-    g = variational_gap(T, nu)
+    g = variational_gap(normalize_potential(T), nu)
     assert g.entropy_upper < 1e-6
     assert g.gap == pytest.approx(math.log(4), abs=1e-6)
 
@@ -259,11 +261,15 @@ def test_max_ergodic_average_asymptote():
     p = Params.make(3, 4)
     K = build_kneading(p, 64)
     A = PotentialSpec.digit_table(C)
-    T = build_system(p, K, A, 3)
-    rep = max_ergodic_average(p, K, A, 4, system=T, t_pair=(100.0, 200.0))
+    rep = max_ergodic_average(p, K, A, 4)
     assert rep.lower_bound == pytest.approx(0.3)
-    assert abs(rep.slope_estimate - rep.lower_bound) < 1e-3
-    assert rep.upper_estimate >= rep.lower_bound - 1e-12
+    # thermo solves the pressure asymptote at t = t_grid[-1] / 2, t_grid[-1]
+    cfg = RunConfig(m=3, beta="4", depth=3, potential="digit_table:0.3,0,0.1,0.05",
+                    t_grid=(100.0, 200.0), max_period=4)
+    summary = cmd_thermo(cfg).summary
+    assert summary["max_average_lower"] == rep.lower_bound
+    assert abs(summary["max_average_slope"] - rep.lower_bound) < 1e-3
+    assert summary["max_average_upper"] >= rep.lower_bound - 1e-12
 
 
 def test_zero_potential_max_average():
@@ -369,7 +375,7 @@ def test_scan_matches_an_explicit_solver_chain():
         eig = solve(T, tol=1e-14, t_scale=pt.t, start=eig)
         Tt = dataclasses.replace(T, eigen=eig)
         nrm = normalize_potential(Tt)
-        h = entropy_of_gibbs(Tt, nrm)
+        h = entropy_of_gibbs(nrm)
         avg = average_energy(Tt, gibbs_measure(Tt).weights)
         assert pt == ThermoPoint(pt.t, eig.log_lam, h, avg,
                                  abs(eig.log_lam - (h + pt.t * avg)),

@@ -48,6 +48,13 @@ def test_cli_passes_report_solver_counts(capsys):
     assert code == 0
     assert zt["operator.log_power_solve.calls"] > 0
     assert zt["operator.build_system.edges"] == edges
+    code, _, th = _traced(lambda: cli.main(["thermo", *args]))
+    assert code == 0
+    for span in ("thermo.random_markov_measure.s", "thermo.variational_gap.s",
+                 "thermo.entropy_inf_check.s"):
+        assert th[span] > 0, span
+    # the two pressure-asymptote solves of cmd_thermo
+    assert th["operator.log_power_solve.calls"] > 0
     capsys.readouterr()
 
 
