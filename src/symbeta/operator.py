@@ -204,6 +204,23 @@ class TransferSystem:
     cols = property(lambda self: self._edges[1],
                     doc="Edge sources, ascending within a target.")
 
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        # the first word of each prefix group, and tail with a source whose
+        # suffix starts no word sent to an extra, unread group
+        first = np.flatnonzero(np.diff(self.head, prepend=-1))
+        return first, np.where(self.tail < 0, len(first), self.tail)
+
+    @cached_property
+    def _by_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # for the log kernels: the sources sorted by group, ascending within
+        # a group, and each group closed by a -inf pad so that none is empty
+        first, tail = self._groups
+        key = np.append(tail, np.arange(len(first) + 1))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        return order, np.flatnonzero(np.diff(key, prepend=-1)), key
+
     def dense(self, t_scale: float = 1.0) -> np.ndarray:
         """The operator at scale t as a dense (N, N) array, for small systems."""
         M = np.zeros((self.n_words, self.n_words))
@@ -218,8 +235,9 @@ class TransferSystem:
         solve = power_solve if t_scale <= LOG_THRESHOLD else log_power_solve
         solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
                                            t_scale=t_scale, start=self.eigen))
-        if "_edges" in vars(self):   # same graph: keep the cached edge lists
-            vars(solved)["_edges"] = self._edges
+        for key in ("_edges", "_groups", "_by_tail"):
+            if key in vars(self):   # same graph: keep its cached index arrays
+                vars(solved)[key] = vars(self)[key]
         return solved
 
 
@@ -338,17 +356,21 @@ class _Operator:
     gather by head.  The transpose factors e[s] out, (L^T u)[s] = e[s] *
     (sum of u over the words of prefix group tail[s]): one grouped sum over
     the N targets and a gather by tail.  The log pair does the same with
-    logsumexp.  Index arrays are built once per instance (per solver call).
+    logsumexp.  The index arrays are derived once per graph and cached on
+    the system (``TransferSystem._groups``, ``._by_tail``); an instance
+    adds t A, and e on its first linear application.
     """
 
     def __init__(self, T: TransferSystem, t_scale: float):
+        self.graph = T
         self.head = T.head
-        self.first = np.flatnonzero(np.diff(T.head, prepend=-1))  # group starts
-        # a source whose suffix starts no word goes to an extra, unread group
-        self.tail = np.where(T.tail < 0, len(self.first), T.tail)
+        self.first, self.tail = T._groups
         self.la = t_scale * T.a_vals
+
+    @cached_property
+    def e(self) -> np.ndarray:
         with np.errstate(over="ignore"):   # an overflow is an inf iterate
-            self.e = np.exp(self.la)
+            return np.exp(self.la)
 
     def fwd(self, v: np.ndarray) -> np.ndarray:
         # bincount adds each group's sources in ascending order, as a
@@ -358,17 +380,8 @@ class _Operator:
     def bwd(self, u: np.ndarray) -> np.ndarray:
         return self.e * np.append(np.bincount(self.head, u), 0.0)[self.tail]
 
-    @cached_property
-    def _by_tail(self):
-        # sources sorted by tail, ascending within a group, and each group
-        # closed by a -inf pad so that none is empty
-        key = np.append(self.tail, np.arange(len(self.first) + 1))
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        return order, np.flatnonzero(np.diff(key, prepend=-1)), key
-
     def log_fwd(self, logv: np.ndarray) -> np.ndarray:
-        order, first, key = self._by_tail
+        order, first, key = self.graph._by_tail
         x = np.append(self.la + logv, np.full(len(self.first) + 1, -np.inf))
         return _lse_runs(x[order], first, key)[self.head]
 
@@ -398,6 +411,7 @@ def _eigen(log_lam, log_psi, log_rho, t_scale, iters, stops, resid, gap, tol,
     only when neither half ran into max_iter and the combined residual
     passes the 100*tol gate."""
     stop = "max_iter" if "max_iter" in stops else "tol"
+    resid = float(resid)
     converged = stop == "tol" and resid < 100 * max(tol, 1e-15)
     log_rho = log_rho - _lse_vec(log_rho)
     log_psi = log_psi - _lse_vec(log_rho + log_psi)
@@ -594,10 +608,14 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
     """Alternate Perron solver (at scale t = 1) through the perturbed
     normalized maps psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf.
 
-    Each map, k along ``LK_SCHEDULE``, is iterated to its fixed point
-    psi_k (warm-started, at most 10000 steps), with lambda_k =
+    Each map, k along ``LK_SCHEDULE``, is iterated towards its fixed
+    point psi_k (warm-started, at most 10000 steps), with lambda_k =
     ||L(psi_k + 1/k)||_inf; lambda_k converges to the Perron eigenvalue
-    as k grows and always exceeds exp(-sup|A|).
+    as k grows and always exceeds exp(-sup|A|).  Only the last map is
+    iterated to ``inner_tol``: psi_k is O(1/k) from the Perron vector
+    anyway, so an earlier step stops once the iterate moves by less than
+    max(inner_tol, 1e-2 / k) and hands its iterate on as the next warm
+    start.
     """
     L = _Operator(T, 1.0)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
@@ -607,6 +625,7 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
     converged = True
     lam_k = 0.0
     for k in LK_SCHEDULE:
+        step_tol = inner_tol if k == LK_SCHEDULE[-1] else max(inner_tol, 1e-2 / k)
         ok = False
         for _ in range(10000):
             w = L.fwd(psi + 1.0 / k)
@@ -614,7 +633,7 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
             w /= lam_k
             change = float(np.max(np.abs(w - psi)))
             psi = w
-            if change < inner_tol:
+            if change < step_tol:
                 ok = True
                 break
         converged = converged and ok
@@ -629,16 +648,34 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Normalized operator data of a solved system: log Mbar[t,s] = t A(s)
-    + log psi(s) - log psi(t) - log lambda on every edge of ``system``
-    (aligned with ``system.rows``, ``system.cols``), making L_bar 1 = 1
-    exactly (row sums of Mbar equal 1 on the support of the Gibbs
-    weights)."""
+    """Normalized operator data of a solved system, as length-N arrays.
+
+    Mbar[t,s] = exp(t A(s)) psi(s) / (psi(t) lambda) on every edge makes
+    L_bar 1 = 1 (row sums equal 1 on the support of the Gibbs weights).
+    Words with the same (n-1)-prefix share their sources, so Mbar's row
+    sums and the two marginals of the transition weights J[t,s] =
+    mu(t) Mbar[t,s], summed over the supported sources s, are grouped sums
+    over the N words: ``log_j_out[t]`` sums row t of J and ``log_j_in[s]``
+    column s.  Both equal log mu on the support up to rounding.  The
+    per-edge form ``log_mbar`` (aligned with ``system.rows``,
+    ``system.cols``) is built on first use only.
+    """
 
     system: TransferSystem
-    log_mbar: np.ndarray
     row_sum_residual: float
     support: np.ndarray  # bool mask of words carrying Gibbs mass
+    log_j_out: np.ndarray
+    log_j_in: np.ndarray
+
+    @cached_property
+    def log_mbar(self) -> np.ndarray:
+        """log Mbar[t,s] = t A(s) + log psi(s) - log psi(t) - log lambda on
+        every edge, aligned with ``system.rows``, ``system.cols``."""
+        T = self.system
+        eig = T.eigen
+        rows, cols = T.rows, T.cols
+        return (eig.t_scale * T.a_vals[cols] + eig.log_psi[cols]
+                - eig.log_psi[rows] - eig.log_lam)
 
     def dense(self) -> np.ndarray:
         """Mbar as a dense (N, N) array, for small systems."""
@@ -649,21 +686,28 @@ class NormalizedSystem:
 
 
 def normalize_potential(T: TransferSystem) -> NormalizedSystem:
-    """Rescale the operator by its Perron data.  Requires a solved system."""
+    """Rescale the operator by its Perron data.  Requires a solved system.
+
+    Only supported sources enter: unconverged, deeply decayed components
+    hold no reliable eigenvector ratios and no mass.  With log psi set to
+    -inf off the support, row t of Mbar sums to exp(log_fwd(log psi)[t] -
+    log psi(t) - log lambda), and J's marginals are log_j_out = log rho -
+    log lambda + log_fwd(log psi) and log_j_in = log_bwd(log rho) + log
+    psi - log lambda, on one operator at the solve's scale.
+    """
     eig = T.eigen
     if eig is None:
         raise ValueError("system is not solved; run TransferSystem.solve first")
-    rows, cols = T.rows, T.cols
-    log_mbar = (eig.t_scale * T.a_vals[cols] + eig.log_psi[cols]
-                - eig.log_psi[rows] - eig.log_lam)
+    L = _Operator(T, eig.t_scale)
     log_mu = eig.log_psi + eig.log_rho
     support = log_mu > (np.max(log_mu) - 600.0)
-    # row sums restricted to supported sources: unconverged deeply-decayed
-    # components hold no reliable eigenvector ratios and no mass
-    keep = support[cols]
-    sums = np.bincount(rows[keep], np.exp(log_mbar[keep]), minlength=T.n_words)
-    resid = float(np.max(np.abs(sums[support] - 1.0))) if support.any() else math.inf
-    return NormalizedSystem(T, log_mbar, resid, support)
+    log_psi = np.where(support, eig.log_psi, -np.inf)
+    into = L.log_fwd(log_psi) - eig.log_lam     # log (lambda^-1 L psi)
+    sums = np.exp(into[support] - eig.log_psi[support])
+    resid = float(np.max(np.abs(sums - 1.0))) if support.any() else math.inf
+    log_j_in = L.log_bwd(eig.log_rho)
+    log_j_in += log_psi - eig.log_lam
+    return NormalizedSystem(T, resid, support, eig.log_rho + into, log_j_in)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from .expansion import (Params, beta_t, greedy_expansion, lazy_expansion,
                         quasi_greedy)
-from .operator import (_in_degree, _word_graph, build_system, lk_solve,
-                       normalize_potential)
+from .operator import (TransferSystem, _in_degree, _word_graph, build_system,
+                       lk_solve, normalize_potential)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq
 from .shift import (Kneading, build_kneading, check_transitivity,
@@ -268,11 +268,16 @@ def _build_solved(cfg: RunConfig, rep: Report):
     A = parse_potential(cfg.potential)
     T = build_system(p, K, A, cfg.depth).solve(tol=cfg.tol)
     rep.warnings.extend(T.warnings)
+    _check_converged(rep, T, "power iteration")
+    return p, K, A, T
+
+
+def _check_converged(rep: Report, T: TransferSystem, what: str) -> None:
+    """Warn and set exit code 4 when the solve of ``T`` did not converge."""
     if not T.eigen.converged:
-        rep.warnings.append(f"power iteration did not converge "
+        rep.warnings.append(f"{what} did not converge "
                             f"(residual {T.eigen.residual:.3e})")
         rep.exit_code = 4
-    return p, K, A, T
 
 
 def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
@@ -330,6 +335,8 @@ def cmd_thermo(cfg: RunConfig) -> Report:
     t1, t2 = cfg.t_grid[-1] / 2, cfg.t_grid[-1]
     s1 = T.solve(t_scale=t1)
     s2 = s1.solve(t_scale=t2)
+    for s in (s1, s2):
+        _check_converged(rep, s, f"asymptote solve at t={s.eigen.t_scale!r}")
     rng = np.random.default_rng(cfg.seed)
     gaps = [variational_gap(nrm, random_markov_measure(T, rng, label=f"markov_{i}"))
             for i in range(20)]

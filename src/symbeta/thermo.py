@@ -7,7 +7,15 @@ resolution: within a depth-n cylinder the normalized potential still
 depends on the next digit, so it is averaged over the outgoing transition
 weights J[t,s] = mu[t] Mbar[t,s].  Both marginals of J equal mu exactly,
 which makes the identity h + t * avg = P hold to rounding error and the
-finite-dimensional variational inequality exact.
+finite-dimensional variational inequality exact.  As log Mbar[t,s] =
+t A(s) + log psi(s) - log psi(t) - log lambda splits into a source and a
+target term, the sum over the edges needs only J's two marginals (row
+sums J_out, column sums J_in, see ``NormalizedSystem``):
+
+    h = <log psi, J_out - J_in> - <J_in, t A - log lambda>,
+
+grouped so that the first term is the small difference of two sums that
+both equal mu up to rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import Params
-from .operator import (NormalizedSystem, TransferSystem, build_system, iterate,
+from .operator import (NormalizedSystem, TransferSystem, _Operator, build_system,
                        normalize_potential)
 from .potentials import PotentialSpec
 from .sequences import Word
@@ -77,29 +85,33 @@ def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
     """Entropy of the Gibbs state of ``nrm.system``: -integral of the
     normalized potential.
 
-    Uses the transition-resolved quadrature (see module docstring); agrees
-    with pressure - t * average to rounding error by construction.
+    Uses the transition-resolved quadrature from J's two marginals (see
+    module docstring), with no pass over the edges; agrees with pressure -
+    t * average to rounding error by construction.
     """
     T = nrm.system
-    log_mu = T.eigen.log_psi + T.eigen.log_rho
-    log_j = log_mu[T.rows] + nrm.log_mbar
-    # transitions below ~e^-100 relative weight contribute nothing and, at
-    # strong scaling, may sit on unconverged eigenvector components
-    mask = log_j > (np.max(log_j) - 100.0)
-    j = np.exp(log_j[mask])
-    # Mbar entries are probabilities: clamp rounding excursions above 1
-    # so the entropy stays exactly nonnegative
-    return float(-np.sum(j * np.minimum(nrm.log_mbar[mask], 0.0)))
+    eig = T.eigen
+    # marginal entries below ~e^-100 relative weight contribute nothing
+    # and, at strong scaling, may sit on unconverged eigenvector components
+    j_out, j_in = (np.exp(np.where(log_j > np.max(log_j) - 100.0, log_j, -np.inf))
+                   for log_j in (nrm.log_j_out, nrm.log_j_in))
+    # h = -sum J log Mbar, summed by target and by source (module docstring)
+    flow = j_out - j_in
+    h = (np.dot(np.where(flow != 0.0, eig.log_psi, 0.0), flow)
+         - np.dot(j_in, eig.t_scale * T.a_vals - eig.log_lam))
+    # Mbar entries are probabilities, so h >= 0 up to rounding: clamp it
+    return max(float(h), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # entropy infimum formula
 
 
-def inf_formula_value(T: TransferSystem, weights: np.ndarray, u: np.ndarray) -> float:
+def inf_formula_value(L0: _Operator, weights: np.ndarray, u: np.ndarray) -> float:
     """integral of log(L_0 u / u) against the given cylinder weights,
-    where L_0 is the unweighted preimage-sum operator."""
-    lsum = iterate(T, u, 1, t_scale=0.0)
+    where L_0 is the unweighted preimage-sum operator (``_Operator`` at
+    t = 0, built once by the caller for all its trials)."""
+    lsum = L0.fwd(u)
     mask = weights > 0.0
     if np.any(lsum[mask] <= 0.0):
         return math.inf
@@ -143,7 +155,8 @@ def entropy_inf_check(nrm: NormalizedSystem, n_random: int = 20,
     ]
     for i in range(n_random):
         trials.append((f"random_{i}", np.exp(0.5 * rng.standard_normal(T.n_words))))
-    values = [(label, inf_formula_value(T, mu, u)) for label, u in trials]
+    L0 = _Operator(T, 0.0)
+    values = [(label, inf_formula_value(L0, mu, u)) for label, u in trials]
     # u0 = exp(Abar) satisfies L_0 u0 = 1 exactly, so its integrand is -Abar
     u0_value = h
     return InfCheckReport(tuple(values), min(v for _, v in values), u0_value, h)
@@ -245,15 +258,16 @@ def variational_gap(nrm: NormalizedSystem, nu: InvariantTestMeasure) -> GapRepor
     # u0 at transition resolution: -sum J log Mbar over nu's own transitions
     mask = nu.edge_j > 0.0
     u0_val = float(-np.sum(nu.edge_j[mask] * nrm.log_mbar[mask]))
+    L0 = _Operator(T, 0.0)
     values = [u0_val]
-    values.append(inf_formula_value(T, nu.weights, np.ones(T.n_words)))
+    values.append(inf_formula_value(L0, nu.weights, np.ones(T.n_words)))
     support = nu.weights > 0
     for kappa in (1e2, 1e4, 1e6, 1e8):
         u = np.ones(T.n_words) + kappa * support
-        values.append(inf_formula_value(T, nu.weights, u))
+        values.append(inf_formula_value(L0, nu.weights, u))
     for _ in range(8):
         values.append(inf_formula_value(
-            T, nu.weights, np.exp(0.5 * rng.standard_normal(T.n_words))))
+            L0, nu.weights, np.exp(0.5 * rng.standard_normal(T.n_words))))
     h_up = min(values)
     avg = nu.average(T)
     gap = eig.log_lam - (h_up + eig.t_scale * avg)

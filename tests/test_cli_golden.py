@@ -45,17 +45,17 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "b9e06a4460645802974cea9eeea59c1d3d8405aa84d40b888e95df62ddb3f51c"),
+     "7c9878abaf291f3a5621bf9d9f77bf4e9441224328789e162a420fd1a44df447"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
      "e9aa4196c6e5a1aef8eb5fa776c95350727deb57cbe79aaec5d0275a74e55efc"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "3d73f047eaf2645c03667f725f290479d187c5fd0a02c2d0254ea85318aac620"),
+     "3d87235be206b44bfd904eeffebe7dba8e6eae194c440c0b55fbe1a68e86e04d"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
-     "b7ebfab5a8c97e6670d39042648a3111cc98585acc57685f02d480a2a187088d"),
+     "4f66afa4bbd625b63af04e5a0fc30a3f2ac215b654a36c9b24e674844b2dd00f"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "262a5340c8e345ae82469522579038a03621653eeef7315f41e7d92ed265e084"),
+     "fe9ac7ae87b43d007da20263b8a32741cc1cebbe82016de26fcd11a96e85fdd2"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "94d169e1cc5a10029a8bcb02bd885d19c9c040cd58f81a8242e62a54ed4e1eac"),
+     "40c7c50859d103dc15cc8413a94e96a26a2f2d49e03d4912fb67563f29ed76b5"),
 ]
 
 

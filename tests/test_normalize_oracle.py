@@ -1,0 +1,143 @@
+"""The grouped normalization and Gibbs entropy against the per-edge forms
+they replaced.
+
+``normalize_potential`` computes the row sums of Mbar and the two
+marginals of the transition weights J[t,s] = mu(t) Mbar[t,s] as grouped
+sums over the N words, and ``entropy_of_gibbs`` reads h from those
+marginals; neither builds the edge list.  The oracle below is the per-edge
+computation they replaced: log Mbar on every edge of ``T.rows``/``T.cols``,
+row sums by ``bincount`` over the supported sources, and h = -sum J
+min(log Mbar, 0) over the edges within e^100 of the heaviest.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from symbeta import operator
+from symbeta.expansion import Params
+from symbeta.operator import build_system, lk_solve, normalize_potential
+from symbeta.potentials import parse_potential
+from symbeta.reporting import RunConfig, cmd_spectrum, cmd_zerotemp
+from symbeta.shift import build_kneading
+from symbeta.thermo import DEFAULT_T_GRID, entropy_of_gibbs, gibbs_measure
+
+C4 = "digit_table:0.3,0,0.1,0.05"
+TABLES = {3: C4, 4: "digit_table:0.3,0,0.1,0.05,0.2",
+          5: "digit_table:0.3,0,0.1,0.05,0.2,0.1"}
+GEO = "geometric:c=1,theta=0.25,kmax=12"
+
+
+def edge_normalize(T):
+    """(log Mbar per edge, row sums, row-sum residual, support), per edge."""
+    eig = T.eigen
+    rows, cols = T.rows, T.cols
+    log_mbar = (eig.t_scale * T.a_vals[cols] + eig.log_psi[cols]
+                - eig.log_psi[rows] - eig.log_lam)
+    log_mu = eig.log_psi + eig.log_rho
+    support = log_mu > (np.max(log_mu) - 600.0)
+    keep = support[cols]
+    sums = np.bincount(rows[keep], np.exp(log_mbar[keep]), minlength=T.n_words)
+    resid = float(np.max(np.abs(sums[support] - 1.0)))
+    return log_mbar, sums, resid, support
+
+
+def edge_entropy(T, log_mbar):
+    """-sum J log Mbar over the edges, J = mu[row] Mbar, clamped per edge."""
+    log_mu = T.eigen.log_psi + T.eigen.log_rho
+    log_j = log_mu[T.rows] + log_mbar
+    mask = log_j > (np.max(log_j) - 100.0)
+    j = np.exp(log_j[mask])
+    return float(-np.sum(j * np.minimum(log_mbar[mask], 0.0)))
+
+
+def system(m, b, pot, n):
+    p = Params.make(m, b)
+    return build_system(p, build_kneading(p, 64), parse_potential(pot), n)
+
+
+def identity_residual(T, h):
+    eig = T.eigen
+    avg = float(np.dot(gibbs_measure(T).weights, T.a_vals))
+    return abs(eig.log_lam - h - eig.t_scale * avg)
+
+
+def check_against_oracle(T):
+    """Grouped results of the solved system T (its edge lists not built)
+    against the per-edge oracle on a copy of T."""
+    nrm = normalize_potential(T)
+    h = entropy_of_gibbs(nrm)
+    assert "_edges" not in vars(T)
+    ref = dataclasses.replace(T)          # the oracle builds its edges here
+    log_mbar, sums, resid, support = edge_normalize(ref)
+    h_ref = edge_entropy(ref, log_mbar)
+    assert abs(h - h_ref) <= 1e-11
+    assert h >= 0.0
+    assert np.array_equal(nrm.support, support)
+    # row sums: J's row marginal over mu
+    log_mu = T.eigen.log_psi + T.eigen.log_rho
+    rsum = np.exp(nrm.log_j_out[support] - log_mu[support])
+    np.testing.assert_allclose(rsum, sums[support], rtol=1e-12, atol=0.0)
+    assert abs(nrm.row_sum_residual - resid) <= 1e-12
+    assert identity_residual(T, h) <= identity_residual(T, h_ref) + 1e-12
+    # the per-edge form, on demand, is the oracle's to the bit
+    assert np.array_equal(dataclasses.replace(nrm, system=ref).log_mbar, log_mbar)
+
+
+SYSTEMS = ([(3, "3.5", C4, 4), (3, "4", C4, 3)]
+           + [(m, m + 1, pot, n) for m in (4, 5) for pot in (TABLES[m], GEO)
+              for n in range(2, 6)]
+           + [(3, "3.5", pot, n) for pot in (C4, GEO) for n in range(4, 8)])
+
+
+@pytest.mark.parametrize("m, b, pot, n", SYSTEMS)
+def test_grouped_normalization_matches_per_edge_oracle(m, b, pot, n):
+    check_against_oracle(system(m, b, pot, n).solve(tol=1e-14))
+
+
+@pytest.mark.parametrize("m, b, pot, n", [(3, "3.5", C4, 5), (3, "3.5", GEO, 5),
+                                          (3, "4", C4, 3), (3, "4", GEO, 3)])
+def test_grouped_normalization_along_the_t_grid(m, b, pot, n):
+    # the zerotemp continuation: each point warm-starts from the one before
+    T = system(m, b, pot, n)
+    for t in DEFAULT_T_GRID:
+        T = T.solve(tol=1e-14, t_scale=t)
+        check_against_oracle(T)
+    assert T.eigen.t_scale == 512.0 and T.eigen.mode == "log"
+
+
+def test_normalize_entropy_and_lk_build_no_edge_list():
+    T = system(3, "3.5", C4, 5).solve(tol=1e-14)
+    entropy_of_gibbs(normalize_potential(T))
+    lk_solve(T)
+    assert "_edges" not in vars(T)
+
+
+def test_spectrum_and_zerotemp_build_no_edge_list(monkeypatch):
+    def refuse(self):
+        raise AssertionError("edge list built")
+    monkeypatch.setattr(operator.TransferSystem, "_edges", property(refuse))
+    cfg = RunConfig(m=3, beta="3.5", depth=4, potential=C4)
+    assert cmd_spectrum(cfg, full=True).exit_code == 0
+    assert cmd_zerotemp(cfg).exit_code == 0
+    with pytest.raises(AssertionError, match="edge list built"):
+        system(3, "3.5", C4, 3).rows
+
+
+def test_normalize_and_entropy_allocate_no_edge_sized_array():
+    # (5, 6) at depth 5: N = 7,776 words and 46,656 edges.  Any pass over
+    # the edges allocates 6 N floats at least; the grouped forms stay
+    # well below 16 N.
+    T = system(5, 6, TABLES[5], 5).solve(tol=1e-14)
+    N = T.n_words
+    tracemalloc.start()
+    try:
+        h = entropy_of_gibbs(normalize_potential(T))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(h)
+    assert peak < 16 * N * 8

@@ -145,6 +145,15 @@ def test_max_iter_is_never_converged():
         assert eig.iterations == 6
 
 
+def test_verdict_fields_are_python_scalars():
+    T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=4)
+    for t in (1.0, 256.0):
+        for eig in (power_solve(T, t_scale=t, max_iter=3), log_power_solve(T, t_scale=t),
+                    T.solve(t_scale=t).eigen):
+            assert type(eig.converged) is bool and type(eig.residual) is float
+            assert type(eig.log_lam) is float
+
+
 def test_cold_log_solve_at_large_scale_stops_on_tol():
     # log(lambda) ~ 89.6 here: an absolute stop test on log(lambda) could
     # never pass and ran into max_iter

@@ -324,3 +324,15 @@ def test_cli_thermo_says_why_it_exits_4(capsys):
                  "--potential", "digit_table:0.3,0,0.1,0.05", "--tol", "1e-30"])
     assert code == 4
     assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out
+
+
+def test_cli_thermo_exits_4_on_an_unconverged_asymptote_solve(capsys):
+    # the main solve converges; both pressure-asymptote solves, at t = 256
+    # and 512, stop on tol with residuals above the 1e-12 gate
+    code = main(["thermo", "--m", "3", "--beta", "3.5", "--depth", "6",
+                 "--potential", "geometric:c=1,theta=0.25,kmax=12"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "power iteration did not converge" not in out
+    assert "WARNING: asymptote solve at t=256.0 did not converge (residual" in out
+    assert "WARNING: asymptote solve at t=512.0 did not converge (residual" in out
