@@ -90,11 +90,6 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
     def _coerce(self, other) -> "QuadReal | None":
         if isinstance(other, QuadReal):
             if other.d == 0 or self.d == 0 or other.d == self.d:

@@ -190,6 +190,7 @@ class TransferSystem:
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # a reference form only: no computation of the package reads it
         # the sources of t are the words s with tail[s] == head[t], ascending:
         # the run lo[t]:hi[t] of the words sorted by tail
         by_tail = np.argsort(self.tail, kind="stable")
@@ -223,9 +224,8 @@ class TransferSystem:
 
     def dense(self, t_scale: float = 1.0) -> np.ndarray:
         """The operator at scale t as a dense (N, N) array, for small systems."""
-        M = np.zeros((self.n_words, self.n_words))
-        M[self.rows, self.cols] = np.exp(t_scale * self.a_vals[self.cols])
-        return M
+        edge = self.tail[None, :] == self.head[:, None]
+        return np.where(edge, np.exp(t_scale * self.a_vals)[None, :], 0.0)
 
     def solve(self, tol: float = 1e-14, max_iter: int = 20000,
               t_scale: float = 1.0) -> "TransferSystem":
@@ -656,9 +656,8 @@ class NormalizedSystem:
     sums and the two marginals of the transition weights J[t,s] =
     mu(t) Mbar[t,s], summed over the supported sources s, are grouped sums
     over the N words: ``log_j_out[t]`` sums row t of J and ``log_j_in[s]``
-    column s.  Both equal log mu on the support up to rounding.  The
-    per-edge form ``log_mbar`` (aligned with ``system.rows``,
-    ``system.cols``) is built on first use only.
+    column s.  Both equal log mu on the support up to rounding.  No field
+    is per edge; ``dense`` builds Mbar for small systems.
     """
 
     system: TransferSystem
@@ -667,22 +666,14 @@ class NormalizedSystem:
     log_j_out: np.ndarray
     log_j_in: np.ndarray
 
-    @cached_property
-    def log_mbar(self) -> np.ndarray:
-        """log Mbar[t,s] = t A(s) + log psi(s) - log psi(t) - log lambda on
-        every edge, aligned with ``system.rows``, ``system.cols``."""
-        T = self.system
-        eig = T.eigen
-        rows, cols = T.rows, T.cols
-        return (eig.t_scale * T.a_vals[cols] + eig.log_psi[cols]
-                - eig.log_psi[rows] - eig.log_lam)
-
     def dense(self) -> np.ndarray:
         """Mbar as a dense (N, N) array, for small systems."""
         T = self.system
-        M = np.zeros((T.n_words,) * 2)
-        M[T.rows, T.cols] = np.exp(self.log_mbar)
-        return M
+        eig = T.eigen
+        log_mbar = ((eig.t_scale * T.a_vals + eig.log_psi)[None, :]
+                    - eig.log_psi[:, None] - eig.log_lam)
+        return np.exp(log_mbar, out=np.zeros_like(log_mbar),
+                      where=T.tail[None, :] == T.head[:, None])
 
 
 def normalize_potential(T: TransferSystem) -> NormalizedSystem:

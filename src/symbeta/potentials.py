@@ -144,14 +144,6 @@ class PotentialSpec:
             return max(abs(v) for v in self.block_values.values())
         return abs(self.geo_c) * m / (1.0 - self.geo_theta)
 
-    def is_reflection_symmetric(self, m: int) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "digit_table":
-            return all(abs(self.digit_values[a] - self.digit_values[m - a]) < 1e-15
-                       for a in range(m + 1))
-        return False
-
     def describe(self) -> str:
         if self.kind == "zero":
             return "zero"

@@ -84,17 +84,6 @@ class RunConfig:
 
     # -- flat key-value config text ------------------------------------
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name == "t_grid":
-                v = ",".join(repr(x) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def parse_text(text: str) -> dict[str, str]:
         """The key -> value text of flat ``key = value`` lines."""
@@ -108,10 +97,6 @@ class RunConfig:
             k, _, v = line.partition("=")
             kv[k.strip()] = v.strip()
         return kv
-
-    @staticmethod
-    def from_text(text: str) -> "RunConfig":
-        return RunConfig.from_mapping(RunConfig.parse_text(text))
 
     @staticmethod
     def from_mapping(kv: dict[str, str]) -> "RunConfig":

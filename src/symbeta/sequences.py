@@ -84,10 +84,6 @@ class PeriodicSeq:
         """The finite sequence w followed by zeros."""
         return PeriodicSeq(tuple(w), (0,))
 
-    @property
-    def is_zero_tail(self) -> bool:
-        return self.period == (0,)
-
     def digit(self, i: int) -> int:
         """1-based digit access."""
         if i < 1:

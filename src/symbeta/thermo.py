@@ -168,15 +168,13 @@ def entropy_inf_check(nrm: NormalizedSystem, n_random: int = 20,
 
 @dataclass(frozen=True)
 class InvariantTestMeasure:
-    """An invariant measure of the depth-n word system, given by cylinder
-    weights plus joint edge weights J[s -> t] whose marginals both equal
-    the weights (word-level shift invariance).  ``edge_j`` is aligned with
-    the system's edge list: entry k weighs source ``T.cols[k]`` followed
-    by target ``T.rows[k]``."""
+    """An invariant measure of the depth-n word system, given by its
+    cylinder weights: a word's (n-1)-prefix and (n-1)-suffix carry the
+    same total weight.  ``entropy_true`` is the measure's entropy when it
+    is known in closed form."""
 
     label: str
     weights: np.ndarray
-    edge_j: np.ndarray
     entropy_true: float | None = None
 
     def average(self, T: TransferSystem) -> float:
@@ -187,54 +185,60 @@ def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
                           label: str = "markov") -> InvariantTestMeasure:
     """A random stationary Markov measure supported on the word graph.
 
-    Source s draws m + 1 uniform slot weights and keeps the first
-    out-degree of them: slot k goes to its k-th target, ascending, the
-    k-th word of its successor run (the words of prefix group tail[s]).
-    The stationary loop runs on the edge list (``T.rows``, ``T.cols``).
+    Source s draws m + 1 uniform slot weights; slot k leads to word
+    first[tail[s]] + k, the k-th word of prefix group tail[s], when that
+    group has more than k words.  Words that cannot be continued forever
+    are pruned first, and the slots leading to them get no weight; a
+    ValueError is raised when no word remains.  A step of the stationary
+    loop is a grouped sum, as in ``_Operator.fwd``: the slot masses
+    pi[s] q[s, k] are summed by (k, tail[s]), each in ascending s, and
+    word t reads the sum at (its rank in its group, head[t]).
     """
-    n, rows, cols = T.n_words, T.rows, T.cols
-    raw = rng.uniform(0.1, 1.0, size=(n, T.params.m + 1))
-    raw = np.where(np.arange(raw.shape[1]) < np.bincount(cols, minlength=n)[:, None],
-                   raw, 0.0)
-    totals = raw.sum(axis=1)
-    if np.any(totals <= 0):
-        raise ValueError("word graph has a sink; cannot build a Markov kernel")
-    q = raw / totals[:, None]          # q[s, k] = P(s -> k-th target of s)
-    # the slot of edge t <- s: t's place in its run, the prefix group head[t]
-    first = np.flatnonzero(np.diff(T.head, prepend=-1))
-    q_edge = q[cols, rows - first[T.head[rows]]]
-    pi = np.full(n, 1.0 / n)
+    n, m1 = T.n_words, T.params.m + 1
+    first, tail = T._groups
+    G = len(first) + 1                 # the prefix groups and the extra one
+    raw = rng.uniform(0.1, 1.0, size=(n, m1))
+    # a word lives while its successor group holds a live word
+    alive = np.ones(n, dtype=bool)
+    while True:
+        keep = (np.bincount(T.head, alive, minlength=G) > 0)[tail]
+        if np.array_equal(keep, alive):
+            break
+        alive = keep
+    if not alive.any():
+        raise ValueError("word graph has no infinite path; cannot build a Markov kernel")
+    rank = np.arange(n) - first[T.head]
+    live = np.zeros((m1, G), dtype=bool)   # live[k, g]: word first[g] + k lives
+    live[rank, T.head] = alive
+    raw = np.where(live[:, tail].T, raw, 0.0)
+    q = raw / np.where(alive, raw.sum(axis=1), 1.0)[:, None]   # q[s, k] = P(s -> slot k)
+    q_slots = np.ascontiguousarray(q.T)
+    # slot k of s adds to bin k G + tail[s]; word t reads bin rank[t] G + head[t]
+    bins, read = (tail + G * np.arange(m1)[:, None]).ravel(), T.head + G * rank
+    pi = alive / alive.sum()
     for _ in range(20000):
-        # bincount adds each target's sources in ascending order
-        pi, prev = np.bincount(rows, pi[cols] * q_edge, minlength=n), pi
+        pi, prev = np.bincount(bins, (q_slots * pi).ravel())[read], pi
         if float(np.max(np.abs(pi - prev))) < 1e-15:
             break
     pi = pi / pi.sum()
     # entropy rate of the chain
     mask = q > 0
     h = float(-np.sum((pi[:, None] * q)[mask] * np.log(q[mask])))
-    return InvariantTestMeasure(label, pi, pi[cols] * q_edge, entropy_true=h)
+    return InvariantTestMeasure(label, pi, entropy_true=h)
 
 
 def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMeasure:
     """Uniform invariant measure on an admissible periodic orbit, expressed
-    on depth-n cylinder words."""
+    on depth-n cylinder words: each of the orbit's p depth-n windows
+    weighs 1/p."""
     p = len(orbit.word)
     word = np.asarray(orbit.word, dtype=np.uint8)[None, :]
     # the depth-n window at each point of the orbit, in orbit order
     src = locate_rows(T.basis.digits, _rotation_points(word, T.depth)[0])
     if np.any(src < 0):
         raise ValueError("orbit leaves the admissible word basis")
-    weights = np.zeros(T.n_words)
-    np.add.at(weights, src, 1.0 / p)
-    # consecutive windows s -> t are an edge t <- s; the edges are sorted
-    # by (row, column), so their codes row * N + col are too
-    codes = T.rows * T.n_words + T.cols
-    steps = np.roll(src, -1) * T.n_words + src
-    edge = np.searchsorted(codes, steps)
-    ej = np.zeros(len(T.rows))
-    np.add.at(ej, edge, 1.0 / p)
-    return InvariantTestMeasure(f"orbit_{orbit.word}", weights, ej, entropy_true=0.0)
+    weights = np.bincount(src, minlength=T.n_words) / p
+    return InvariantTestMeasure(f"orbit_{orbit.word}", weights, entropy_true=0.0)
 
 
 @dataclass(frozen=True)
@@ -251,15 +255,19 @@ def variational_gap(nrm: NormalizedSystem, nu: InvariantTestMeasure) -> GapRepor
     h(nu) bounded from above by the entropy infimum formula over a trial
     family that includes u0 = exp(normalized potential).  Nonnegative up
     to rounding for every invariant test measure, zero at the Gibbs
-    state."""
+    state.
+
+    The u0 trial, -integral of log Mbar[t,s] = t A(s) + log psi(s) -
+    log psi(t) - log lambda against nu's transitions, telescopes for an
+    invariant nu: the log psi terms cancel, leaving log lambda - t *
+    integral A d nu.
+    """
     T = nrm.system
     eig = T.eigen
     rng = np.random.default_rng(1)
-    # u0 at transition resolution: -sum J log Mbar over nu's own transitions
-    mask = nu.edge_j > 0.0
-    u0_val = float(-np.sum(nu.edge_j[mask] * nrm.log_mbar[mask]))
+    avg = nu.average(T)
     L0 = _Operator(T, 0.0)
-    values = [u0_val]
+    values = [eig.log_lam - eig.t_scale * avg]
     values.append(inf_formula_value(L0, nu.weights, np.ones(T.n_words)))
     support = nu.weights > 0
     for kappa in (1e2, 1e4, 1e6, 1e8):
@@ -269,7 +277,6 @@ def variational_gap(nrm: NormalizedSystem, nu: InvariantTestMeasure) -> GapRepor
         values.append(inf_formula_value(
             L0, nu.weights, np.exp(0.5 * rng.standard_normal(T.n_words))))
     h_up = min(values)
-    avg = nu.average(T)
     gap = eig.log_lam - (h_up + eig.t_scale * avg)
     return GapReport(nu.label, h_up, avg, gap, nu.entropy_true)
 
@@ -387,8 +394,8 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
 
     The scan is a continuation in t: each grid point solves the system
     solved at the point before it (``TransferSystem.solve``, log scale
-    above t = 32), warm-started from its eigendata and with its edge
-    lists; a point that runs into ``max_iter`` is reported unconverged.
+    above t = 32), warm-started from its eigendata and with its cached
+    graph index arrays; a point that runs into ``max_iter`` is reported unconverged.
     The upper estimate of the maximal ergodic average is P(t_max A)/t_max
     of the last point, and the periodic-orbit lower bound needs no further
     solve.  The entropy at large t estimates the residual entropy of the

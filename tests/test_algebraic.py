@@ -8,7 +8,7 @@ from symbeta.algebraic import QuadReal
 
 def test_normalization_square_radicand():
     x = QuadReal(Fraction(1), Fraction(2), 9)  # 1 + 2*3
-    assert x.is_rational and x.as_fraction() == 7
+    assert x.is_rational and x == 7
 
 
 def test_normalization_square_factor():
@@ -18,7 +18,7 @@ def test_normalization_square_factor():
 
 def test_zero_coefficient_nonsquare_radicand():
     x = QuadReal(Fraction(5, 2), Fraction(0), 5)
-    assert x.is_rational and x.as_fraction() == Fraction(5, 2)
+    assert x.is_rational and x == Fraction(5, 2)
 
 
 def test_field_arithmetic_golden():
@@ -54,8 +54,8 @@ def test_power_and_division():
 
 
 def test_from_decimal():
-    assert QuadReal.from_decimal("3.5").as_fraction() == Fraction(7, 2)
-    assert QuadReal.from_decimal(" 2 ").as_fraction() == 2
+    assert QuadReal.from_decimal("3.5") == Fraction(7, 2)
+    assert QuadReal.from_decimal(" 2 ") == 2
 
 
 def test_incompatible_radicands_raise():

@@ -53,9 +53,9 @@ CASES = [
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "4f66afa4bbd625b63af04e5a0fc30a3f2ac215b654a36c9b24e674844b2dd00f"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "fe9ac7ae87b43d007da20263b8a32741cc1cebbe82016de26fcd11a96e85fdd2"),
+     "b246a2c497cc51c579b57588ee00479d46c92531372ce51a91e78cc43277c10c"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "40c7c50859d103dc15cc8413a94e96a26a2f2d49e03d4912fb67563f29ed76b5"),
+     "6f9e46d5e19c318176c6bc4f09064abcc64d21f5cb947764c907364be21cbc4b"),
 ]
 
 

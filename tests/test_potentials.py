@@ -49,12 +49,6 @@ def test_parse_describe_round_trip():
         parse_potential("mystery:1,2")
 
 
-def test_reflection_symmetry_detection():
-    assert PotentialSpec.zero().is_reflection_symmetric(3)
-    assert PotentialSpec.digit_table([0.1, 0.2, 0.2, 0.1]).is_reflection_symmetric(3)
-    assert not PotentialSpec.digit_table([0.1, 0.0, 0.0, 0.0]).is_reflection_symmetric(3)
-
-
 def test_holder_bound_on_sampled_cylinders():
     # variation of A over depth-n cylinders <= holder_const * 2^(-alpha (n-1)),
     # measured on canonical sample points grouped by common prefixes

@@ -15,7 +15,9 @@ from symbeta.reporting import (ConfigError, RunConfig, cmd_check, cmd_expand,
 def test_config_round_trip():
     cfg = RunConfig(m=3, beta="3.5", depth=4, potential="digit_table:0.3,0.0,0.1,0.05",
                     t_grid=(1.0, 2.0, 4.0), tol=1e-13, fmt="jsonl", a="0.75")
-    assert RunConfig.from_text(cfg.to_text()) == cfg
+    text = ("m = 3\nbeta = 3.5\ndepth = 4\npotential = digit_table:0.3,0.0,0.1,0.05\n"
+            "# a comment\n\nt_grid = 1.0,2.0,4.0\ntol = 1e-13\nfmt = jsonl\na = 0.75\n")
+    assert RunConfig.from_mapping(RunConfig.parse_text(text)) == cfg
 
 
 def test_config_rejects_bad_values():
@@ -28,7 +30,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         RunConfig(potential="mystery:1")
     with pytest.raises(ConfigError):
-        RunConfig.from_text("m = 3\nnot_a_key = 1\n")
+        RunConfig.from_mapping(RunConfig.parse_text("m = 3\nnot_a_key = 1\n"))
 
 
 def test_cmd_expand_golden():
@@ -179,6 +181,9 @@ def _readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("argv", _readme_commands() + [
     ["thermo", "--m", "3", "--beta", "3.5", "--depth", "6",
      "--potential", "digit_table:0.3,0,0.1,0.05"],
+    # depth 8 has words whose suffix starts no word
+    ["thermo", "--m", "3", "--beta", "3.5", "--depth", "8",
+     "--potential", "digit_table:0.3,0,0.1,0.05"],
 ], ids=lambda argv: " ".join(argv[:7]))
 def test_documented_commands_exit_0(argv, capsys):
     assert main(argv) == 0
@@ -209,7 +214,7 @@ def test_cli_kneading_too_shallow(capsys):
 
 def test_cli_config_file_and_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(RunConfig(m=2, beta="beta_T", depth=2).to_text())
+    cfgfile.write_text("m = 2\nbeta = beta_T\ndepth = 2\nfmt = table\n")
     code = main(["words", "--config", str(cfgfile), "--format", "jsonl"])
     out = capsys.readouterr().out
     assert code == 0

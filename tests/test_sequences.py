@@ -105,8 +105,3 @@ def test_metric():
     assert metric_d(a, b) == 1              # differ at n=1
     c = PeriodicSeq((1, 0, 0), (1, 0))      # differs from a first at n=3
     assert metric_d(a, c) == Fraction(1, 4)
-
-
-def test_zero_tail_flag():
-    assert PeriodicSeq((1, 1), (0,)).is_zero_tail
-    assert not PeriodicSeq((), (1, 0)).is_zero_tail

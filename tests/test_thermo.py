@@ -125,6 +125,15 @@ def test_inf_check_full_shift_jensen_bound():
 # test measures and the variational principle
 
 
+def window_marginals(T, weights):
+    """The weights summed by (n-1)-prefix and by (n-1)-suffix; a suffix
+    that starts no word goes to one extra group.  They agree exactly when
+    the weights are shift invariant."""
+    first, tail = T._groups
+    return (np.bincount(T.head, weights, minlength=len(first) + 1),
+            np.bincount(tail, weights, minlength=len(first) + 1))
+
+
 def test_variational_gap_random_markov():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
@@ -132,13 +141,8 @@ def test_variational_gap_random_markov():
     rng = np.random.default_rng(0)
     for i in range(30):
         nu = random_markov_measure(T, rng)
-        # marginal consistency of the edge weights
-        left = np.zeros(T.n_words)
-        np.add.at(left, T.rows, nu.edge_j)
-        right = np.zeros(T.n_words)
-        np.add.at(right, T.cols, nu.edge_j)
-        assert np.max(np.abs(left - nu.weights)) < 1e-10
-        assert np.max(np.abs(right - nu.weights)) < 1e-10
+        prefix, suffix = window_marginals(T, nu.weights)
+        assert np.max(np.abs(prefix - suffix)) < 1e-10
         g = variational_gap(nrm, nu)
         assert g.gap >= -1e-10
         # the true chain entropy also satisfies the variational bound
@@ -148,10 +152,7 @@ def test_variational_gap_random_markov():
 def test_variational_equality_at_gibbs():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
-    eig = T.eigen
-    mu = gibbs_measure(T).weights
-    ej = np.exp((eig.log_psi + eig.log_rho)[T.rows] + nrm.log_mbar)
-    nu = InvariantTestMeasure("gibbs", mu, ej)
+    nu = InvariantTestMeasure("gibbs", gibbs_measure(T).weights)
     g = variational_gap(nrm, nu)
     assert abs(g.gap) < 1e-10
 
@@ -180,8 +181,27 @@ def test_orbit_measure_locates_windows_without_word_index():
         orbit_measure(T, PeriodicOrbit((0,), 0.0))
 
 
+def test_markov_measure_prunes_words_without_an_infinite_path():
+    # (3, 3.5) at depth 8 has 6 words whose suffix starts no word
+    _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 8, tol=1e-14)
+    assert np.sum(T.tail < 0) == 6
+    P = pressure(T)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        nu = random_markov_measure(T, rng)
+        assert nu.weights.sum() == pytest.approx(1.0)
+        assert not np.any(nu.weights[T.tail < 0])
+        prefix, suffix = window_marginals(T, nu.weights)
+        assert np.max(np.abs(prefix - suffix)) < 1e-10
+        assert nu.entropy_true + T.eigen.t_scale * nu.average(T) <= P + 1e-10
+    # a graph in which no word has a successor leaves no word to run on
+    with pytest.raises(ValueError, match="no infinite path"):
+        random_markov_measure(dataclasses.replace(T, tail=np.full(T.n_words, -1)), rng)
+
+
 def _markov_reference(T, rng):
-    """random_markov_measure with the per-edge dict it used to build ej."""
+    """random_markov_measure on a sink-free system, by successor slots
+    found on the edge list: (pi, entropy rate)."""
     n = T.n_words
     # successor slots of each source, ascending, from the edge list
     succ_idx = np.full((n, T.params.m + 1), -1)
@@ -202,33 +222,24 @@ def _markov_reference(T, rng):
             break
         pi = nxt
     pi = pi / pi.sum()
-    jmap = {}
-    for s in range(n):
-        for slot in range(q.shape[1]):
-            t = succ_idx[s, slot]
-            if t >= 0:
-                jmap[(int(t), int(s))] = pi[s] * q[s, slot]
-    return pi, np.array([jmap.get((int(t), int(s)), 0.0) for t, s in zip(T.rows, T.cols)])
+    mask = q > 0
+    return pi, float(-np.sum((pi[:, None] * q)[mask] * np.log(q[mask])))
 
 
-def test_test_measure_edge_weights_match_dict_reference():
+def test_test_measures_match_edge_list_reference():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 5)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(3):
         nu = random_markov_measure(T, rng)
-        pi, ej = _markov_reference(T, ref_rng)
-        assert np.array_equal(nu.weights, pi) and np.array_equal(nu.edge_j, ej)
+        pi, h = _markov_reference(T, ref_rng)
+        assert np.array_equal(nu.weights, pi) and nu.entropy_true == h
     for orbit in periodic_orbits(T.params, T.kneading, T.potential, 4):
         nu = orbit_measure(T, orbit)
         p = orbit.period
-        idx = [T.basis.index[tuple(orbit.word[(k + i) % p] for i in range(5))]
-               for k in range(p)]
-        jmap = {}
+        weights = np.zeros(T.n_words)
         for k in range(p):
-            key = (idx[(k + 1) % p], idx[k])
-            jmap[key] = jmap.get(key, 0.0) + 1.0 / p
-        ej = np.array([jmap.get((int(t), int(s)), 0.0) for t, s in zip(T.rows, T.cols)])
-        assert np.array_equal(nu.edge_j, ej)
+            weights[T.basis.index[tuple(orbit.word[(k + i) % p] for i in range(5))]] += 1.0 / p
+        np.testing.assert_allclose(nu.weights, weights, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
