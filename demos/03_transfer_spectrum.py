@@ -39,7 +39,7 @@ print(f"entropy of the Gibbs state = {entropy_of_gibbs(nrm):.12f}")
 print(f"normalized row-sum residual = {nrm.row_sum_residual:.2e}")
 rep = entropy_inf_check(nrm, n_random=10)
 print(f"entropy infimum formula: min over trials = {rep.min_trial:.12f} "
-      f"(>= entropy), u0 attains {rep.u0_value:.12f}")
+      f"(>= entropy by {rep.min_gap:.2e})")
 print()
 print("heaviest cylinders of the Gibbs state:")
 for i, w in mu.top(8):

@@ -53,9 +53,9 @@ CASES = [
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "4f66afa4bbd625b63af04e5a0fc30a3f2ac215b654a36c9b24e674844b2dd00f"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "b246a2c497cc51c579b57588ee00479d46c92531372ce51a91e78cc43277c10c"),
+     "8959e2912c1f74e45d2b3a5848f1137f2ea02556ac739b69c55738b53d19364e"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "6f9e46d5e19c318176c6bc4f09064abcc64d21f5cb947764c907364be21cbc4b"),
+     "9a93680a969f84dd0780d54eb501980b671a3ea826fc3c741c687764958f7b74"),
 ]
 
 

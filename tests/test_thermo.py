@@ -6,15 +6,15 @@ import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
-from symbeta.operator import (build_system, log_power_solve, normalize_potential,
-                              power_solve)
+from symbeta.operator import (_Operator, build_system, log_power_solve,
+                              normalize_potential, power_solve)
 from symbeta.reporting import RunConfig, cmd_thermo
 from symbeta.shift import build_kneading
 from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
                             ThermoPoint, average_energy, entropy_inf_check,
-                            entropy_of_gibbs, gibbs_measure, max_ergodic_average,
-                            orbit_measure, periodic_orbits, pressure,
-                            random_markov_measure, variational_gap,
+                            entropy_of_gibbs, gibbs_measure, inf_formula_value,
+                            max_ergodic_average, orbit_measure, periodic_orbits,
+                            pressure, random_markov_measure, variational_gap,
                             zero_temperature_scan)
 
 C = [0.3, 0.0, 0.1, 0.05]
@@ -102,12 +102,12 @@ def test_gibbs_ranking_breaks_ties_by_word_index():
 # entropy infimum formula
 
 
-def test_inf_check_minimum_at_u0():
+def test_inf_check_trials_bound_the_gibbs_entropy():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
     rep = entropy_inf_check(nrm, n_random=30, seed=3)
     h = entropy_of_gibbs(nrm)
-    assert rep.u0_gap < 1e-12
+    assert rep.entropy_reference == h
     assert rep.min_trial >= h - 1e-10
     # a constant trial gives the log of the mean preimage count, above h
     const_val = dict(rep.trial_values)["constant"]
@@ -134,6 +134,11 @@ def window_marginals(T, weights):
             np.bincount(tail, weights, minlength=len(first) + 1))
 
 
+def with_log_lam(T, log_lam):
+    """T with its pressure replaced, everything else kept."""
+    return dataclasses.replace(T, eigen=dataclasses.replace(T.eigen, log_lam=log_lam))
+
+
 def test_variational_gap_random_markov():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
@@ -144,17 +149,34 @@ def test_variational_gap_random_markov():
         prefix, suffix = window_marginals(T, nu.weights)
         assert np.max(np.abs(prefix - suffix)) < 1e-10
         g = variational_gap(nrm, nu)
+        assert g.entropy == nu.entropy_true
+        assert g.gap == P - (nu.entropy_true + nu.average(T))
         assert g.gap >= -1e-10
-        # the true chain entropy also satisfies the variational bound
-        assert nu.entropy_true + nu.average(T) <= P + 1e-10
+
+
+@pytest.mark.parametrize("beta", [4, "3.5"])
+def test_variational_gap_flags_a_low_pressure(beta):
+    # every stationary chain has h + t avg <= P: a pressure 0.2 too low
+    # must show as a negative gap on some random Markov measure
+    _, _, T = solved(3, beta, PotentialSpec.digit_table(C), 4)
+    rng = np.random.default_rng(0)
+    nus = [random_markov_measure(T, rng) for _ in range(20)]
+    true = normalize_potential(T)
+    low = normalize_potential(with_log_lam(T, T.eigen.log_lam - 0.2))
+    assert min(variational_gap(true, nu).gap for nu in nus) >= -1e-8
+    assert min(variational_gap(low, nu).gap for nu in nus) < -1e-8
 
 
 def test_variational_equality_at_gibbs():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
     nrm = normalize_potential(T)
-    nu = InvariantTestMeasure("gibbs", gibbs_measure(T).weights)
+    nu = InvariantTestMeasure("gibbs", gibbs_measure(T).weights, entropy_of_gibbs(nrm))
     g = variational_gap(nrm, nu)
     assert abs(g.gap) < 1e-10
+    # a pressure off by 1e-6 either way breaks the equality
+    for shift in (-1e-6, 1e-6):
+        off = normalize_potential(with_log_lam(T, T.eigen.log_lam + shift))
+        assert abs(variational_gap(off, nu).gap) > 1e-8, shift
 
 
 def test_orbit_measure_gap_zero_potential():
@@ -163,9 +185,13 @@ def test_orbit_measure_gap_zero_potential():
     orbits = periodic_orbits(T.params, T.kneading, T.potential, 1)
     fp = next(o for o in orbits if o.word == (0,))
     nu = orbit_measure(T, fp)
+    # the infimum formula bounds the orbit's entropy 0 from above: a trial
+    # large on the orbit's window and 1 elsewhere brings the bound to ~0
+    u = 1.0 + 1e8 * (nu.weights > 0)
+    assert 0.0 <= inf_formula_value(_Operator(T, 0.0), nu.weights, u) < 1e-6
     g = variational_gap(normalize_potential(T), nu)
-    assert g.entropy_upper < 1e-6
-    assert g.gap == pytest.approx(math.log(4), abs=1e-6)
+    assert g.entropy == 0.0
+    assert g.gap == math.log(4)
 
 
 def test_orbit_measure_locates_windows_without_word_index():
