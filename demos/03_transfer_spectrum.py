@@ -10,8 +10,7 @@ full-spectrum solve.
 """
 
 from symbeta import (Params, PotentialSpec, build_kneading, build_system,
-                     dense_spectrum, entropy_inf_check, entropy_of_gibbs,
-                     gibbs_measure, lk_solve, normalize_potential, pressure)
+                     dense_spectrum, entropy_inf_check, gibbs_measure, lk_solve)
 
 p = Params.make(3, "3.5")
 K = build_kneading(p, 64)
@@ -31,13 +30,13 @@ print(f"perturbed fixed points:   {lk.lam:.14f}   (|diff| = {abs(lk.lam - T.eige
 print(f"dense oracle lambda:      {abs(vals[0]):.14f}   "
       f"(second eigenvalue modulus {abs(vals[1]):.6f})")
 
-nrm = normalize_potential(T)
 mu = gibbs_measure(T)
 print()
-print(f"pressure P(A) = log lambda = {pressure(T):.12f}")
-print(f"entropy of the Gibbs state = {entropy_of_gibbs(nrm):.12f}")
-print(f"normalized row-sum residual = {nrm.row_sum_residual:.2e}")
-rep = entropy_inf_check(nrm, n_random=10)
+print(f"pressure P(A) = log lambda = {mu.pressure:.12f}")
+print(f"entropy of the Gibbs state = {mu.entropy:.12f}")
+print(f"|P - h - avg| = {mu.identity_residual:.2e}")
+print(f"normalized row-sum residual = {mu.nrm.row_sum_residual:.2e}")
+rep = entropy_inf_check(mu, n_random=10)
 print(f"entropy infimum formula: min over trials = {rep.min_trial:.12f} "
       f"(>= entropy by {rep.min_gap:.2e})")
 print()

@@ -23,10 +23,10 @@ from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
                     is_admissible, is_admissible_point, is_irreducible,
                     kneading_self_admissible, preimage_digits)
 from .thermo import (GibbsMeasure, InvariantTestMeasure, ThermoCurve, ThermoPoint,
-                     average_energy, entropy_inf_check, entropy_of_gibbs,
-                     gibbs_measure, max_ergodic_average, orbit_measure,
-                     periodic_orbits, pressure, random_markov_measure,
-                     variational_gap, zero_temperature_scan)
+                     entropy_inf_check, entropy_of_gibbs, gibbs_measure,
+                     max_ergodic_average, orbit_measure, periodic_orbits,
+                     random_markov_measure, variational_gap,
+                     zero_temperature_scan)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "build_system", "canonical_point", "power_solve", "log_power_solve",
     "lk_solve", "normalize_potential", "iterate", "dense_spectrum",
     "GibbsMeasure", "InvariantTestMeasure", "ThermoCurve", "ThermoPoint",
-    "gibbs_measure", "pressure", "entropy_of_gibbs", "average_energy",
+    "gibbs_measure", "entropy_of_gibbs",
     "entropy_inf_check", "variational_gap", "random_markov_measure",
     "orbit_measure", "periodic_orbits", "max_ergodic_average",
     "zero_temperature_scan",

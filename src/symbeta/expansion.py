@@ -263,8 +263,7 @@ def _extend(per: Word, count: int) -> list[int]:
 
 def _check_range(a: QuadReal, p: Params):
     if a < 0 or a > p.max_value:
-        raise ValueError(f"value {float(a)} outside [0, m/(beta-1)]"
-                         f" = [0, {float(p.max_value)}]")
+        raise ValueError(f"value outside [0, m/(beta-1)] = [0, {float(p.max_value)}]")
 
 
 def greedy_expansion(a: RealLike, p: Params, depth: int) -> Word:

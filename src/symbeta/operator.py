@@ -162,6 +162,9 @@ class EigenData:
 # ``TransferSystem.solve`` iterates in log scale above this t, where exp(t A)
 # soon overflows.  Fixed: the pinned zerotemp and thermo outputs switch here.
 LOG_THRESHOLD = 32.0
+# ... and wherever |t| max|A| reaches this bound, which leaves exp(tA) and
+# the linear iteration's sums of it a factor e^109 inside the float range.
+LINEAR_LIMIT = 600.0
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,12 @@ class TransferSystem:
               t_scale: float = 1.0) -> "TransferSystem":
         """The system with its Perron eigendata at scale ``t_scale``, by
         ``power_solve`` up to ``LOG_THRESHOLD`` and ``log_power_solve``
-        above it.  A solved system warm-starts from its own eigendata."""
-        solve = power_solve if t_scale <= LOG_THRESHOLD else log_power_solve
+        above it or where |t| max|A| >= ``LINEAR_LIMIT``, on which exp(tA)
+        overflows or underflows.  A solved system warm-starts from its own
+        eigendata."""
+        a_max = float(np.max(np.abs(self.a_vals), initial=0.0))
+        linear = t_scale <= LOG_THRESHOLD and abs(t_scale) * a_max < LINEAR_LIMIT
+        solve = power_solve if linear else log_power_solve
         solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
                                            t_scale=t_scale, start=self.eigen))
         for key in ("_edges", "_groups", "_by_tail"):

@@ -20,19 +20,18 @@ from typing import Any
 
 import numpy as np
 
-from .expansion import (Params, beta_t, greedy_expansion, lazy_expansion,
-                        quasi_greedy)
-from .operator import (TransferSystem, _in_degree, _word_graph, build_system,
-                       lk_solve, normalize_potential)
+from .expansion import (Params, _check_range, as_real, beta_t, greedy_expansion,
+                        lazy_expansion, quasi_greedy)
+from .operator import (LINEAR_LIMIT, RegimeError, TransferSystem, _in_degree,
+                       _word_graph, build_system, lk_solve)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq
 from .shift import (Kneading, build_kneading, check_transitivity,
                     digit_interval, digit_interval_integers, enumerate_words,
                     forbidden_words)
-from .thermo import (entropy_inf_check, entropy_of_gibbs, gibbs_measure,
-                     max_ergodic_average, pressure, random_markov_measure,
-                     variational_gap, zero_temperature_scan, DEFAULT_T_GRID,
-                     average_energy)
+from .thermo import (entropy_inf_check, gibbs_measure, max_ergodic_average,
+                     random_markov_measure, variational_gap,
+                     zero_temperature_scan, DEFAULT_T_GRID)
 
 
 class ConfigError(ValueError):
@@ -163,11 +162,16 @@ def cmd_expand(cfg: RunConfig) -> Report:
     if cfg.a is None:
         raise ConfigError("expand requires a value: --a <decimal>")
     p = cfg.params()
+    try:
+        a = as_real(cfg.a)
+        _check_range(a, p)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad value for a ({cfg.a}): {exc}") from exc
     rep = Report("expand", cfg)
     n = cfg.depth
-    greedy = greedy_expansion(cfg.a, p, n)
-    lazy = lazy_expansion(cfg.a, p, n)
-    q = quasi_greedy(cfg.a, p, max(n, cfg.kneading_depth))
+    greedy = greedy_expansion(a, p, n)
+    lazy = lazy_expansion(a, p, n)
+    q = quasi_greedy(a, p, max(n, cfg.kneading_depth))
     q_prefix = q.prefix(n) if isinstance(q, PeriodicSeq) else tuple(q[:n])
     rep.summary = {
         "a": cfg.a,
@@ -245,13 +249,20 @@ def cmd_words(cfg: RunConfig) -> Report:
     return rep
 
 
-def _build_solved(cfg: RunConfig, rep: Report):
+def _build_solved(cfg: RunConfig, rep: Report, linear_scale: bool = False):
     """The solved system of ``cfg``; its warnings go to ``rep``, and an
-    unconverged solve sets exit code 4."""
+    unconverged solve sets exit code 4.  With ``linear_scale``, a potential
+    with max |A| >= ``LINEAR_LIMIT`` is refused (RegimeError)."""
     p = cfg.params()
     K = _kneading(cfg, p)
     A = parse_potential(cfg.potential)
-    T = build_system(p, K, A, cfg.depth).solve(tol=cfg.tol)
+    T = build_system(p, K, A, cfg.depth)
+    a_max = float(np.max(np.abs(T.a_vals)))
+    if linear_scale and a_max >= LINEAR_LIMIT:
+        raise RegimeError(f"max |A| = {a_max!r} >= {LINEAR_LIMIT!r}: lambda and its "
+                          "lk_solve cross-check are linear-scale, where exp(A) "
+                          "overflows or underflows; use thermo or zerotemp")
+    T = T.solve(tol=cfg.tol)
     rep.warnings.extend(T.warnings)
     _check_converged(rep, T, "power iteration")
     return p, K, A, T
@@ -267,26 +278,22 @@ def _check_converged(rep: Report, T: TransferSystem, what: str) -> None:
 
 def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     rep = Report("spectrum", cfg, row_kind="cylinder")
-    p, K, A, T = _build_solved(cfg, rep)
+    p, K, A, T = _build_solved(cfg, rep, linear_scale=True)
     eig = T.eigen
     psi, rho = eig.psi, eig.rho
-    nrm = normalize_potential(T)
-    gibbs = gibbs_measure(T)
-    mu = gibbs.weights
+    g = gibbs_measure(T)
     lk = lk_solve(T, inner_tol=max(cfg.tol, 1e-14))
-    h = entropy_of_gibbs(nrm)
-    avg = average_energy(T, mu)
     rep.summary = {
         "depth": cfg.depth,
         "basis_size": T.n_words,
         "potential": A.describe(),
         "lambda": eig.lam,
         "log_lambda": eig.log_lam,
-        "pressure": eig.log_lam,
-        "entropy": h,
-        "average": avg,
-        "identity_residual": abs(eig.log_lam - h - avg),
-        "row_sum_residual": nrm.row_sum_residual,
+        "pressure": g.pressure,
+        "entropy": g.entropy,
+        "average": g.average,
+        "identity_residual": g.identity_residual,
+        "row_sum_residual": g.nrm.row_sum_residual,
         "lk_lambda": lk.lam,
         "lk_vs_power": abs(lk.lam - eig.lam),
         "lk_min_margin": lk.min_margin,
@@ -296,10 +303,10 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "gap_estimate": eig.gap_estimate,
         "psi_min": float(np.min(psi)),
         "psi_max": float(np.max(psi)),
-        "support_size": int(np.sum(nrm.support)),
+        "support_size": int(np.sum(g.nrm.support)),
     }
-    keep = gibbs.ranked(None if full else 10)
-    rep.columns = {"word": T.basis.digits[keep], "mu": mu[keep],
+    keep = g.ranked(None if full else 10)
+    rep.columns = {"word": T.basis.digits[keep], "mu": g.weights[keep],
                    "psi": psi[keep], "rho": rho[keep]}
     return rep
 
@@ -307,12 +314,8 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
 def cmd_thermo(cfg: RunConfig) -> Report:
     rep = Report("thermo", cfg, row_kind="gap")
     p, K, A, T = _build_solved(cfg, rep)
-    eig = T.eigen
-    nrm = normalize_potential(T)
-    mu = gibbs_measure(T).weights
-    h = entropy_of_gibbs(nrm)
-    avg = average_energy(T, mu)
-    inf_rep = entropy_inf_check(nrm, seed=cfg.seed)
+    g = gibbs_measure(T)
+    inf_rep = entropy_inf_check(g, seed=cfg.seed)
     erg = max_ergodic_average(p, K, A, cfg.max_period)
     # the pressure asymptote of the maximal average: P(tA)/t at the last
     # grid point t2, and the slope of P from t2/2, each solve continuing
@@ -323,27 +326,26 @@ def cmd_thermo(cfg: RunConfig) -> Report:
     for s in (s1, s2):
         _check_converged(rep, s, f"asymptote solve at t={s.eigen.t_scale!r}")
     rng = np.random.default_rng(cfg.seed)
-    gaps = [variational_gap(nrm, random_markov_measure(T, rng, label=f"markov_{i}"))
-            for i in range(20)]
-    rep.columns = {"measure": [g.label for g in gaps],
-                   "entropy": [g.entropy for g in gaps],
-                   "average": [g.average for g in gaps],
-                   "gap": [g.gap for g in gaps]}
-    worst = max(-g.gap for g in gaps)
+    nus = [random_markov_measure(T, rng, label=f"markov_{i}") for i in range(20)]
+    gaps = [variational_gap(g, nu) for nu in nus]
+    rep.columns = {"measure": [nu.label for nu in nus],
+                   "entropy": [nu.entropy_true for nu in nus],
+                   "average": [nu.average(T) for nu in nus],
+                   "gap": gaps}
     rep.summary = {
-        "pressure": pressure(T),
-        "entropy": h,
-        "average": avg,
-        "identity_residual": abs(pressure(T) - h - avg),
-        "row_sum_residual": nrm.row_sum_residual,
+        "pressure": g.pressure,
+        "entropy": g.entropy,
+        "average": g.average,
+        "identity_residual": g.identity_residual,
+        "row_sum_residual": g.nrm.row_sum_residual,
         "inf_check_min": inf_rep.min_trial,
         "inf_check_min_gap": inf_rep.min_gap,
         "max_average_lower": erg.lower_bound,
-        "max_average_upper": pressure(s2) / t2,
-        "max_average_slope": (pressure(s2) - pressure(s1)) / (t2 - t1),
+        "max_average_upper": s2.eigen.log_lam / t2,
+        "max_average_slope": (s2.eigen.log_lam - s1.eigen.log_lam) / (t2 - t1),
         "best_orbit": _digits_str(erg.best_orbit.word) if erg.best_orbit else None,
-        "worst_gap_violation": worst,
-        "converged": eig.converged,
+        "worst_gap_violation": max(-gap for gap in gaps),
+        "converged": T.eigen.converged,
     }
     return rep
 
@@ -366,7 +368,7 @@ def cmd_zerotemp(cfg: RunConfig) -> Report:
         "richardson": curve.richardson,
         "monotone_tail": curve.monotone_tail,
     }
-    rep.columns = {name: [getattr(pt, name) for pt in curve.points]
+    rep.columns = {name: curve.column(name)
                    for name in ("t", "pressure", "entropy", "average",
                                 "identity_residual", "mode", "converged")}
     if any(not pt.converged for pt in curve.points):

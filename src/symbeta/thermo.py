@@ -45,14 +45,31 @@ from .shift import (Kneading, _levels, _periodic_verdicts, _rotation_points,
 
 
 # ---------------------------------------------------------------------------
-# Gibbs weights, pressure, entropy
+# the equilibrium state
 
 
 @dataclass(frozen=True)
 class GibbsMeasure:
-    """Cylinder weights of the equilibrium state: mu = psi * rho."""
+    """The equilibrium state of a solved system: its normalized operator
+    data ``nrm``, cylinder weights mu = psi * rho, entropy h(mu) and
+    average of A (at unit scale).  P = log lambda = h + t * average holds
+    to rounding; ``identity_residual`` is the violation."""
 
+    nrm: NormalizedSystem
     weights: np.ndarray
+    entropy: float
+    average: float
+
+    @property
+    def pressure(self) -> float:
+        """P(tA) = log lambda, the log of the Perron eigenvalue."""
+        return self.nrm.system.eigen.log_lam
+
+    @property
+    def identity_residual(self) -> float:
+        """|P - h - t * average|."""
+        eig = self.nrm.system.eigen
+        return abs(eig.log_lam - self.entropy - eig.t_scale * self.average)
 
     def ranked(self, k: int | None = None) -> np.ndarray:
         """Indices of the k heaviest words (all words when k is None), by
@@ -71,23 +88,13 @@ class GibbsMeasure:
 
 
 def gibbs_measure(T: TransferSystem) -> GibbsMeasure:
-    eig = T.eigen
-    if eig is None:
-        raise ValueError("system is not solved")
-    w = np.exp(eig.log_psi + eig.log_rho)
-    return GibbsMeasure(w / w.sum())
-
-
-def pressure(T: TransferSystem) -> float:
-    """Topological pressure of (t_scale * A): log of the Perron eigenvalue."""
-    if T.eigen is None:
-        raise ValueError("system is not solved")
-    return T.eigen.log_lam
-
-
-def average_energy(T: TransferSystem, weights: np.ndarray) -> float:
-    """integral of A (at unit scale) against cylinder weights."""
-    return float(np.dot(weights, T.a_vals))
+    """The equilibrium state of the solved system ``T``: it normalizes the
+    operator once (``normalize_potential``) and takes the entropy from
+    that (``entropy_of_gibbs``).  Raises ValueError on an unsolved system."""
+    nrm = normalize_potential(T)
+    w = np.exp(T.eigen.log_psi + T.eigen.log_rho)
+    w = w / w.sum()
+    return GibbsMeasure(nrm, w, entropy_of_gibbs(nrm), float(np.dot(w, T.a_vals)))
 
 
 def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
@@ -138,15 +145,14 @@ class InfCheckReport:
         return self.min_trial - self.entropy_reference
 
 
-def entropy_inf_check(nrm: NormalizedSystem, n_random: int = 20,
+def entropy_inf_check(g: GibbsMeasure, n_random: int = 20,
                       seed: int = 0) -> InfCheckReport:
-    """Evaluate the entropy infimum formula against the Gibbs state of
-    ``nrm.system`` on a family of word-indexed trial functions (a
-    constant, the eigenfunction, random positive vectors).  Each trial
-    bounds the Gibbs entropy from above, so ``min_gap`` must be >= 0.
+    """Evaluate the entropy infimum formula against the Gibbs state ``g``
+    on a family of word-indexed trial functions (a constant, the
+    eigenfunction, random positive vectors).  Each trial bounds the Gibbs
+    entropy ``g.entropy`` from above, so ``min_gap`` must be >= 0.
     """
-    T = nrm.system
-    mu = gibbs_measure(T).weights
+    T = g.nrm.system
     log_psi = T.eigen.log_psi
     rng = np.random.default_rng(seed)
     trials: list[tuple[str, np.ndarray]] = [
@@ -156,9 +162,8 @@ def entropy_inf_check(nrm: NormalizedSystem, n_random: int = 20,
     for i in range(n_random):
         trials.append((f"random_{i}", np.exp(0.5 * rng.standard_normal(T.n_words))))
     L0 = _Operator(T, 0.0)
-    values = [(label, inf_formula_value(L0, mu, u)) for label, u in trials]
-    return InfCheckReport(tuple(values), min(v for _, v in values),
-                          entropy_of_gibbs(nrm))
+    values = [(label, inf_formula_value(L0, g.weights, u)) for label, u in trials]
+    return InfCheckReport(tuple(values), min(v for _, v in values), g.entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +245,13 @@ def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMea
     return InvariantTestMeasure(f"orbit_{orbit.word}", weights, entropy_true=0.0)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """The variational gap of one test measure."""
-
-    label: str
-    entropy: float           # the measure's own entropy, nu.entropy_true
-    average: float           # integral of A d nu, at unit scale
-    gap: float               # P(tA) - (entropy + t * average)
-
-
-def variational_gap(nrm: NormalizedSystem, nu: InvariantTestMeasure) -> GapReport:
-    """P(tA) - (h(nu) + t integral A d nu) on the system ``nrm.system``,
-    with h(nu) the measure's own entropy.  Nonnegative up to rounding for
-    every invariant test measure when P is the true pressure, and zero at
-    the Gibbs state (with h from ``entropy_of_gibbs``)."""
-    eig = nrm.system.eigen
-    avg = nu.average(nrm.system)
-    gap = eig.log_lam - (nu.entropy_true + eig.t_scale * avg)
-    return GapReport(nu.label, nu.entropy_true, avg, gap)
+def variational_gap(g: GibbsMeasure, nu: InvariantTestMeasure) -> float:
+    """P(tA) - (h(nu) + t integral A d nu) on the system of the Gibbs
+    state ``g``, with h(nu) the measure's own entropy.  Nonnegative up to
+    rounding for every invariant test measure when P is the true pressure,
+    and zero at the Gibbs state itself (``g.identity_residual``)."""
+    T = g.nrm.system
+    return T.eigen.log_lam - (nu.entropy_true + T.eigen.t_scale * nu.average(T))
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +384,11 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     for t in t_grid:
         T = T.solve(tol=tol, t_scale=t)
         eig = T.eigen
-        nrm = normalize_potential(T)
-        mu = gibbs_measure(T).weights
-        P = pressure(T)
-        h = entropy_of_gibbs(nrm)
-        avg = average_energy(T, mu)
-        resid = abs(P - (h + t * avg))
+        g = gibbs_measure(T)
         if not eig.converged:
             warnings.append(f"solve at t={t} did not converge (residual {eig.residual:.2e})")
-        points.append(ThermoPoint(t, P, h, avg, resid, nrm.row_sum_residual,
+        points.append(ThermoPoint(t, g.pressure, g.entropy, g.average,
+                                  g.identity_residual, g.nrm.row_sum_residual,
                                   eig.converged, eig.mode))
     report = max_ergodic_average(p, K, A, max_period)
     hs = [pt.entropy for pt in points]

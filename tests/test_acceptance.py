@@ -19,10 +19,9 @@ from symbeta.operator import (build_system, iterate, lk_solve,
 from symbeta.sequences import PeriodicSeq
 from symbeta.shift import (build_kneading, digit_interval_integers,
                            enumerate_words, forbidden_words, preimage_digits)
-from symbeta.thermo import (InvariantTestMeasure, average_energy,
-                            entropy_inf_check, entropy_of_gibbs, gibbs_measure,
-                            pressure, random_markov_measure, variational_gap,
-                            zero_temperature_scan)
+from symbeta.thermo import (InvariantTestMeasure, entropy_inf_check,
+                            gibbs_measure, random_markov_measure,
+                            variational_gap, zero_temperature_scan)
 
 
 def _ok(num, text):
@@ -84,8 +83,9 @@ def test_criterion_03_full_shift_recovery():
         assert forbidden_words(p, K, 4) == []
         T = build_system(p, K, PotentialSpec.zero(), 4).solve(tol=1e-15)
         assert abs(T.eigen.lam - (m + 1)) < 1e-10
-        assert abs(pressure(T) - math.log(m + 1)) < 1e-10
-        assert abs(entropy_of_gibbs(normalize_potential(T)) - math.log(m + 1)) < 1e-8
+        g = gibbs_measure(T)
+        assert abs(g.pressure - math.log(m + 1)) < 1e-10
+        assert abs(g.entropy - math.log(m + 1)) < 1e-8
     _ok(3, "beta = m+1 (m=3,4): (m+1)^n words, no forbidden words, "
            "lambda_0 = m+1 (1e-10), P(0) = h = log(m+1) (1e-8)")
 
@@ -118,26 +118,24 @@ def test_criterion_05_normalization():
 def test_criterion_06_variational_principle():
     for label, T in [("(3,4) digit n=4", _solved(3, 4, PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), 4)),
                      ("(3,3.5) digit n=4", _solved(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), 4))]:
-        nrm = normalize_potential(T)
+        g = gibbs_measure(T)
         rng = np.random.default_rng(2026)
         for i in range(100):
             # the gap takes h(nu) as the chain's own entropy rate
-            assert variational_gap(nrm, random_markov_measure(T, rng)).gap >= -1e-8, (label, i)
+            assert variational_gap(g, random_markov_measure(T, rng)) >= -1e-8, (label, i)
         # equality at the Gibbs state, with its own entropy
-        nu_g = InvariantTestMeasure("gibbs", gibbs_measure(T).weights, entropy_of_gibbs(nrm))
-        assert abs(variational_gap(nrm, nu_g).gap) < 1e-8, label
+        nu_g = InvariantTestMeasure("gibbs", g.weights, g.entropy)
+        assert abs(variational_gap(g, nu_g)) < 1e-8, label
     _ok(6, "h(nu) + avg(nu) <= P(A) + 1e-8 on 100 random invariant measures "
            "per system, each with its own entropy, equality at the Gibbs state (1e-8)")
 
 
 def test_criterion_07_entropy_formulas():
     for label, T in _registry():
-        nrm = normalize_potential(T)
-        h = entropy_of_gibbs(nrm)
-        mu = gibbs_measure(T).weights
-        assert abs(h - (pressure(T) - average_energy(T, mu) * T.eigen.t_scale)) < 1e-8, label
-        rep = entropy_inf_check(nrm, n_random=25, seed=11)
-        assert rep.min_trial >= h - 1e-8, label
+        g = gibbs_measure(T)
+        assert abs(g.entropy - (g.pressure - g.average * T.eigen.t_scale)) < 1e-8, label
+        rep = entropy_inf_check(g, n_random=25, seed=11)
+        assert rep.min_trial >= g.entropy - 1e-8, label
     _ok(7, "entropy equals P - avg within 1e-8; every trial of the infimum "
            "formula stays above it (1e-8)")
 

@@ -51,7 +51,7 @@ CASES = [
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
      "3d87235be206b44bfd904eeffebe7dba8e6eae194c440c0b55fbe1a68e86e04d"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
-     "4f66afa4bbd625b63af04e5a0fc30a3f2ac215b654a36c9b24e674844b2dd00f"),
+     "1a5f70daec519b041e76ece639d4ad011cd1c1c9999b0a03baa78a0444b973c0"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
      "8959e2912c1f74e45d2b3a5848f1137f2ea02556ac739b69c55738b53d19364e"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",

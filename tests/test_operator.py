@@ -190,6 +190,16 @@ def test_solve_runs_in_log_scale_above_32(t, mode):
     assert T.solve(t_scale=t).eigen.mode == mode
 
 
+@pytest.mark.parametrize("t, mode, log_lam", [
+    (19.0, "linear", 570.0), (20.0, "log", 600.0), (-20.0, "log", math.log(3))])
+def test_solve_runs_in_log_scale_where_tA_reaches_600(t, mode, log_lam):
+    # max|A| = 30: at |t| = 20, below t = 32, exp(tA) reaches e^600
+    T = system(3, 4, PotentialSpec.digit_table([30.0, 0.0, 0.0, 0.0]), n=3)
+    eig = T.solve(t_scale=t).eigen
+    assert (eig.mode, eig.converged) == (mode, True)
+    assert eig.log_lam == pytest.approx(log_lam, abs=1e-9)
+
+
 def test_solving_a_solved_system_continues_from_its_eigendata():
     T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=5).solve()
     warm = T.solve(t_scale=64.0).eigen

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from symbeta import operator, reporting, thermo
 from symbeta.cli import _FLAGS, main
 from symbeta.operator import EigenData
 from symbeta.reporting import (ConfigError, RunConfig, cmd_check, cmd_expand,
-                               cmd_spectrum, cmd_words, cmd_zerotemp,
+                               cmd_spectrum, cmd_thermo, cmd_words, cmd_zerotemp,
                                render_report)
 
 
@@ -110,6 +111,38 @@ def test_spectrum_full_reads_eigenvectors_once(monkeypatch):
     rep = cmd_spectrum(RunConfig(m=3, beta="3.5", depth=5, potential="zero"), full=True)
     assert rep.n_rows >= 100
     assert reads["psi"] <= 3 and reads["rho"] <= 3
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count the calls of ``fn`` made through any module name bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    for mod in (operator, thermo, reporting):
+        if getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cmd, solves", [(cmd_spectrum, 1), (cmd_thermo, 1),
+                                         (cmd_zerotemp, 3)])
+def test_each_solve_builds_its_gibbs_state_once(cmd, solves, monkeypatch):
+    counts = [_count_calls(monkeypatch, fn) for fn in
+              (thermo.gibbs_measure, operator.normalize_potential, thermo.entropy_of_gibbs)]
+    cfg = RunConfig(m=3, beta="3.5", depth=4, potential="digit_table:0.3,0,0.1,0.05",
+                    t_grid=(1.0, 2.0, 64.0))
+    assert cmd(cfg).exit_code == 0
+    assert [len(c) for c in counts] == [solves] * 3
+
+
+def test_spectrum_and_zerotemp_print_one_identity_residual():
+    cfg = RunConfig(m=3, beta="3.5", depth=7, potential="digit_table:0.3,0,0.1,0.05",
+                    t_grid=(1.0,))
+    resid = cmd_spectrum(cfg).summary["identity_residual"]
+    assert cmd_zerotemp(cfg).columns["identity_residual"] == [resid]
+    assert resid > 0.0
 
 
 def test_import_does_not_load_scipy():
@@ -264,6 +297,10 @@ def test_cli_byte_identical_runs(capsys):
       "--potential", "digit_table:nan,0,0,0"], None),
     (["spectrum", "--m", "3", "--beta", "4", "--depth", "3",
       "--potential", "block_table:1:0=1"], None),
+    # expand's --a: outside [0, m/(beta-1)], not a number, and too large
+    # for a float
+    *[(["expand", "--m", "3", "--beta", "3.5", "--a", a], None)
+      for a in ("2", "-1", "abc", "1e400")],
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
 def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:
@@ -322,6 +359,28 @@ def test_cli_checks_only_the_merged_config(tmp_path, capsys):
     assert main(argv) == 2
     assert main(argv + ["--kneading-depth", "64"]) == 0
     assert "count" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    # exp(tA) overflows at t = 32 unless the solve takes log scale there
+    ("zerotemp --m 3 --beta 4 --depth 3 --potential digit_table:30,0,0,0", 0),
+    ("zerotemp --m 3 --beta 3.5 --depth 5 --potential geometric:c=20,theta=0.25,kmax=12", 0),
+    ("thermo --m 3 --beta 4 --depth 3 --potential digit_table:800,0,0,0", 0),
+    # spectrum's lambda and lk_solve are linear-scale: refused
+    ("spectrum --m 3 --beta 4 --depth 3 --potential digit_table:800,0,0,0", 3),
+    ("spectrum --m 3 --beta 4 --depth 3 --potential digit_table:1e300,0,0,0", 3),
+    ("spectrum --m 3 --beta 4 --depth 3 --potential digit_table:-800,-800,-800,-800", 3),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_cli_large_potentials_exit_without_traceback(argv, code, capsys):
+    # any numpy warning fails the test (filterwarnings), as does a raise
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("refused: max |A| = ")
+        assert not captured.out
 
 
 def test_cli_thermo_says_why_it_exits_4(capsys):

@@ -11,10 +11,10 @@ from symbeta.operator import (_Operator, build_system, log_power_solve,
 from symbeta.reporting import RunConfig, cmd_thermo
 from symbeta.shift import build_kneading
 from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
-                            ThermoPoint, average_energy, entropy_inf_check,
-                            entropy_of_gibbs, gibbs_measure, inf_formula_value,
+                            ThermoPoint, entropy_inf_check, entropy_of_gibbs,
+                            gibbs_measure, inf_formula_value,
                             max_ergodic_average, orbit_measure, periodic_orbits,
-                            pressure, random_markov_measure, variational_gap,
+                            random_markov_measure, variational_gap,
                             zero_temperature_scan)
 
 C = [0.3, 0.0, 0.1, 0.05]
@@ -33,16 +33,17 @@ def solved(m, b, A=None, n=4, tol=1e-15):
 
 def test_pressure_full_shift():
     _, _, T = solved(3, 4)
-    assert pressure(T) == pytest.approx(math.log(4), abs=1e-12)
+    assert gibbs_measure(T).pressure == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_pressure_closed_form_and_constant_shift():
     _, _, T = solved(3, 4, PotentialSpec.digit_table(C))
     Z = sum(math.exp(v) for v in C)
-    assert pressure(T) == pytest.approx(math.log(Z), abs=1e-12)
+    P = gibbs_measure(T).pressure
+    assert P == pytest.approx(math.log(Z), abs=1e-12)
     kappa = 0.37
     _, _, T2 = solved(3, 4, PotentialSpec.digit_table([v + kappa for v in C]))
-    assert pressure(T2) - pressure(T) == pytest.approx(kappa, abs=1e-12)
+    assert gibbs_measure(T2).pressure - P == pytest.approx(kappa, abs=1e-12)
 
 
 def test_entropy_closed_forms():
@@ -65,11 +66,13 @@ def test_entropy_identity_with_pressure():
                        (4, 5, PotentialSpec.geometric(0.3, 0.25, 8, 4), 4),
                        (6, 5, PotentialSpec.digit_table([0.1] * 3 + [0.0] * 4), 4)]:
         _, _, T = solved(m, b, A, n)
-        nrm = normalize_potential(T)
-        h = entropy_of_gibbs(nrm)
-        mu = gibbs_measure(T).weights
-        assert abs(pressure(T) - h - average_energy(T, mu)) < 1e-10
-        assert 0.0 <= h <= math.log(m + 1) + 1e-12
+        g = gibbs_measure(T)
+        assert g.pressure == T.eigen.log_lam
+        assert g.entropy == entropy_of_gibbs(normalize_potential(T))
+        assert g.average == float(np.dot(g.weights, T.a_vals))
+        assert g.identity_residual == abs(g.pressure - g.entropy - g.average)
+        assert g.identity_residual < 1e-10
+        assert 0.0 <= g.entropy <= math.log(m + 1) + 1e-12
 
 
 def test_gibbs_measure_invariants():
@@ -91,7 +94,7 @@ def test_gibbs_measure_invariants():
 
 def test_gibbs_ranking_breaks_ties_by_word_index():
     w = np.array([0.1, 0.3, 0.2, 0.3, 0.0, 0.2, 0.2, 0.3])
-    mu = GibbsMeasure(w)
+    mu = GibbsMeasure(nrm=None, weights=w, entropy=math.nan, average=math.nan)
     assert mu.ranked().tolist() == [1, 3, 7, 2, 5, 6, 0, 4]
     for k in range(len(w) + 2):
         assert mu.ranked(k).tolist() == mu.ranked().tolist()[:k]
@@ -104,9 +107,9 @@ def test_gibbs_ranking_breaks_ties_by_word_index():
 
 def test_inf_check_trials_bound_the_gibbs_entropy():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
-    nrm = normalize_potential(T)
-    rep = entropy_inf_check(nrm, n_random=30, seed=3)
-    h = entropy_of_gibbs(nrm)
+    g = gibbs_measure(T)
+    rep = entropy_inf_check(g, n_random=30, seed=3)
+    h = g.entropy
     assert rep.entropy_reference == h
     assert rep.min_trial >= h - 1e-10
     # a constant trial gives the log of the mean preimage count, above h
@@ -116,7 +119,7 @@ def test_inf_check_trials_bound_the_gibbs_entropy():
 
 def test_inf_check_full_shift_jensen_bound():
     _, _, T = solved(3, 4)
-    rep = entropy_inf_check(normalize_potential(T), n_random=25, seed=5)
+    rep = entropy_inf_check(gibbs_measure(T), n_random=25, seed=5)
     for _, v in rep.trial_values:
         assert v >= math.log(4) - 1e-10
 
@@ -141,17 +144,15 @@ def with_log_lam(T, log_lam):
 
 def test_variational_gap_random_markov():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
-    nrm = normalize_potential(T)
-    P = pressure(T)
+    g = gibbs_measure(T)
     rng = np.random.default_rng(0)
     for i in range(30):
         nu = random_markov_measure(T, rng)
         prefix, suffix = window_marginals(T, nu.weights)
         assert np.max(np.abs(prefix - suffix)) < 1e-10
-        g = variational_gap(nrm, nu)
-        assert g.entropy == nu.entropy_true
-        assert g.gap == P - (nu.entropy_true + nu.average(T))
-        assert g.gap >= -1e-10
+        gap = variational_gap(g, nu)
+        assert gap == g.pressure - (nu.entropy_true + nu.average(T))
+        assert gap >= -1e-10
 
 
 @pytest.mark.parametrize("beta", [4, "3.5"])
@@ -161,22 +162,21 @@ def test_variational_gap_flags_a_low_pressure(beta):
     _, _, T = solved(3, beta, PotentialSpec.digit_table(C), 4)
     rng = np.random.default_rng(0)
     nus = [random_markov_measure(T, rng) for _ in range(20)]
-    true = normalize_potential(T)
-    low = normalize_potential(with_log_lam(T, T.eigen.log_lam - 0.2))
-    assert min(variational_gap(true, nu).gap for nu in nus) >= -1e-8
-    assert min(variational_gap(low, nu).gap for nu in nus) < -1e-8
+    true = gibbs_measure(T)
+    low = gibbs_measure(with_log_lam(T, T.eigen.log_lam - 0.2))
+    assert min(variational_gap(true, nu) for nu in nus) >= -1e-8
+    assert min(variational_gap(low, nu) for nu in nus) < -1e-8
 
 
 def test_variational_equality_at_gibbs():
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 4)
-    nrm = normalize_potential(T)
-    nu = InvariantTestMeasure("gibbs", gibbs_measure(T).weights, entropy_of_gibbs(nrm))
-    g = variational_gap(nrm, nu)
-    assert abs(g.gap) < 1e-10
+    g = gibbs_measure(T)
+    nu = InvariantTestMeasure("gibbs", g.weights, g.entropy)
+    assert abs(variational_gap(g, nu)) < 1e-10
     # a pressure off by 1e-6 either way breaks the equality
     for shift in (-1e-6, 1e-6):
-        off = normalize_potential(with_log_lam(T, T.eigen.log_lam + shift))
-        assert abs(variational_gap(off, nu).gap) > 1e-8, shift
+        off = gibbs_measure(with_log_lam(T, T.eigen.log_lam + shift))
+        assert abs(variational_gap(off, nu)) > 1e-8, shift
 
 
 def test_orbit_measure_gap_zero_potential():
@@ -189,9 +189,8 @@ def test_orbit_measure_gap_zero_potential():
     # large on the orbit's window and 1 elsewhere brings the bound to ~0
     u = 1.0 + 1e8 * (nu.weights > 0)
     assert 0.0 <= inf_formula_value(_Operator(T, 0.0), nu.weights, u) < 1e-6
-    g = variational_gap(normalize_potential(T), nu)
-    assert g.entropy == 0.0
-    assert g.gap == math.log(4)
+    assert nu.entropy_true == 0.0
+    assert variational_gap(gibbs_measure(T), nu) == math.log(4)
 
 
 def test_orbit_measure_locates_windows_without_word_index():
@@ -211,7 +210,7 @@ def test_markov_measure_prunes_words_without_an_infinite_path():
     # (3, 3.5) at depth 8 has 6 words whose suffix starts no word
     _, _, T = solved(3, "3.5", PotentialSpec.digit_table(C), 8, tol=1e-14)
     assert np.sum(T.tail < 0) == 6
-    P = pressure(T)
+    P = T.eigen.log_lam
     rng = np.random.default_rng(0)
     for _ in range(3):
         nu = random_markov_measure(T, rng)
@@ -413,9 +412,10 @@ def test_scan_matches_an_explicit_solver_chain():
         Tt = dataclasses.replace(T, eigen=eig)
         nrm = normalize_potential(Tt)
         h = entropy_of_gibbs(nrm)
-        avg = average_energy(Tt, gibbs_measure(Tt).weights)
+        mu = np.exp(eig.log_psi + eig.log_rho)
+        avg = float(np.dot(mu / mu.sum(), Tt.a_vals))
         assert pt == ThermoPoint(pt.t, eig.log_lam, h, avg,
-                                 abs(eig.log_lam - (h + pt.t * avg)),
+                                 abs(eig.log_lam - h - pt.t * avg),
                                  nrm.row_sum_residual, eig.converged, eig.mode)
     assert len(curve.points) == 10
 
