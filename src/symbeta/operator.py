@@ -34,7 +34,7 @@ from .expansion import Params
 from .potentials import PotentialSpec
 from .sequences import Word
 from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
-                    check_transitivity, enumerate_words, locate_rows)
+                    _row_keys, check_transitivity, enumerate_words, locate_rows)
 
 
 class RegimeError(ValueError):
@@ -303,7 +303,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     points = basis.digits if need <= n else _canonical_points(basis, K, need)
     a_vals = A.values(points)
 
-    head, tail = _word_graph(basis.digits)
+    head, tail = _word_graph(basis.digits, p.m + 1)
     return TransferSystem(p, K, A, basis, a_vals, head, tail, trans, warnings)
 
 
@@ -315,18 +315,19 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
     tied with a kneading prefix or its reflection (its pins).  The longest
     suffix tied with each fixes the word's last digits and so all of its
     pins, so ``canonical_point`` runs once per distinct pair of those
-    lengths and the tails are gathered.
+    lengths and the tails are gathered.  A word's k-suffix ties with a
+    kneading k-prefix where their keys (``shift._row_keys``) are equal.
     """
     D = basis.digits
     N, n = D.shape
-    up = np.array(K.upper_prefix(n), dtype=np.uint8)
-    lo = np.array(K.lower_prefix(n), dtype=np.uint8)
+    base = K.m + 1
     longest_up = np.zeros(N, dtype=np.int64)
     longest_lo = np.zeros(N, dtype=np.int64)
     for k in range(1, n + 1):
-        suffix = D[:, n - k:]
-        longest_up[np.all(suffix == up[:k], axis=1)] = k
-        longest_lo[np.all(suffix == lo[:k], axis=1)] = k
+        suffix = _row_keys(D[:, n - k:], base)
+        up, lo = _row_keys(np.array([K.upper_prefix(k), K.lower_prefix(k)], dtype=np.uint8), base)
+        longest_up[suffix == up] = k
+        longest_lo[suffix == lo] = k
     _, first, inverse = np.unique(longest_up * (n + 1) + longest_lo,
                                   return_index=True, return_inverse=True)
     tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
@@ -334,18 +335,21 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
     return np.concatenate([D, tails[inverse]], axis=1)
 
 
-def _word_graph(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(head, tail) of the word graph on the lex-sorted (N, n) digit matrix D.
+def _word_graph(D: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) of the word graph on the lex-sorted (N, n) digit matrix D
+    with digits below ``base``.
 
     Target t has source s when s = a t[:-1] for a digit a, i.e. when
     s[1:] == t[:-1].  Both sides are ranked among the distinct (n-1)-digit
-    prefixes of D: ``head[t]`` (nondecreasing, as D is sorted) and
-    ``tail[s]`` (-1 when s[1:] starts no word), found by one sorted search.
+    prefixes of D: ``head[t]`` (nondecreasing, as D is sorted; it steps
+    where the prefix key, ``shift._row_keys``, changes) and ``tail[s]`` (-1
+    when s[1:] starts no word), found by one sorted search of the keys.
     """
+    prefix = _row_keys(D[:, :-1], base)
     new = np.ones(len(D), dtype=bool)
-    new[1:] = np.any(D[1:, :-1] != D[:-1, :-1], axis=1)
+    new[1:] = prefix[1:] != prefix[:-1]
     head = np.cumsum(new) - 1
-    return head, locate_rows(D[new, :-1], D[:, 1:])
+    return head, locate_rows(D[new, :-1], D[:, 1:], base)
 
 
 def _in_degree(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -379,10 +383,13 @@ class _Operator:
         with np.errstate(over="ignore"):   # an overflow is an inf iterate
             return np.exp(self.la)
 
+    def fwd_groups(self, v: np.ndarray) -> np.ndarray:
+        # L v per prefix group, (L v)[t] = entry head[t]; bincount adds each
+        # group's sources in ascending order, as a sequential row sum does
+        return np.bincount(self.tail, self.e * v, minlength=len(self.first) + 1)[:-1]
+
     def fwd(self, v: np.ndarray) -> np.ndarray:
-        # bincount adds each group's sources in ascending order, as a
-        # sequential row sum does
-        return np.bincount(self.tail, self.e * v, minlength=len(self.first) + 1)[self.head]
+        return self.fwd_groups(v)[self.head]
 
     def bwd(self, u: np.ndarray) -> np.ndarray:
         return self.e * np.append(np.bincount(self.head, u), 0.0)[self.tail]
@@ -623,10 +630,14 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
     anyway, so an earlier step stops once the iterate moves by less than
     max(inner_tol, 1e-2 / k) and hands its iterate on as the next warm
     start.
+
+    L v is constant on prefix groups, so the iteration runs on the G
+    group values g -> L(g[head] + 1/k) and returns psi = g[head]: the same
+    floats as iterating all N words.
     """
     L = _Operator(T, 1.0)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
-    psi = np.full(T.n_words, 1.0)
+    g = np.ones(len(L.first))
     history = []
     min_margin = math.inf
     converged = True
@@ -635,18 +646,18 @@ def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
         step_tol = inner_tol if k == LK_SCHEDULE[-1] else max(inner_tol, 1e-2 / k)
         ok = False
         for _ in range(10000):
-            w = L.fwd(psi + 1.0 / k)
+            w = L.fwd_groups((g + 1.0 / k)[T.head])
             lam_k = float(w.max())
             w /= lam_k
-            change = float(np.max(np.abs(w - psi)))
-            psi = w
+            change = float(np.max(np.abs(w - g)))
+            g = w
             if change < step_tol:
                 ok = True
                 break
         converged = converged and ok
         history.append((float(k), lam_k))
         min_margin = min(min_margin, lam_k - floor)
-    return LkResult(lam_k, psi, tuple(history), min_margin, converged)
+    return LkResult(lam_k, g[T.head], tuple(history), min_margin, converged)
 
 
 # ---------------------------------------------------------------------------

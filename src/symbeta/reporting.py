@@ -3,7 +3,7 @@
 Reports render to a human table, line-delimited JSON records (one object
 per row) or CSV for curves.  Output is deterministic: identical config and
 version produce byte-identical bytes (sorted keys, repr floats, no
-timestamps).
+timestamps) with BLAS on one thread, whose sums round by thread count.
 
 A report carries its rows as columns: each renderer turns a column into
 its cell strings in one pass and joins the lines, with no object per row.
@@ -196,7 +196,7 @@ def cmd_check(cfg: RunConfig) -> Report:
     # a word's preimage digits a are those with a w[:-1] admissible: its
     # in-degree in the word graph.  Every a w[:-1] was a candidate of the
     # enumeration, so none is undecided.
-    counts = _in_degree(*_word_graph(basis.digits))
+    counts = _in_degree(*_word_graph(basis.digits, p.m + 1))
     cmin, cmax = (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
     forb = forbidden_words(p, K, cfg.depth)
     rep.summary = {

@@ -184,20 +184,27 @@ def _tied_through_depth(s: PeriodicSeq, K: Kneading) -> bool:
 # word enumeration
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row of a uint8 matrix.  Keys compare
-    bytewise, so their order is the lexicographic order of the digit rows,
-    whatever the row length."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One key per row of a digit matrix with digits below ``base``, in the
+    lexicographic order of the rows: the row read as a base-``base`` int64
+    while base**width < 2**63, else an opaque byte string compared bytewise
+    (no width limit).  Both kinds support ``==`` and ``np.searchsorted``."""
+    width = rows.shape[1]
+    if base ** width >= 2 ** 63:
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        return rows.view(np.dtype((np.void, width))).ravel()
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for j in range(width):
+        keys *= base
+        keys += rows[:, j]
+    return keys
 
 
-def locate_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def locate_rows(rows: np.ndarray, queries: np.ndarray, base: int) -> np.ndarray:
     """Index of each query row among the lex-sorted distinct ``rows`` (both
-    uint8 digit matrices of one width), -1 where it is absent."""
-    if rows.shape[1] == 0:
-        return np.full(len(queries), 0 if len(rows) else -1, dtype=np.int64)
-    keys, q = _row_keys(rows), _row_keys(queries)
+    digit matrices of one width, digits below ``base``), -1 where it is
+    absent: one sorted search of the queries' keys among the rows' keys."""
+    keys, q = _row_keys(rows, base), _row_keys(queries, base)
     idx = np.searchsorted(keys, q)
     hit = idx < len(keys)
     hit[hit] = keys[idx[hit]] == q[hit]
@@ -241,40 +248,22 @@ def _suffix_verdicts(cands: np.ndarray, K: Kneading) -> np.ndarray:
     """``_suffix_ok`` on every row of a uint8 candidate matrix at once:
     1 / 0 / -1 for True / False / None.
 
-    Each row is compared with the kneading prefix and its reflection by
-    first differences.  The row loses at the first difference where it
-    exceeds the upper or undercuts the lower prefix; it is undecided when
-    the comparison must read a kneading digit beyond the known depth, i.e.
-    when no violation, no point where both bounds are settled, and no end
-    of the row comes first.
+    The key (``_row_keys``) of each row's first ``known`` digits (all with
+    exact kneading, at most ``K.depth`` otherwise) is placed by two sorted
+    searches against the keys of the kneading prefix and its reflection.
+    Below the lower or above the upper key the row is violated (0).  A tie
+    with either key, in a row longer than ``known``, needs a kneading digit
+    beyond the known depth (-1).  Every other row passes (1).
     """
-    rows, L = cands.shape
+    L = cands.shape[1]
     known = L if K.exact else min(L, K.depth)
-    # digits past the known depth are placeholders; a row whose verdict
-    # would read one comes out undecided whatever they are
-    up = np.zeros(L, dtype=np.uint8)
-    lo = np.zeros(L, dtype=np.uint8)
-    up[:known] = K.upper_prefix(known)
-    lo[:known] = K.lower_prefix(known)
-
-    def first_difference(bound, loses):
-        """Position of the first digit differing from bound (L if none),
-        and that position again where the row loses there (L otherwise)."""
-        neq = cands != bound
-        f = np.where(neq.any(axis=1), neq.argmax(axis=1), L)
-        at = np.minimum(f, L - 1)
-        lost = (f < L) & loses(cands[np.arange(rows), at], bound[at])
-        return f, np.where(lost, f, L)
-
-    f_up, lost_up = first_difference(up, np.greater)
-    f_lo, lost_lo = first_difference(lo, np.less)
-    viol = np.minimum(lost_up, lost_lo)
-    out = np.where(viol < L, 0, 1).astype(np.int8)
-    if not K.exact:
-        # last position read: the violation, the point where both bounds
-        # are settled, or the end of the row, whichever comes first
-        last = np.minimum(np.minimum(viol, np.maximum(f_up, f_lo)), L - 1)
-        out[last >= K.depth] = -1
+    keys = _row_keys(cands[:, :known], K.m + 1)
+    bounds = np.array([K.lower_prefix(known), K.upper_prefix(known)], dtype=np.uint8)
+    lo, up = np.split(_row_keys(bounds, K.m + 1), 2)
+    ok = (np.searchsorted(lo, keys, "right") > 0) & (np.searchsorted(up, keys) == 0)
+    out = ok.astype(np.int8)
+    if known < L:
+        out[ok & ((keys == lo) | (keys == up))] = -1
     return out
 
 
@@ -296,21 +285,17 @@ def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
     the truncated order on that many digits is the order of the points.
     Truncated kneading: the comparison reads ``K.depth`` digits, and a
     rotation tied with the kneading prefix or its reflection through all
-    of them is undecided, as in ``_tied_through_depth``.  A violation by
-    any rotation wins over an undecided one.
+    of them is undecided, as in ``_tied_through_depth``; the rotations are
+    taken one digit longer, so ``_suffix_verdicts`` finds those ties.  A
+    violation by any rotation wins over an undecided one.
     """
     N, L = W.shape
     if K.exact:
         width = len(K.upper.preperiod) + math.lcm(L, len(K.upper.period))
     else:
-        width = K.depth
+        width = K.depth + 1
     points = _rotation_points(W, width).reshape(N * L, width)
-    verdict = _suffix_verdicts(points, K)
-    if not K.exact:
-        tied = ((points == np.asarray(K.upper_prefix(width), dtype=np.uint8)).all(axis=1)
-                | (points == np.asarray(K.lower_prefix(width), dtype=np.uint8)).all(axis=1))
-        verdict[tied & (verdict != 0)] = -1
-    verdict = verdict.reshape(N, L)
+    verdict = _suffix_verdicts(points, K).reshape(N, L)
     return np.where((verdict == 0).any(axis=1), 0, verdict.min(axis=1))
 
 
@@ -371,7 +356,7 @@ def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
         if level is not None:
             # bad[1:] is admissible by construction; with bad[:-1]
             # admissible too, every proper factor passes
-            bad = bad[locate_rows(level, bad[:, :-1]) >= 0]
+            bad = bad[locate_rows(level, bad[:, :-1], p.m + 1) >= 0]
         out.extend(map(tuple, bad.tolist()))
         level = cands[ok]
     return out

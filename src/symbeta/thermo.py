@@ -238,7 +238,7 @@ def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMea
     p = len(orbit.word)
     word = np.asarray(orbit.word, dtype=np.uint8)[None, :]
     # the depth-n window at each point of the orbit, in orbit order
-    src = locate_rows(T.basis.digits, _rotation_points(word, T.depth)[0])
+    src = locate_rows(T.basis.digits, _rotation_points(word, T.depth)[0], T.params.m + 1)
     if np.any(src < 0):
         raise ValueError("orbit leaves the admissible word basis")
     weights = np.bincount(src, minlength=T.n_words) / p
@@ -318,10 +318,14 @@ def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
                         max_period: int) -> ErgodicMaxReport:
     """Lower bound on the maximal ergodic average: the best average over
     the admissible periodic orbits of period <= max_period (-inf, with no
-    best orbit, when there are none)."""
+    best orbit, when there are none).  Equal averages can round apart, so
+    the best orbit is the first (by period, then lex) whose average is
+    within ``4 * max_period`` ulps of the maximum."""
     orbits = periodic_orbits(p, K, A, max_period)
-    best = max(orbits, key=lambda o: o.average, default=None)
-    return ErgodicMaxReport(best, best.average if best is not None else -math.inf)
+    top = max((o.average for o in orbits), default=-math.inf)
+    near = 4 * max_period * math.ulp(top)
+    best = next((o for o in orbits if top - o.average <= near), None)
+    return ErgodicMaxReport(best, top)
 
 
 # ---------------------------------------------------------------------------

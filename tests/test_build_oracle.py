@@ -145,7 +145,7 @@ def test_enumeration_and_forbidden_match_loops():
 
 def test_deep_enumeration_has_no_key_width_limit():
     # at m = 1 and n >= 64 there are (m+1)^n >= 2^64 words of length n, so
-    # a base-(m+1) int64 word code would wrap; byte-row keys do not
+    # a base-(m+1) int64 word code would wrap; the row keys are bytes there
     p = Params.make(1, "golden")
     K = build_kneading(p, 80)
     for n in (64, 70):

@@ -8,9 +8,9 @@ import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec, parse_potential
-from symbeta.operator import (RegimeError, build_system, canonical_point,
-                              dense_spectrum, iterate, lk_solve, log_power_solve,
-                              normalize_potential, power_solve)
+from symbeta.operator import (LK_SCHEDULE, RegimeError, _Operator, build_system,
+                              canonical_point, dense_spectrum, iterate, lk_solve,
+                              log_power_solve, normalize_potential, power_solve)
 from symbeta.shift import build_kneading, is_admissible, preimage_digits
 
 
@@ -269,6 +269,48 @@ def test_lk_full_shift_constant_eigenfunction():
     res = lk_solve(T)
     assert res.lam == pytest.approx(4.0, abs=1e-8)
     assert np.allclose(res.psi, res.psi[0], atol=1e-10)
+
+
+def lk_reference(T, inner_tol=1e-14):
+    """``lk_solve`` as the loop over all N words it was before it iterated
+    the prefix-group values."""
+    L = _Operator(T, 1.0)
+    floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
+    psi = np.full(T.n_words, 1.0)
+    history = []
+    min_margin = math.inf
+    converged = True
+    lam_k = 0.0
+    for k in LK_SCHEDULE:
+        step_tol = inner_tol if k == LK_SCHEDULE[-1] else max(inner_tol, 1e-2 / k)
+        ok = False
+        for _ in range(10000):
+            w = L.fwd(psi + 1.0 / k)
+            lam_k = float(w.max())
+            w /= lam_k
+            change = float(np.max(np.abs(w - psi)))
+            psi = w
+            if change < step_tol:
+                ok = True
+                break
+        converged = converged and ok
+        history.append((float(k), lam_k))
+        min_margin = min(min_margin, lam_k - floor)
+    return lam_k, psi, tuple(history), min_margin, converged
+
+
+@pytest.mark.parametrize("m, b, n, pot", [
+    (3, "3.5", 6, "geometric:c=1,theta=0.25,kmax=12"),
+    (3, "3.5", 6, "digit_table:0.3,0,0.1,0.05"),
+    (4, 5, 5, "geometric:c=-0.8,theta=0.3,kmax=8"),
+    (4, 5, 5, "digit_table:0.3,0,0.1,0.05,0.2"),
+])
+def test_lk_on_prefix_groups_equals_the_word_loop(m, b, n, pot):
+    T = system(m, b, parse_potential(pot), n=n)
+    lam, psi, history, min_margin, converged = lk_reference(T)
+    res = lk_solve(T)
+    assert res.lam == lam and res.history == history and res.min_margin == min_margin
+    assert res.converged == converged and np.array_equal(res.psi, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The vectorised periodic-orbit search against the per-word loop it
 replaced, kept here as the reference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,13 +94,29 @@ def test_orbits_match_loop_reference(shift):
         # bit-equal averages: the same values summed in the same order
         assert [o.average for o in got] == [o.average for o in want], name
         rep = max_ergodic_average(p, K, A, P)
-        best = max(want, key=lambda o: o.average)
-        assert rep.best_orbit == best and rep.lower_bound == best.average, name
+        # the lower bound is the float maximum; the best orbit is the
+        # shortest, then lex-least, orbit within 4 * P ulps of it
+        top = max(o.average for o in want)
+        tied = [o for o in want if top - o.average <= 4 * P * math.ulp(top)]
+        assert rep.lower_bound == top, name
+        assert rep.best_orbit == min(tied, key=lambda o: (o.period, o.word)), name
         # the loop also kept the other rotations' means, which can round one
         # ulp higher; at (2, beta_T) the geometric averages of (1) and
         # (012111) are equal, and the loop's maximum is the latter's by 1 ulp
         loop_best = max(ref, key=lambda o: o.average)
         assert 0.0 <= loop_best.average - rep.lower_bound <= 4e-16 * abs(rep.lower_bound)
+
+
+def test_best_orbit_does_not_follow_rounding():
+    # dozens of orbits at (2, beta_T) average 0.7 * sum(0.3^j) to within
+    # 2 ulps; the float maximum is (1) up to period 6 and (0111112) at 8
+    p = Params.make(2, "beta_T")
+    K = build_kneading(p, 64)
+    A = PotentialSpec.geometric(0.7, theta=0.3, kmax=12)
+    for P in (6, 8):
+        rep = max_ergodic_average(p, K, A, P)
+        assert rep.best_orbit.word == (1,), P
+        assert rep.lower_bound == max(o.average for o in periodic_orbits(p, K, A, P))
 
 
 def test_undecided_orbits_are_skipped():

@@ -2,16 +2,18 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from symbeta.expansion import Params, unique_expansion
 from symbeta.operator import _in_degree, _word_graph
 from symbeta.sequences import PeriodicSeq, reflect_word
-from symbeta.shift import (UndecidedError, build_kneading, check_transitivity,
+from symbeta.shift import (UndecidedError, _row_keys, _suffix_ok, _suffix_verdicts,
+                           build_kneading, check_transitivity,
                            digit_interval, digit_interval_integers,
                            enumerate_words, forbidden_words, is_admissible,
                            is_admissible_point, is_irreducible,
-                           kneading_self_admissible, preimage_digits)
+                           kneading_self_admissible, locate_rows, preimage_digits)
 
 
 def kn(m, b, depth=64):
@@ -158,6 +160,93 @@ def test_forbidden_words_regenerate_basis():
 
 
 # ---------------------------------------------------------------------------
+# row keys: int64 codes below base**width = 2**63, byte strings from there
+
+
+VERDICT = {1: True, 0: False, -1: None}
+
+
+def rows_near_kneading(K, width, tail=4):
+    """Rows of ``width`` digits that start with the kneading prefix or its
+    reflection (through ``width - tail`` digits, or the known depth), end
+    in every ``tail`` digits, and are padded between with 0s or with m's,
+    plus one constant row per digit: the rows whose verdicts are decided
+    last or not at all."""
+    k = width - tail if K.exact else min(width - tail, K.depth)
+    heads = {K.upper_prefix(k), K.lower_prefix(k)}
+    rows = [h + (d,) * (width - tail - k) + t for h in heads for d in (0, K.m)
+            for t in product(range(K.m + 1), repeat=tail)]
+    return rows + [(d,) * width for d in range(K.m + 1)]
+
+
+@pytest.mark.parametrize("m, b, depth", [
+    (3, 4, 64), (3, "golden", 64),    # exact kneading
+    (3, "3.5", 64),                   # truncated, deeper than every row
+    (3, "3.5", 3), (3, "3.5", 5), (4, "4.7", 4),
+])
+def test_suffix_verdicts_match_scalar_reference(m, b, depth):
+    p, K = kn(m, b, depth)
+    for n in range(1, 7):
+        rows = list(product(range(m + 1), repeat=n))
+        got = _suffix_verdicts(np.array(rows, dtype=np.uint8).reshape(-1, n), K)
+        assert [VERDICT[v] for v in got.tolist()] == [_suffix_ok(w, K) for w in rows], n
+        if not K.exact and n > K.depth:
+            # rows tied with a kneading prefix through the depth
+            assert (got == -1).any()
+
+
+@pytest.mark.parametrize("m, b, depth, width", [
+    (3, "golden", 64, 31), (3, "golden", 64, 32), (3, "golden", 64, 40),  # int64, bytes
+    (3, "3.5", 64, 31), (3, "3.5", 64, 40),
+    (3, "3.5", 30, 40), (3, "3.5", 34, 40),                 # truncated: -1 past it
+])
+def test_suffix_verdicts_on_both_sides_of_the_int64_limit(m, b, depth, width):
+    p, K = kn(m, b, depth)
+    rows = rows_near_kneading(K, width)
+    got = _suffix_verdicts(np.array(rows, dtype=np.uint8), K)
+    assert [VERDICT[v] for v in got.tolist()] == [_suffix_ok(w, K) for w in rows]
+    assert set(got.tolist()) == ({0, 1} if K.exact or width <= K.depth else {-1, 0, 1})
+
+
+@pytest.mark.parametrize("width, kind", [(5, np.int64), (31, np.int64), (32, np.void),
+                                         (40, np.void)])
+def test_row_keys_sort_in_lex_order(width, kind):
+    rng = random.Random(width)
+    rows = sorted({tuple(rng.randrange(4) for _ in range(width)) for _ in range(300)}
+                  | {(3,) * width, (0,) * width, (0,) * (width - 1) + (1,)})
+    keys = _row_keys(np.array(rows, dtype=np.uint8), 4)
+    assert keys.dtype.type is kind
+    # strictly increasing: each key is found at its own position only
+    idx = np.arange(len(rows))
+    assert (np.searchsorted(keys, keys, "left") == idx).all()
+    assert (np.searchsorted(keys, keys, "right") == idx + 1).all()
+
+
+@pytest.mark.parametrize("m, b, n", [(3, 4, 4), (3, "3.5", 6), (4, "4.7", 5), (2, "beta_T", 7)])
+def test_locate_rows_matches_admissibility(m, b, n):
+    p, K = kn(m, b)
+    basis = enumerate_words(p, K, n)
+    queries = list(product(range(m + 1), repeat=n))
+    # the basis base, and a base so large that n digits take the byte keys
+    for base in (m + 1, 2 ** 16):
+        got = locate_rows(basis.digits, np.array(queries, dtype=np.uint8), base).tolist()
+        assert got == [basis.index.get(w, -1) for w in queries], base
+        assert [i >= 0 for i in got] == [is_admissible(w, K) for w in queries], base
+
+
+@pytest.mark.parametrize("width", [31, 32, 40])
+def test_locate_rows_at_wide_widths(width):
+    rng = random.Random(width)
+    rows = sorted({tuple(rng.randrange(4) for _ in range(width)) for _ in range(200)})
+    # every row, and every row with its last or first digit changed
+    queries = rows + [w[:-1] + ((w[-1] + 1) % 4,) for w in rows] \
+        + [((w[0] + 2) % 4,) + w[1:] for w in rows]
+    got = locate_rows(np.array(rows, dtype=np.uint8), np.array(queries, dtype=np.uint8), 4)
+    index = {w: i for i, w in enumerate(rows)}
+    assert got.tolist() == [index.get(w, -1) for w in queries]
+
+
+# ---------------------------------------------------------------------------
 # preimages
 
 
@@ -206,7 +295,7 @@ def test_preimage_counts_are_graph_in_degrees(m, beta, n):
     # check reads every word's preimage count from the word graph
     p, K = kn(m, beta)
     basis = enumerate_words(p, K, n)
-    counts = _in_degree(*_word_graph(basis.digits))
+    counts = _in_degree(*_word_graph(basis.digits, p.m + 1))
     assert counts.tolist() == [len(preimage_digits(w, p, K)) for w in basis.words]
 
 
