@@ -41,7 +41,7 @@ _FLAGS = {
     "kneading_depth": None,
     "potential": "zero | digit_table:v0,v1,... | "
                  "block_table:k:w=v,... | geometric:c=..,theta=..,kmax=..",
-    "t_grid": "comma-separated increasing values",
+    "t_grid": "comma-separated increasing values (read by zerotemp)",
     "tol": None,
     "fmt": "table | jsonl | csv",
     "seed": None,

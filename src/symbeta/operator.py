@@ -10,8 +10,9 @@ word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
 one grouped sum over the N words and one gather (``_Operator``).
 
 The potential is sampled at one canonical point per cylinder: the word
-extended digit by digit with the smallest admissible continuation.  The
-induced discretization error is controlled by the potential's Holder bound.
+extended digit by digit with the smallest admissible continuation.  Each
+sample is off by at most the potential's variation over its cylinder (see
+``potentials``); no printed figure bounds the resulting pressure error.
 
 Solvers: sup-normalized power iteration for the Perron eigenvalue with the
 right (eigenfunction) and left (eigenmeasure) eigenvectors, a log-domain

@@ -8,15 +8,15 @@ shift.  Supported kinds:
 - ``block_table``: A(x) = table[x(1..k)], one value per admissible k-word
 - ``geometric``:   A(x) = c * sum_{j<=kmax} theta^(j-1) x(j), 0 < theta < 1/2
 
-Each kind carries a Holder exponent alpha (with respect to the shift
-metric d = 2^(1-n)) and a Holder constant bounding the variation over
-depth-n cylinders by holder_const * 2^(-alpha*(n-1)).
+Every kind is Holder for the shift metric d = 2^(1-n).  The first three
+are constant on depth-k cylinders (k = 0, 1 and the block length); on a
+depth-n cylinder a ``geometric`` potential varies by at most
+|c| m theta^n / (1 - theta).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,44 +40,31 @@ class PotentialSpec:
     geo_c: float = 0.0
     geo_theta: float = 0.25
     geo_kmax: int = 12
-    alpha: float = field(default=1.0)
-    holder_const: float = field(default=0.0)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero() -> "PotentialSpec":
-        return PotentialSpec(kind="zero", alpha=1.0, holder_const=0.0)
+        return PotentialSpec(kind="zero")
 
     @staticmethod
     def digit_table(values: Sequence[float]) -> "PotentialSpec":
-        vals = tuple(float(v) for v in values)
-        spread = max(vals) - min(vals) if vals else 0.0
-        return PotentialSpec(kind="digit_table", digit_values=vals,
-                             alpha=1.0, holder_const=spread)
+        return PotentialSpec(kind="digit_table",
+                             digit_values=tuple(float(v) for v in values))
 
     @staticmethod
     def block_table(k: int, table: Mapping[Sequence[int], float]) -> "PotentialSpec":
         tbl = {tuple(w): float(v) for w, v in table.items()}
         if any(len(w) != k for w in tbl):
             raise ValueError(f"block_table keys must have length {k}")
-        vals = list(tbl.values())
-        spread = (max(vals) - min(vals)) if vals else 0.0
-        # variation can persist down to depth k: scale so that
-        # spread <= C * 2^(-alpha (k-1)) holds, with alpha = 1
-        const = spread * 2.0 ** (k - 1)
-        return PotentialSpec(kind="block_table", block_k=k, block_values=tbl,
-                             alpha=1.0, holder_const=const)
+        return PotentialSpec(kind="block_table", block_k=k, block_values=tbl)
 
     @staticmethod
-    def geometric(c: float, theta: float = 0.25, kmax: int = 12,
-                  m_hint: int = 4) -> "PotentialSpec":
+    def geometric(c: float, theta: float = 0.25, kmax: int = 12) -> "PotentialSpec":
         if not (0.0 < theta < 0.5):
             raise ValueError("theta must lie in (0, 1/2)")
-        alpha = -math.log2(theta)
-        const = abs(c) * m_hint * theta / (1.0 - theta)
         return PotentialSpec(kind="geometric", geo_c=float(c), geo_theta=float(theta),
-                             geo_kmax=int(kmax), alpha=alpha, holder_const=const)
+                             geo_kmax=int(kmax))
 
     # -- evaluation ----------------------------------------------------
 

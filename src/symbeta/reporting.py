@@ -22,10 +22,10 @@ import numpy as np
 
 from .expansion import (Params, _check_range, as_real, beta_t, greedy_expansion,
                         lazy_expansion, quasi_greedy)
-from .operator import (LINEAR_LIMIT, RegimeError, TransferSystem, _in_degree,
-                       _word_graph, build_system, lk_solve)
+from .operator import (LINEAR_LIMIT, RegimeError, _in_degree, _word_graph,
+                       build_system, lk_solve)
 from .potentials import parse_potential
-from .sequences import PeriodicSeq
+from .sequences import PeriodicSeq, digits_str
 from .shift import (Kneading, build_kneading, check_transitivity,
                     digit_interval, digit_interval_integers, enumerate_words,
                     forbidden_words)
@@ -145,11 +145,6 @@ class Report:
         return len(next(iter(self.columns.values()), ()))
 
 
-def _digits_str(ds) -> str:
-    return "".join(str(d) for d in ds) if all(d <= 9 for d in ds) else \
-        ",".join(str(d) for d in ds)
-
-
 def _kneading(cfg: RunConfig, p: Params) -> Kneading:
     return build_kneading(p, cfg.kneading_depth)
 
@@ -176,9 +171,9 @@ def cmd_expand(cfg: RunConfig) -> Report:
     rep.summary = {
         "a": cfg.a,
         "depth": n,
-        "greedy": _digits_str(greedy),
-        "lazy": _digits_str(lazy),
-        "quasi_greedy": _digits_str(q_prefix),
+        "greedy": digits_str(greedy),
+        "lazy": digits_str(lazy),
+        "quasi_greedy": digits_str(q_prefix),
         "quasi_greedy_exact": str(q) if isinstance(q, PeriodicSeq) else None,
         "unique": greedy == lazy,
     }
@@ -217,7 +212,7 @@ def cmd_check(cfg: RunConfig) -> Report:
         "preimage_count_min": cmin,
         "preimage_count_max": cmax,
         "basis_size": len(basis),
-        "forbidden_words": [_digits_str(w) for w in forb],
+        "forbidden_words": [digits_str(w) for w in forb],
     }
     if len(ints) < 2:
         rep.warnings.append(
@@ -243,7 +238,7 @@ def cmd_words(cfg: RunConfig) -> Report:
         "count": len(basis),
         "full_shift_count": (p.m + 1) ** cfg.depth,
         "forbidden_count": len(forb),
-        "forbidden_words": [_digits_str(w) for w in forb],
+        "forbidden_words": [digits_str(w) for w in forb],
     }
     rep.columns = {"word": basis.digits}
     return rep
@@ -264,16 +259,11 @@ def _build_solved(cfg: RunConfig, rep: Report, linear_scale: bool = False):
                           "overflows or underflows; use thermo or zerotemp")
     T = T.solve(tol=cfg.tol)
     rep.warnings.extend(T.warnings)
-    _check_converged(rep, T, "power iteration")
-    return p, K, A, T
-
-
-def _check_converged(rep: Report, T: TransferSystem, what: str) -> None:
-    """Warn and set exit code 4 when the solve of ``T`` did not converge."""
     if not T.eigen.converged:
-        rep.warnings.append(f"{what} did not converge "
+        rep.warnings.append("power iteration did not converge "
                             f"(residual {T.eigen.residual:.3e})")
         rep.exit_code = 4
+    return p, K, A, T
 
 
 def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
@@ -308,6 +298,10 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     keep = g.ranked(None if full else 10)
     rep.columns = {"word": T.basis.digits[keep], "mu": g.weights[keep],
                    "psi": psi[keep], "rho": rho[keep]}
+    if not lk.converged:
+        rep.warnings.append("lk_solve cross-check did not converge "
+                            f"(lk_vs_power {rep.summary['lk_vs_power']:.3e})")
+        rep.exit_code = 4
     return rep
 
 
@@ -317,14 +311,6 @@ def cmd_thermo(cfg: RunConfig) -> Report:
     g = gibbs_measure(T)
     inf_rep = entropy_inf_check(g, seed=cfg.seed)
     erg = max_ergodic_average(p, K, A, cfg.max_period)
-    # the pressure asymptote of the maximal average: P(tA)/t at the last
-    # grid point t2, and the slope of P from t2/2, each solve continuing
-    # from the one before it
-    t1, t2 = cfg.t_grid[-1] / 2, cfg.t_grid[-1]
-    s1 = T.solve(tol=cfg.tol, t_scale=t1)
-    s2 = s1.solve(tol=cfg.tol, t_scale=t2)
-    for s in (s1, s2):
-        _check_converged(rep, s, f"asymptote solve at t={s.eigen.t_scale!r}")
     rng = np.random.default_rng(cfg.seed)
     nus = [random_markov_measure(T, rng, label=f"markov_{i}") for i in range(20)]
     gaps = [variational_gap(g, nu) for nu in nus]
@@ -341,9 +327,7 @@ def cmd_thermo(cfg: RunConfig) -> Report:
         "inf_check_min": inf_rep.min_trial,
         "inf_check_min_gap": inf_rep.min_gap,
         "max_average_lower": erg.lower_bound,
-        "max_average_upper": s2.eigen.log_lam / t2,
-        "max_average_slope": (s2.eigen.log_lam - s1.eigen.log_lam) / (t2 - t1),
-        "best_orbit": _digits_str(erg.best_orbit.word) if erg.best_orbit else None,
+        "best_orbit": digits_str(erg.best_orbit.word) if erg.best_orbit else None,
         "worst_gap_violation": max(-gap for gap in gaps),
         "converged": T.eigen.converged,
     }
@@ -399,7 +383,7 @@ def render_report(rep: Report, fmt: str) -> str:
 
 
 def _word_cells(D: np.ndarray) -> list[str]:
-    """``_digits_str`` of every row of a uint8 digit matrix.  The digit
+    """``digits_str`` of every row of a uint8 digit matrix.  The digit
     characters of all rows are made in one pass; a row holding a digit
     above 9 takes the comma form instead."""
     n = D.shape[1]

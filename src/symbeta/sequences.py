@@ -16,6 +16,12 @@ from typing import Sequence
 Word = tuple[int, ...]
 
 
+def digits_str(ds: Sequence[int]) -> str:
+    """A digit word as text: the digits run together, or comma-separated
+    when one of them is above 9."""
+    return ("," if any(d > 9 for d in ds) else "").join(map(str, ds))
+
+
 def reflect_word(w: Sequence[int], m: int) -> Word:
     """Digitwise d -> m - d."""
     return tuple(m - d for d in w)
@@ -111,11 +117,9 @@ class PeriodicSeq:
         return PeriodicSeq(reflect_word(self.preperiod, m), reflect_word(self.period, m))
 
     def __str__(self):
-        pre = "".join(map(str, self.preperiod)) if max(self.preperiod + self.period) <= 9 \
-            else ",".join(map(str, self.preperiod))
-        per = "".join(map(str, self.period)) if max(self.preperiod + self.period) <= 9 \
-            else ",".join(map(str, self.period))
-        return f"{pre}({per})^inf"
+        # one separator for both parts, as ``digits_str`` of all the digits
+        sep = "," if max(self.preperiod + self.period) > 9 else ""
+        return f"{sep.join(map(str, self.preperiod))}({sep.join(map(str, self.period))})^inf"
 
 
 def lex_compare(x: PeriodicSeq, y: PeriodicSeq) -> int:

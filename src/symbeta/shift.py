@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import Params, beta_t, quasi_greedy_of_one
-from .sequences import PeriodicSeq, Word, lex_compare, reflect_word, word_plus
+from .sequences import (PeriodicSeq, Word, digits_str, lex_compare, reflect_word,
+                        word_plus)
 
 
 class UndecidedError(RuntimeError):
@@ -44,12 +45,6 @@ class Kneading:
     upper: PeriodicSeq | Word
     exact: bool
     depth: int
-
-    @property
-    def lower(self) -> PeriodicSeq | Word:
-        if self.exact:
-            return self.upper.reflect(self.m)
-        return reflect_word(self.upper, self.m)
 
     def upper_digit(self, i: int) -> int | None:
         """1-based digit of the kneading sequence; None beyond known depth."""
@@ -79,7 +74,7 @@ class Kneading:
         return {
             "exact": self.exact,
             "depth": self.depth,
-            "upper": str(self.upper) if self.exact else "".join(map(str, head)) + "...",
+            "upper": str(self.upper) if self.exact else digits_str(head) + "...",
             "upper_prefix": list(head),
         }
 

@@ -41,7 +41,7 @@ def _registry():
         ("(3,4) zero n=4", _solved(3, 4, PotentialSpec.zero(), 4)),
         ("(3,4) digit n=4", _solved(3, 4, PotentialSpec.digit_table(c3), 4)),
         ("(3,4) geometric n=4",
-         _solved(3, 4, PotentialSpec.geometric(0.4, 0.25, 12, 3), 4)),
+         _solved(3, 4, PotentialSpec.geometric(0.4, 0.25, 12), 4)),
         ("(3,3.5) digit n=5", _solved(3, "3.5", PotentialSpec.digit_table(c3), 5)),
         ("(4,5) digit n=4",
          _solved(4, 5, PotentialSpec.digit_table([0.2, 0.0, 0.1, 0.05, -0.1]), 4)),
@@ -186,7 +186,7 @@ def test_criterion_09_zero_temperature():
 
 
 def test_criterion_10_depth_convergence():
-    A = PotentialSpec.geometric(0.4, theta=0.25, kmax=12, m_hint=3)
+    A = PotentialSpec.geometric(0.4, theta=0.25, kmax=12)
     p = Params.make(3, 4)
     K = build_kneading(p, 64)
     logs = []
@@ -195,7 +195,7 @@ def test_criterion_10_depth_convergence():
         logs.append(T.eigen.log_lam)
     diffs = [abs(b - a) for a, b in zip(logs, logs[1:])]
     ratios = [d2 / d1 for d1, d2 in zip(diffs, diffs[1:])]
-    bound = 2.0 ** (-A.alpha) + 0.1
+    bound = A.geo_theta + 0.1
     assert all(r <= bound for r in ratios), ratios
     _ok(10, f"geometric-potential eigenvalue differences shrink with ratios "
-            f"{[round(r, 4) for r in ratios]} <= 2^-alpha + 0.1 = {bound}")
+            f"{[round(r, 4) for r in ratios]} <= theta + 0.1 = {bound}")

@@ -192,8 +192,8 @@ def _potentials(m, n):
     block = PotentialSpec.block_table(
         k, {w: rng.uniform(-1, 1) for w in product(range(m + 1), repeat=k)})
     return [PotentialSpec.zero(), digit, block,
-            PotentialSpec.geometric(0.7, theta=0.3, kmax=12, m_hint=m),
-            PotentialSpec.geometric(-1.3, theta=0.2, kmax=2, m_hint=m)]
+            PotentialSpec.geometric(0.7, theta=0.3, kmax=12),
+            PotentialSpec.geometric(-1.3, theta=0.2, kmax=2)]
 
 
 @pytest.mark.parametrize("m,b,depths,kdepth", [
@@ -240,7 +240,7 @@ def test_empty_cylinder_fallback_points_match():
     # (3, 3.5) depth 4: the canonical point of 3122 drops a constraint
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
-    A = PotentialSpec.geometric(1.0, theta=0.25, kmax=10, m_hint=3)
+    A = PotentialSpec.geometric(1.0, theta=0.25, kmax=10)
     T = build_system(p, K, A, 4)
     i = T.basis.index[(3, 1, 2, 2)]
     assert T.a_vals[i] == A.value(canonical_point((3, 1, 2, 2), K, 10))
@@ -250,7 +250,7 @@ def test_empty_cylinder_fallback_points_match():
 def test_dense_equals_edge_scatter():
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
-    A = PotentialSpec.geometric(0.5, m_hint=3)
+    A = PotentialSpec.geometric(0.5)
     T = build_system(p, K, A, 6)
     _, rows, cols, _ = oracle_build(p, K, A, 6)
     for t in (1.0, 2.5):
@@ -310,7 +310,7 @@ def check_kernels(T, rows, cols, t, dense):
 def test_kernels_on_dead_ends():
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
-    A = PotentialSpec.geometric(1.0, theta=0.25, kmax=12, m_hint=3)
+    A = PotentialSpec.geometric(1.0, theta=0.25, kmax=12)
     # depth 9: 16 words whose suffix starts no word, so they have no
     # successor; the dense matrix (N = 15,812) would take 2 GB, so the
     # reference is the edge-list sum

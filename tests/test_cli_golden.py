@@ -53,9 +53,9 @@ CASES = [
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "1a5f70daec519b041e76ece639d4ad011cd1c1c9999b0a03baa78a0444b973c0"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "8959e2912c1f74e45d2b3a5848f1137f2ea02556ac739b69c55738b53d19364e"),
+     "fad48e2894edb0dda976be3047f0001727f087f53ddc0987a8590722df1d4a1b"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "9a93680a969f84dd0780d54eb501980b671a3ea826fc3c741c687764958f7b74"),
+     "a570181ed4f27957be84efad3de237c4737cee2b32929ca8dec763e014255163"),
 ]
 
 

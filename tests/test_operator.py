@@ -449,15 +449,16 @@ def test_block_table_must_cover_basis():
 
 def test_depth_convergence_geometric():
     # successive eigenvalue differences shrink geometrically at rate
-    # ~ theta = 2^(-alpha) for geometric potentials on the full shift,
-    # and each difference respects the Holder-predicted envelope
-    A = PotentialSpec.geometric(0.4, theta=0.25, kmax=12, m_hint=3)
+    # ~ theta for geometric potentials on the full shift, and each
+    # difference respects the Holder envelope |c| m theta^n / (1 - theta)
+    c, theta = 0.4, 0.25
+    A = PotentialSpec.geometric(c, theta=theta, kmax=12)
     logs = []
     for n in range(3, 8):
         T = system(3, 4, A, n=n).solve(tol=1e-15)
         logs.append(T.eigen.log_lam)
     diffs = [abs(b - a) for a, b in zip(logs, logs[1:])]
     ratios = [d2 / d1 for d1, d2 in zip(diffs, diffs[1:])]
-    assert all(r <= 2 ** (-A.alpha) + 0.1 for r in ratios)
+    assert all(r <= A.geo_theta + 0.1 for r in ratios)
     for n, d in zip(range(3, 7), diffs):
-        assert d <= A.holder_const * 2.0 ** (-A.alpha * (n - 1))
+        assert d <= abs(c) * 3 * theta ** n / (1 - theta)

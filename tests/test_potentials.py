@@ -30,7 +30,7 @@ def test_geometric_eval():
     g = PotentialSpec.geometric(2.0, theta=0.25, kmax=3)
     # 2 * (1*1 + 0.25*2 + 0.0625*3)
     assert g.value((1, 2, 3, 9)) == pytest.approx(2 * (1 + 0.5 + 0.1875))
-    assert g.alpha == pytest.approx(2.0)
+    assert (g.geo_c, g.geo_theta, g.geo_kmax) == (2.0, 0.25, 3)
     with pytest.raises(ValueError):
         PotentialSpec.geometric(1.0, theta=0.7)
 
@@ -50,15 +50,16 @@ def test_parse_describe_round_trip():
 
 
 def test_holder_bound_on_sampled_cylinders():
-    # variation of A over depth-n cylinders <= holder_const * 2^(-alpha (n-1)),
+    # variation of A over depth-n cylinders <= |c| m theta^n / (1 - theta),
     # measured on canonical sample points grouped by common prefixes
     p = Params.make(3, 4)
     K = build_kneading(p, 64)
-    g = PotentialSpec.geometric(0.6, theta=0.25, kmax=10, m_hint=3)
+    c, theta = 0.6, 0.25
+    g = PotentialSpec.geometric(c, theta=theta, kmax=10)
     words = enumerate_words(p, K, 6).words
     for n in (2, 3, 4):
         groups: dict[tuple, list] = {}
         for w in words[::5]:
             groups.setdefault(w[:n], []).append(g.value(canonical_point(w, K, 10)))
         worst = max(max(v) - min(v) for v in groups.values() if len(v) > 1)
-        assert worst <= g.holder_const * 2.0 ** (-g.alpha * (n - 1)) + 1e-12
+        assert worst <= abs(c) * p.m * theta ** n / (1 - theta) + 1e-12

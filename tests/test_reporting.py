@@ -1,6 +1,6 @@
 import json
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -390,13 +390,38 @@ def test_cli_thermo_says_why_it_exits_4(capsys):
     assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out
 
 
-def test_cli_thermo_exits_4_on_an_unconverged_asymptote_solve(capsys):
-    # the main solve converges; both pressure-asymptote solves, at t = 256
-    # and 512, stop on tol with residuals above the 1e-12 gate
+def test_cli_thermo_solves_only_at_t_1(capsys):
+    # the pressure asymptote at large t is zerotemp's; thermo's one solve,
+    # at t = 1, converges on this system
     code = main(["thermo", "--m", "3", "--beta", "3.5", "--depth", "6",
                  "--potential", "geometric:c=1,theta=0.25,kmax=12"])
     out = capsys.readouterr().out
-    assert code == 4
-    assert "power iteration did not converge" not in out
-    assert "WARNING: asymptote solve at t=256.0 did not converge (residual" in out
-    assert "WARNING: asymptote solve at t=512.0 did not converge (residual" in out
+    assert code == 0
+    assert "did not converge" not in out
+    assert "max_average_upper" not in out
+
+
+def test_cli_spectrum_exits_4_on_an_unconverged_cross_check(monkeypatch, capsys):
+    argv = ["spectrum", "--m", "3", "--beta", "3.5", "--depth", "4",
+            "--potential", "digit_table:0.3,0,0.1,0.05"]
+    assert main(argv) == 0
+    converged_out = capsys.readouterr().out
+    solve = reporting.lk_solve
+    monkeypatch.setattr(reporting, "lk_solve", lambda *args, **kwargs: replace(
+        solve(*args, **kwargs), converged=False))
+    assert main(argv) == 4
+    out = capsys.readouterr().out
+    # the same report, with the verdict's warning appended
+    assert out.startswith(converged_out)
+    assert out[len(converged_out):].startswith(
+        "WARNING: lk_solve cross-check did not converge (lk_vs_power ")
+
+
+def test_cli_check_separates_kneading_digits_above_9(capsys):
+    assert main(["check", "--m", "12", "--beta", "12.5", "--depth", "2",
+                 "--format", "jsonl"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[1])
+    kneading = summary["kneading"]
+    assert not kneading["exact"]
+    assert kneading["upper_prefix"][:8] == [12, 6, 3, 1, 7, 0, 4, 11]
+    assert kneading["upper"] == ",".join(map(str, kneading["upper_prefix"])) + "..."

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symbeta.sequences import (PeriodicSeq, lex_compare, metric_d, reflect_word,
-                               word_minus, word_plus)
+from symbeta.sequences import (PeriodicSeq, digits_str, lex_compare, metric_d,
+                               reflect_word, word_minus, word_plus)
 
 
 def test_canonical_minimal_period():
@@ -105,3 +105,12 @@ def test_metric():
     assert metric_d(a, b) == 1              # differ at n=1
     c = PeriodicSeq((1, 0, 0), (1, 0))      # differs from a first at n=3
     assert metric_d(a, c) == Fraction(1, 4)
+
+
+def test_digits_str_uses_commas_only_above_9():
+    assert digits_str((3, 0, 9)) == "309"
+    assert digits_str((12, 6, 0)) == "12,6,0"
+    assert digits_str(()) == ""
+    # a sequence takes one form for both parts
+    assert str(PeriodicSeq((1, 2), (0,))) == "12(0)^inf"
+    assert str(PeriodicSeq((1, 2), (10, 0))) == "1,2(10,0)^inf"

@@ -8,7 +8,7 @@ from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.operator import (_Operator, build_system, log_power_solve,
                               normalize_potential, power_solve)
-from symbeta.reporting import RunConfig, cmd_thermo
+from symbeta.reporting import RunConfig, cmd_thermo, cmd_zerotemp
 from symbeta.shift import build_kneading
 from symbeta.thermo import (GibbsMeasure, InvariantTestMeasure, PeriodicOrbit,
                             ThermoPoint, entropy_inf_check, entropy_of_gibbs,
@@ -63,7 +63,7 @@ def test_entropy_closed_forms():
 def test_entropy_identity_with_pressure():
     for m, b, A, n in [(3, 4, PotentialSpec.digit_table(C), 4),
                        (3, "3.5", PotentialSpec.digit_table(C), 5),
-                       (4, 5, PotentialSpec.geometric(0.3, 0.25, 8, 4), 4),
+                       (4, 5, PotentialSpec.geometric(0.3, 0.25, 8), 4),
                        (6, 5, PotentialSpec.digit_table([0.1] * 3 + [0.0] * 4), 4)]:
         _, _, T = solved(m, b, A, n)
         g = gibbs_measure(T)
@@ -299,13 +299,18 @@ def test_max_ergodic_average_asymptote():
     A = PotentialSpec.digit_table(C)
     rep = max_ergodic_average(p, K, A, 4)
     assert rep.lower_bound == pytest.approx(0.3)
-    # thermo solves the pressure asymptote at t = t_grid[-1] / 2, t_grid[-1]
     cfg = RunConfig(m=3, beta="4", depth=3, potential="digit_table:0.3,0,0.1,0.05",
                     t_grid=(100.0, 200.0), max_period=4)
     summary = cmd_thermo(cfg).summary
     assert summary["max_average_lower"] == rep.lower_bound
-    assert abs(summary["max_average_slope"] - rep.lower_bound) < 1e-3
-    assert summary["max_average_upper"] >= rep.lower_bound - 1e-12
+    # the pressure asymptote is zerotemp's, from the last two grid points
+    assert "max_average_upper" not in summary and "max_average_slope" not in summary
+    zt = cmd_zerotemp(cfg)
+    assert zt.exit_code == 0
+    assert zt.summary["max_average_lower"] == rep.lower_bound
+    assert zt.summary["max_average_upper"] >= rep.lower_bound - 1e-12
+    p100, p200 = zt.columns["pressure"]
+    assert abs((p200 - p100) / 100 - rep.lower_bound) < 1e-3
 
 
 def test_zero_potential_max_average():

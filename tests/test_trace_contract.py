@@ -53,8 +53,9 @@ def test_cli_passes_report_solver_counts(capsys):
     for span in ("thermo.random_markov_measure.s", "thermo.variational_gap.s",
                  "thermo.entropy_inf_check.s"):
         assert th[span] > 0, span
-    # the two pressure-asymptote solves of cmd_thermo
-    assert th["operator.log_power_solve.calls"] > 0
+    # thermo solves its system once, at t = 1
+    assert th["operator.power_solve.calls"] == 1
+    assert th["operator.log_power_solve.calls"] == 0
     capsys.readouterr()
 
 
