@@ -183,13 +183,17 @@ def prefix_value(w: Word, p: Params) -> tuple[QuadReal, QuadReal]:
 # digit recursions
 
 
-def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
-    """Shared digit recursion.
+def _greedy_digits(a: QuadReal, p: Params, depth: int):
+    """Shared digit recursion: the quasi-greedy digits of a, and the greedy
+    digits read off the same run.
 
     Greedy: x(n) = min(floor(beta r), m), r <- beta r - x(n).
     Quasi-greedy: identical except that an exact integer beta*r <= m takes
     digit beta*r - 1 so the remainder stays strictly positive, which yields
-    the largest never-terminating expansion.
+    the largest never-terminating expansion.  The two agree up to the first
+    such exact step; there greedy takes beta*r and its remainder is 0, so
+    every later greedy digit is 0.  The run applies the quasi rule and
+    records that step.
 
     The remainder is held in integers, with no rational normalisation:
     r = (X + Y sqrt(d)) / D with D = D0 s^k, where beta = (P + Q sqrt(d)) / s
@@ -197,12 +201,13 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
     multiplies X + Y sqrt(d) by P + Q sqrt(d) and D by s.  The digit is
     floor((X + floor(Y sqrt d)) / D), with floor(Y sqrt d) from ``isqrt``
     (Y^2 d is never a square for squarefree d > 1).  beta r is an integer
-    exactly when Y == 0 and D divides X.  Factors of s common to X and Y
-    are divided out while k > 0, which makes (X, Y, k) a canonical form of
-    r, so the cycle test compares remainders exactly.
+    x <= m exactly when Y == 0 and X - x D == 0.  Factors of s common to X
+    and Y are divided out while k > 0, which makes (X, Y, k) a canonical
+    form of r, so the cycle test compares remainders exactly.
 
-    Returns (digits, exact) where exact is the full PeriodicSeq when the
-    remainder sequence terminates or cycles within ``depth`` steps, else None.
+    Returns (quasi, greedy), each a pair (digits, exact) of ``depth`` digits,
+    where exact is the full PeriodicSeq when that recursion terminates or
+    cycles within ``depth`` steps, else None.
     """
     beta, m = p.beta, p.m
     if a.d and beta.d and a.d != beta.d:
@@ -216,21 +221,29 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
     k = 0
     digits: list[int] = []
     seen: dict[tuple[int, int, int], int] = {}
+    exact_step = None
     for n in range(depth):
         if not X and not Y:
-            if quasi and digits:
+            # only a = 0 starts here: the quasi rule never leaves remainder 0
+            if digits:
                 raise AssertionError("quasi recursion reached zero remainder")
-            return digits + [0] * (depth - n), PeriodicSeq.from_word(tuple(digits))
-        # For a rational base (Q == 0) a state with k >= 1 never recurs:
-        # its X and Y are not both divisible by s, and as gcd(P, s) = 1
-        # neither are the next state's, so k only grows.  Only k == 0
-        # states are kept.
-        if Q or not k:
+            digits += [0] * depth
+            exact = PeriodicSeq.constant(0)
+            break
+        # For a rational base (Q == 0), gcd(P, s) = 1 and s divides D once
+        # k >= 1, so a step maps X, Y to P X, P Y modulo s.  A state with
+        # k >= 1, whose X and Y are not both divisible by s, passes that on
+        # to every later state: none reduces, k only grows, and none
+        # recurs.  From there the run keeps no cycle table and tests no
+        # remainder for divisibility.
+        settled = not Q and k
+        if not settled:
             key = (X, Y, k)
             if key in seen:
                 start = seen[key]
-                pre, per = tuple(digits[:start]), tuple(digits[start:])
-                return digits + _extend(per, depth - n), PeriodicSeq(pre, per)
+                exact = PeriodicSeq(tuple(digits[:start]), tuple(digits[start:]))
+                digits += _extend(digits[start:], depth - n)
+                break
             seen[key] = n
         X, Y = P * X + Qd * Y, Q * X + P * Y
         if s > 1:
@@ -242,19 +255,31 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int, quasi: bool):
             dig = (X - math.isqrt(Y * Y * d) - 1) // D
         else:
             dig = X // D
-            if quasi and dig <= m and dig * D == X:
-                dig -= 1
         dig = min(dig, m)
         if dig < 0:
             raise ValueError("negative digit: value out of range")
-        digits.append(dig)
         X -= dig * D
-        while k and not X % s and not Y % s:
+        if not X and not Y:
+            # beta r is the integer dig <= m: greedy ends here, and the
+            # quasi rule takes dig - 1, leaving the remainder 1
+            if exact_step is None:
+                exact_step = n
+            dig -= 1
+            X = D
+        digits.append(dig)
+        while not settled and k and not X % s and not Y % s:
             X //= s
             Y //= s
             D //= s
             k -= 1
-    return digits, None
+    else:
+        exact = None
+    if exact_step is None:
+        return (digits, exact), (digits, exact)
+    head = digits[:exact_step] + [digits[exact_step] + 1]
+    # greedy sees its zero remainder one step later, if the depth allows
+    greedy_exact = PeriodicSeq.from_word(head) if len(head) < depth else None
+    return (digits, exact), (head + [0] * (depth - len(head)), greedy_exact)
 
 
 def _extend(per: Word, count: int) -> list[int]:
@@ -270,7 +295,7 @@ def greedy_expansion(a: RealLike, p: Params, depth: int) -> Word:
     """First ``depth`` digits of the lexicographically largest expansion of a."""
     a = as_real(a)
     _check_range(a, p)
-    digits, _ = _greedy_digits(a, p, depth, quasi=False)
+    _, (digits, _) = _greedy_digits(a, p, depth)
     return tuple(digits)
 
 
@@ -291,12 +316,22 @@ def quasi_greedy(a: RealLike, p: Params, depth: int) -> PeriodicSeq | Word:
     """
     a = as_real(a)
     _check_range(a, p)
-    if a == 0:
-        return PeriodicSeq.constant(0)
-    digits, exact = _greedy_digits(a, p, depth, quasi=True)
-    if exact is not None:
-        return exact
-    return tuple(digits)
+    (digits, exact), _ = _greedy_digits(a, p, depth)
+    return exact if exact is not None else tuple(digits)
+
+
+def expansions(a: RealLike, p: Params, depth: int,
+               quasi_depth: int) -> tuple[Word, Word, PeriodicSeq | Word]:
+    """``greedy_expansion`` and ``lazy_expansion`` of a to ``depth``, and
+    ``quasi_greedy`` to ``quasi_depth >= depth``, from two digit recursions:
+    one of a, giving greedy and quasi-greedy, and one of its dual
+    m/(beta-1) - a, giving lazy."""
+    a = as_real(a)
+    _check_range(a, p)
+    (quasi, exact), (greedy, _) = _greedy_digits(a, p, quasi_depth)
+    _, (dual, _) = _greedy_digits(p.max_value - a, p, depth)
+    return (tuple(greedy[:depth]), reflect_word(dual, p.m),
+            exact if exact is not None else tuple(quasi))
 
 
 def quasi_greedy_of_one(p: Params, depth: int = 64) -> PeriodicSeq | Word:
@@ -323,7 +358,7 @@ def quasi_lazy(a: RealLike, p: Params, depth: int) -> PeriodicSeq | Word:
     _check_range(a, p)
     if a == 0:
         return PeriodicSeq.constant(0)
-    digits, exact = _greedy_digits(p.max_value - a, p, depth, quasi=False)
+    _, (digits, exact) = _greedy_digits(p.max_value - a, p, depth)
     if exact is not None:
         return exact.reflect(p.m)
     return reflect_word(digits, p.m)

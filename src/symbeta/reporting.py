@@ -20,15 +20,13 @@ from typing import Any
 
 import numpy as np
 
-from .expansion import (Params, _check_range, as_real, beta_t, greedy_expansion,
-                        lazy_expansion, quasi_greedy)
+from .expansion import Params, _check_range, as_real, beta_t, expansions
 from .operator import (LINEAR_LIMIT, RegimeError, _in_degree, _word_graph,
                        build_system, lk_solve)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq, digits_str
 from .shift import (Kneading, build_kneading, check_transitivity,
-                    digit_interval, digit_interval_integers, enumerate_words,
-                    forbidden_words)
+                    digit_interval, digit_interval_integers, words_and_forbidden)
 from .thermo import (entropy_inf_check, gibbs_measure, max_ergodic_average,
                      random_markov_measure, variational_gap,
                      zero_temperature_scan, DEFAULT_T_GRID)
@@ -63,10 +61,8 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not 0 < self.tol < math.inf:
             raise ConfigError("tol must be positive and finite")
-        if not self.t_grid or not all(map(math.isfinite, self.t_grid)):
+        if not self.t_grid:
             raise ConfigError("t_grid must be a non-empty list of finite values")
-        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-            raise ConfigError("t_grid must be strictly increasing")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.max_period < 1:
@@ -164,9 +160,7 @@ def cmd_expand(cfg: RunConfig) -> Report:
         raise ConfigError(f"bad value for a ({cfg.a}): {exc}") from exc
     rep = Report("expand", cfg)
     n = cfg.depth
-    greedy = greedy_expansion(a, p, n)
-    lazy = lazy_expansion(a, p, n)
-    q = quasi_greedy(a, p, max(n, cfg.kneading_depth))
+    greedy, lazy, q = expansions(a, p, n, max(n, cfg.kneading_depth))
     q_prefix = q.prefix(n) if isinstance(q, PeriodicSeq) else tuple(q[:n])
     rep.summary = {
         "a": cfg.a,
@@ -187,13 +181,12 @@ def cmd_check(cfg: RunConfig) -> Report:
     trans = check_transitivity(p, K)
     lo, hi = digit_interval(p)
     ints = sorted(digit_interval_integers(p))
-    basis = enumerate_words(p, K, cfg.depth)
+    basis, forb = words_and_forbidden(p, K, cfg.depth)
     # a word's preimage digits a are those with a w[:-1] admissible: its
     # in-degree in the word graph.  Every a w[:-1] was a candidate of the
     # enumeration, so none is undecided.
     counts = _in_degree(*_word_graph(basis.digits, p.m + 1))
     cmin, cmax = (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
-    forb = forbidden_words(p, K, cfg.depth)
     rep.summary = {
         "m": p.m,
         "beta": float(p.beta),
@@ -231,8 +224,7 @@ def cmd_words(cfg: RunConfig) -> Report:
     p = cfg.params()
     K = _kneading(cfg, p)
     rep = Report("words", cfg, row_kind="word")
-    basis = enumerate_words(p, K, cfg.depth)
-    forb = forbidden_words(p, K, cfg.depth)
+    basis, forb = words_and_forbidden(p, K, cfg.depth)
     rep.summary = {
         "depth": cfg.depth,
         "count": len(basis),
@@ -335,6 +327,11 @@ def cmd_thermo(cfg: RunConfig) -> Report:
 
 
 def cmd_zerotemp(cfg: RunConfig) -> Report:
+    # the grid's values are checked here, by the one command that reads them
+    if not all(map(math.isfinite, cfg.t_grid)):
+        raise ConfigError("t_grid must be a non-empty list of finite values")
+    if any(b <= a for a, b in zip(cfg.t_grid, cfg.t_grid[1:])):
+        raise ConfigError("t_grid must be strictly increasing")
     rep = Report("zerotemp", cfg, row_kind="t_point")
     p = cfg.params()
     K = _kneading(cfg, p)
@@ -419,6 +416,60 @@ def _join_rows(lits: list[str], cols: list[list[str]]) -> list[str]:
     return rows
 
 
+#: rows per entry of ``_word_block``
+BLOCK_ROWS = 2048
+
+
+def _word_block(D: np.ndarray, head: str, tail: str) -> list[str]:
+    """The rows head + word + tail of a digit matrix with no digit above 9,
+    ``BLOCK_ROWS`` rows to an entry, joined by newlines.  Each entry is
+    filled as one fixed-width uint8 block and decoded at once; a block of
+    every row would hold the whole text twice at its peak."""
+    h, t = head.encode(), tail.encode()
+    n = D.shape[1]
+    a, b = len(h), len(h) + n
+    out = []
+    for i in range(0, len(D), BLOCK_ROWS):
+        part = D[i:i + BLOCK_ROWS]
+        block = np.empty((len(part), b + len(t) + 1), dtype=np.uint8)
+        block[:, :a] = np.frombuffer(h, dtype=np.uint8)
+        np.add(part, 48, out=block[:, a:b])
+        block[:, b:-1] = np.frombuffer(t, dtype=np.uint8)
+        block[:, -1] = 10
+        out.append(block.reshape(-1)[:-1].tobytes().decode())
+    return out
+
+
+def _digit_block(cols: list) -> bool:
+    """Whether ``cols`` is a lone word column with no digit above 9."""
+    D = cols[0]
+    return (len(cols) == 1 and isinstance(D, np.ndarray) and D.ndim == 2
+            and (not D.size or D.max() <= 9))
+
+
+def _rows(lits: list[str], cols: list, json_form: bool, width: int = 0) -> list[str]:
+    """The row text of ``cols`` between the literals ``lits`` (as in
+    ``_join_rows``), each cell right-justified to ``width``.  A lone word
+    column with no digit above 9 is rendered by ``_word_block``."""
+    if _digit_block(cols):
+        D = cols[0]
+        quote = '"' if json_form else ""
+        pad = " " * (width - D.shape[1])
+        return _word_block(D, lits[0] + pad + quote, quote + lits[1])
+    cells = [_cells(col, json_form) for col in cols]
+    if width:
+        cells = [[c.rjust(width) for c in col] for col in cells]
+    return _join_rows(lits, cells)
+
+
+def _text(lines: list[str]) -> str:
+    """The lines, each ended by a newline.  The final newline is joined
+    in as an empty last line: appending it to the joined text would copy
+    the whole output once more."""
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _render_table(rep: Report) -> str:
     out = [f"# symbeta {rep.command}  (m={rep.config.m}, beta={rep.config.beta})"]
     for k, v in rep.summary.items():
@@ -426,11 +477,11 @@ def _render_table(rep: Report) -> str:
     if rep.n_rows:
         out.append("")
         out.append("  ".join(f"{c:>16s}" for c in rep.columns))
-        cells = [[c.rjust(16) for c in _cells(col, False)] for col in rep.columns.values()]
-        out.extend(_join_rows([""] + ["  "] * (len(cells) - 1) + [""], cells))
+        cols = list(rep.columns.values())
+        out.extend(_rows([""] + ["  "] * (len(cols) - 1) + [""], cols, False, 16))
     for w in rep.warnings:
         out.append(f"WARNING: {w}")
-    return "\n".join(out) + "\n"
+    return _text(out)
 
 
 def _jsonable(v):
@@ -455,31 +506,31 @@ def _render_jsonl(rep: Report) -> str:
     if rep.n_rows:
         # keys sorted as json.dumps sorts them; the record kind is constant,
         # so it joins the text between the cells
-        lits, cells, text = [], [], "{"
+        lits, cols, text = [], [], "{"
         for i, k in enumerate(sorted(["record", *rep.columns])):
             text += (", " if i else "") + json.dumps(k) + ": "
             if k == "record":
                 text += json.dumps(rep.row_kind)
             else:
                 lits.append(text)
-                cells.append(_cells(rep.columns[k], True))
+                cols.append(rep.columns[k])
                 text = ""
-        lines.extend(_join_rows(lits + [text + "}"], cells))
+        lines.extend(_rows(lits + [text + "}"], cols, True))
     for w in rep.warnings:
         lines.append(json.dumps({"record": "warning", "message": w}, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    return _text(lines)
 
 
 def _render_csv(rep: Report) -> str:
     lines = []
     if rep.n_rows:
         lines.append(",".join(rep.columns))
-        cells = [_cells(col, False) for col in rep.columns.values()]
-        lines.extend(_join_rows([""] + [","] * (len(cells) - 1) + [""], cells))
+        cols = list(rep.columns.values())
+        lines.extend(_rows([""] + [","] * (len(cols) - 1) + [""], cols, False))
     else:
         lines.append("key,value")
         for k, v in rep.summary.items():
             lines.append(f"{k},{_fmt_val(v)}")
     for w in rep.warnings:
         lines.append(f"# WARNING: {w}")
-    return "\n".join(lines) + "\n"
+    return _text(lines)

@@ -336,6 +336,23 @@ def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
     return CylinderBasis(n, cands[ok])
 
 
+def words_and_forbidden(p: Params, K: Kneading, n: int) -> tuple[CylinderBasis, list[Word]]:
+    """``enumerate_words(p, K, n)`` and ``forbidden_words(p, K, n)`` from one
+    walk of the levels: a rejected candidate is a minimal forbidden word
+    when dropping its last digit leaves a word of the previous level.
+    """
+    out: list[Word] = []
+    level = np.zeros((1, 0), dtype=np.uint8)
+    for cands, ok in _levels(p, K, n):
+        # bad[1:] is admissible by construction; with bad[:-1] admissible
+        # too, every proper factor passes
+        bad = cands[~ok]
+        bad = bad[locate_rows(level, bad[:, :-1], p.m + 1) >= 0]
+        out.extend(map(tuple, bad.tolist()))
+        level = cands[ok]
+    return CylinderBasis(n, level), out
+
+
 def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
     """Minimal forbidden words of length <= n: inadmissible words whose
     every proper factor is admissible.
@@ -344,17 +361,7 @@ def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
     generate the same subshift as the full forbidden collection up to
     length n.  Sorted by (length, word).
     """
-    out: list[Word] = []
-    level = None
-    for cands, ok in _levels(p, K, n):
-        bad = cands[~ok]
-        if level is not None:
-            # bad[1:] is admissible by construction; with bad[:-1]
-            # admissible too, every proper factor passes
-            bad = bad[locate_rows(level, bad[:, :-1], p.m + 1) >= 0]
-        out.extend(map(tuple, bad.tolist()))
-        level = cands[ok]
-    return out
+    return words_and_forbidden(p, K, n)[1]
 
 
 # ---------------------------------------------------------------------------

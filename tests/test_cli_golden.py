@@ -5,7 +5,8 @@ expansions over rational and quadratic bases (terminating, cycling and
 truncated), words with digits above 9 (the comma form), and the row
 renderers of ``spectrum --full``, ``zerotemp`` and ``thermo`` in every
 format, plus ``thermo`` on a shift that is not full (words with fewer
-than m + 1 successors).  Any change to the digit recursions or the renderers that moves
+than m + 1 successors), and the commands of the benchmark's symbolic
+workload.  Any change to the digit recursions or the renderers that moves
 one byte of output fails here.
 """
 
@@ -56,6 +57,12 @@ CASES = [
      "fad48e2894edb0dda976be3047f0001727f087f53ddc0987a8590722df1d4a1b"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
      "a570181ed4f27957be84efad3de237c4737cee2b32929ca8dec763e014255163"),
+    # the benchmark's symbolic workload: a deep expansion at a rational
+    # base with a 73-bit denominator, and 155,197 word rows
+    ("expand --m 3 --beta beta_T --a 1 --depth 1000 --kneading-depth 1002",
+     "24a12e2a9e6742dd9e50af7a39b50fcbdc46174a4e45b5694faa6b00dfc6979d"),
+    ("words --m 4 --beta 4.7 --depth 8 --format jsonl",
+     "a467f3471490ee48cf15489532bbd22841a54c48b035ee70c989af2588351fd0"),
 ]
 
 

@@ -5,9 +5,12 @@ Both must return the same digits and the same exact ``PeriodicSeq`` (or
 both None) for greedy and quasi-greedy, on a value and on its dual
 ``max_value - a``, over golden ratios, the transitive bases and rational
 bases.  The grid reaches all three ends of the recursion: an exact zero
-remainder, an exact cycle and truncation at the depth.  ``quasi_lazy``,
-now the reflected greedy recursion of the dual, is held to the direct
-smallest-digit loop on the same grid.
+remainder, an exact cycle and truncation at the depth.  The one run of
+the quasi rule gives both, greedy read off at its first exact step, so
+every public expansion is held to the greedy and quasi-greedy loops too,
+at depths where that step is the last digit.  ``quasi_lazy``, now the
+reflected greedy recursion of the dual, is also held to the direct
+smallest-digit loop.
 """
 
 import tracemalloc
@@ -15,10 +18,13 @@ from fractions import Fraction
 
 import pytest
 
+from symbeta import expansion
 from symbeta.algebraic import QuadReal
-from symbeta.expansion import (Params, _extend, _greedy_digits, greedy_expansion,
-                               quasi_lazy)
-from symbeta.sequences import PeriodicSeq
+from symbeta.expansion import (Params, _extend, _greedy_digits, expansions,
+                               greedy_expansion, lazy_expansion, quasi_greedy,
+                               quasi_lazy, unique_expansion)
+from symbeta.reporting import RunConfig, cmd_expand
+from symbeta.sequences import PeriodicSeq, reflect_word
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +112,11 @@ def test_integer_recursion_matches_quadreal_loop():
             for x in (a, p.max_value - a):
                 if not 0 <= x <= p.max_value:
                     continue
-                for quasi in (False, True):
-                    if quasi and x == 0:
-                        continue
+                runs = dict(zip((True, False), _greedy_digits(x, p, DEPTH)))
+                for quasi, got in runs.items():
                     case = (m, beta, x, quasi)
                     want = oracle_greedy_digits(x, p, DEPTH, quasi)
-                    assert _greedy_digits(x, p, DEPTH, quasi) == want, case
+                    assert got == want, case
                     branches.setdefault(_branch(want[1], quasi, x), case)
     assert set(branches) == {"terminated", "cycled", "truncated"}, branches
 
@@ -153,3 +158,89 @@ def test_rational_base_cycle_memory_stays_small():
         tracemalloc.stop()
     assert len(digits) == 4000
     assert peak < 5 * 2 ** 20
+
+
+def _oracle_expansions(x: QuadReal, p: Params, depth: int):
+    """greedy, lazy, quasi_greedy, quasi_lazy and unique from the QuadReal
+    loop, as the public functions define them."""
+    greedy, _ = oracle_greedy_digits(x, p, depth, False)
+    dual, dual_exact = oracle_greedy_digits(p.max_value - x, p, depth, False)
+    lazy = reflect_word(dual, p.m)
+    digits, exact = oracle_greedy_digits(x, p, depth, True)
+    quasi = exact if exact is not None else tuple(digits)
+    if x == 0:
+        qlazy = PeriodicSeq.constant(0)
+    else:
+        qlazy = dual_exact.reflect(p.m) if dual_exact is not None else lazy
+    return tuple(greedy), lazy, quasi, qlazy, tuple(greedy) == lazy
+
+
+def _public_expansions(x: QuadReal, p: Params, depth: int):
+    return (greedy_expansion(x, p, depth), lazy_expansion(x, p, depth),
+            quasi_greedy(x, p, depth), quasi_lazy(x, p, depth),
+            unique_expansion(x, p, depth))
+
+
+# (m, beta, values, depths): beta_T at odd m is a rational with a 73-bit
+# denominator; 2/7 at beta = 5/2 and 10/21 at beta = 47/10 have s | X, so
+# their first step reduces; at beta = 2, 1/2 and 3/8 terminate at digits
+# 1 and 3, so depths 1 and 3 end on the exact step; the quadratic bases
+# keep the remainder test on every step.
+PUBLIC_CASES = [
+    *[(m, "beta_T", (1, Fraction(9, 10), Fraction(1, 3)), (300,)) for m in (1, 3, 5)],
+    (2, "2.5", (Fraction(2, 7),), (1, 2, 40)),
+    (4, "4.7", (Fraction(10, 21),), (1, 2, 40)),
+    (1, "2", (Fraction(1, 2), Fraction(3, 8), 0, 1), (1, 2, 3, 4, 20)),
+    *[(m, "beta_T", (1, Fraction(1, 2), Fraction(3, 7)), (1, 3, 120)) for m in (2, 4, 6)],
+    *[(m, "golden", (1, Fraction(1, 2), Fraction(3, 7)), (1, 3, 120)) for m in (1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("m, beta, values, depths", PUBLIC_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in PUBLIC_CASES])
+def test_public_expansions_match_quadreal_loop(m, beta, values, depths):
+    p = Params.make(m, beta)
+    for v in values:
+        a = QuadReal.of(v)
+        for x in (a, p.max_value - a):
+            if not 0 <= x <= p.max_value:
+                continue
+            for depth in depths:
+                case = (m, beta, x, depth)
+                want = _oracle_expansions(x, p, depth)
+                assert _public_expansions(x, p, depth) == want, case
+                # one run of x to a longer depth gives greedy and lazy at depth
+                digits, exact = oracle_greedy_digits(x, p, depth + 2, True)
+                longer = exact if exact is not None else tuple(digits)
+                assert expansions(x, p, depth, depth + 2) == (*want[:2], longer), case
+
+
+def test_exact_step_at_the_last_digit():
+    p = Params.make(1, 2)
+    a = QuadReal.of(Fraction(1, 2))
+    quasi, greedy = _greedy_digits(a, p, 1)
+    assert quasi == ([0], None)
+    assert greedy == ([1], None)
+    # greedy sees its zero remainder at the second step, quasi its cycle
+    # at the third
+    quasi, greedy = _greedy_digits(a, p, 2)
+    assert quasi == ([0, 1], None)
+    assert greedy == ([1, 0], PeriodicSeq.from_word((1,)))
+    quasi, greedy = _greedy_digits(a, p, 3)
+    assert quasi == ([0, 1, 1], PeriodicSeq((0,), (1,)))
+    assert greedy == ([1, 0, 0], PeriodicSeq.from_word((1,)))
+
+
+def test_cmd_expand_runs_two_recursions(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _greedy_digits(*args)
+
+    monkeypatch.setattr(expansion, "_greedy_digits", counted)
+    for a in ("1", "0.5"):
+        calls.clear()
+        rep = cmd_expand(RunConfig(m=3, beta="beta_T", a=a, depth=40, kneading_depth=42))
+        assert len(calls) == 2
+        assert rep.summary["greedy"] == "".join(map(str, greedy_expansion(a, rep.config.params(), 40)))

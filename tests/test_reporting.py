@@ -3,6 +3,7 @@ import shlex
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symbeta import operator, reporting, thermo
@@ -27,7 +28,10 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         RunConfig(fmt="xml")
     with pytest.raises(ConfigError):
-        RunConfig(t_grid=(2.0, 1.0))
+        RunConfig(t_grid=())
+    # the grid's order is checked where zerotemp reads it
+    with pytest.raises(ConfigError):
+        cmd_zerotemp(RunConfig(t_grid=(2.0, 1.0)))
     with pytest.raises(ConfigError):
         RunConfig(potential="mystery:1")
     with pytest.raises(ConfigError):
@@ -425,3 +429,82 @@ def test_cli_check_separates_kneading_digits_above_9(capsys):
     assert not kneading["exact"]
     assert kneading["upper_prefix"][:8] == [12, 6, 3, 1, 7, 0, 4, 11]
     assert kneading["upper"] == ",".join(map(str, kneading["upper_prefix"])) + "..."
+
+
+# ---------------------------------------------------------------------------
+# the word block against the row join
+
+
+def _words_report(m, beta, depth):
+    return reporting.cmd_words(RunConfig(m=m, beta=beta, depth=depth))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+@pytest.mark.parametrize("m, beta, depth", [(3, "3.5", 4), (3, "3.5", 8), (1, "golden", 3)])
+def test_word_block_equals_row_join(m, beta, depth, fmt, monkeypatch):
+    rep = _words_report(m, beta, depth)
+    block = reporting.render_report(rep, fmt)
+    monkeypatch.setattr(reporting, "_digit_block", lambda cols: False)
+    assert reporting.render_report(rep, fmt) == block
+
+
+def test_word_block_chunks():
+    D = _words_report(3, "3.5", 8).columns["word"]
+    assert len(D) > 2 * reporting.BLOCK_ROWS
+    chunks = reporting._word_block(D, "<", ">")
+    assert len(chunks) == -(-len(D) // reporting.BLOCK_ROWS)
+    assert all(c.count("\n") == reporting.BLOCK_ROWS - 1 for c in chunks[:-1])
+    cells = reporting._word_cells(D)
+    assert "\n".join(chunks) == "\n".join(reporting._join_rows(["<", ">"], [cells]))
+
+
+def test_word_block_of_no_rows():
+    D = np.zeros((0, 4), dtype=np.uint8)
+    assert reporting._word_block(D, "<", ">") == [] == reporting._join_rows(["<", ">"], [[]])
+    rep = reporting.Report("words", RunConfig(), columns={"word": D})
+    for fmt in ("table", "csv", "jsonl"):
+        assert "<" not in reporting.render_report(rep, fmt)
+
+
+@pytest.mark.parametrize("cmd, cfg", [
+    (reporting.cmd_words, RunConfig(m=12, beta="12.5", depth=2)),
+    (lambda cfg: reporting.cmd_spectrum(cfg, full=True),
+     RunConfig(m=3, beta="3.5", depth=3, potential="digit_table:0.3,0,0.1,0.05")),
+    (reporting.cmd_thermo, RunConfig(m=3, beta="4", depth=2)),
+    (reporting.cmd_zerotemp, RunConfig(m=3, beta="4", depth=2, t_grid=(1.0, 2.0))),
+], ids=["words-m12", "spectrum", "thermo", "zerotemp"])
+def test_other_reports_take_the_row_join(cmd, cfg, monkeypatch):
+    rep = cmd(cfg)
+    assert rep.n_rows
+    assert not reporting._digit_block(list(rep.columns.values()))
+
+    def refuse(*args):
+        raise AssertionError("word block used")
+
+    monkeypatch.setattr(reporting, "_word_block", refuse)
+    for fmt in ("table", "csv", "jsonl"):
+        reporting.render_report(rep, fmt)
+
+
+# ---------------------------------------------------------------------------
+# t_grid is checked by zerotemp only
+
+
+def test_thermo_ignores_an_unordered_t_grid(capsys):
+    argv = ["thermo", "--m", "3", "--beta", "4", "--depth", "2"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--t-grid", "2,1"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("2,1", "t_grid must be strictly increasing"),
+    ("1,inf", "t_grid must be a non-empty list of finite values"),
+])
+def test_zerotemp_rejects_a_bad_t_grid(grid, message, capsys):
+    assert main(["zerotemp", "--m", "3", "--beta", "4", "--depth", "2",
+                 "--t-grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert not captured.out
