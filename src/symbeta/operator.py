@@ -453,36 +453,60 @@ def _warm_start(start: EigenData | None, t_scale: float):
     return tuple(v - np.max(v) for v in (start.log_psi * r, start.log_rho * r))
 
 
+def _iterate(step, v, tol: float, max_iter: int, settle: float, window: int | None):
+    """The power-iteration loop of either half in either scale.
+
+    ``step(v, damped)`` applies the operator once and returns (quotient,
+    normalized iterate, change): the Rayleigh quotient q of v, the next
+    iterate, sup-normalized, and how far it moved.  The loop stops on
+    "tol" once two successive quotients agree to ``tol * max(1, |q|)``
+    and the change is below ``settle * tol``; otherwise it stops on
+    "max_iter".  The gap estimate is 1 minus the last one-step
+    contraction of the change, damped or not.
+
+    Undamped steps v -> L v contract by |lam_2|/lam.  The damped update
+    v -> L v + max(lam, 0) v keeps the Perron vector and breaks the modulus tie
+    of operators concentrating on a periodic orbit (lam_2 near -lam), but
+    L is singular (words with the same (n-1)-prefix have equal rows), so
+    it never contracts faster than 1/2 per step.  With ``window`` None
+    every step is damped; otherwise the loop switches to damping for good
+    once the change at step k exceeds 2^-window times the change at step
+    k - window.  A window of the depth outlasts the transient of the zero
+    eigenvalue, which can move the iterate by a constant amount for up to
+    depth steps.  Returns (quotient, iterate, steps, gap, stop reason).
+    """
+    q_prev = None
+    diffs: list[float] = []
+    damped = window is None
+    gap = None
+    stop = "max_iter"
+    it = 0
+    for it in range(1, max_iter + 1):
+        q, v, diff = step(v, damped)
+        if diffs and diffs[-1] > 0 and diff > 0:
+            gap = 1.0 - min(diff / diffs[-1], 1.0)
+        q_ok = q_prev is not None and abs(q - q_prev) < tol * max(1.0, abs(q))
+        q_prev = q
+        if q_ok and diff < settle * tol:
+            stop = "tol"
+            break
+        diffs.append(diff)
+        damped = damped or (it > window and diff > diffs[-1 - window] * 0.5 ** window)
+    return q_prev, v, it, gap, stop
+
+
 def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
                 t_scale: float = 1.0, start: EigenData | None = None) -> EigenData:
     """Perron eigendata by sup-normalized power iteration.
 
     Runs the forward iteration for the eigenfunction and the transpose
-    iteration for the eigenmeasure.  Each half stops once successive
-    Rayleigh quotients agree to ``tol`` relative and the sup-normalized
-    iterate moves by less than ``10 * tol``; converged means both halves
-    stopped that way and the eigen-equation residual is below
-    ``100 * tol``.  A half that runs into ``max_iter`` is never reported
-    as converged; the best iterate is returned with ``converged=False``
+    iteration for the eigenmeasure, each in ``_iterate`` with the settle
+    bound ``10 * tol`` and the switch to damping over a window of
+    ``T.depth`` steps.  Converged means both halves stopped on "tol" and
+    the eigen-equation residual is below ``100 * tol``; a half that runs
+    into ``max_iter`` returns its best iterate with ``converged=False``
     rather than raising.  ``start`` (eigendata at another scale)
     warm-starts both halves from its eigenvectors, see ``_warm_start``.
-
-    Each half starts undamped, v -> L v, which contracts by |lam_2|/lam
-    per step, and switches for good to the damped update
-    v -> L v + max(lam, 0) v once the iterate change at step k exceeds
-    2^-n times the change at step k - n, n = ``T.depth``.  Damping breaks
-    the modulus tie of operators concentrating on a periodic orbit
-    (lam_2 near -lam).  But L is singular (words with the same
-    (n-1)-prefix have equal rows), so the damped map keeps the eigenvalue
-    lam beside 2 lam and never contracts faster than 1/2 per step.  The
-    window of n steps outlasts the transient of the zero eigenvalue,
-    which can move the iterate by a constant amount for up to n steps.
-    ``gap_estimate`` is 1 minus the last one-step contraction of the
-    forward iteration actually run, damped or not.  ``log_power_solve``
-    damps every step: its operators, above the log threshold,
-    concentrate on periodic orbits, where undamped log iteration is
-    slower or stalls (at (3, 3.5), depths 6 and 7: 111-112 iterations per
-    half instead of 33-46 at t = 64, and max_iter at t = 512).
     """
     L = _Operator(T, t_scale)
     v0, u0 = (np.ones(T.n_words) if v is None else np.exp(v)
@@ -499,21 +523,7 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
 
 
 def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int):
-    # Undamped (contraction |lam_2|/lam) until the change over the last
-    # ``window`` steps, the depth, shrank by less than 2^-window; then
-    # damped on M + lam*I for good.  That keeps the Perron vector and
-    # breaks the modulus tie of near-antipodal eigenvalues, but M is
-    # singular, so M + lam*I never contracts faster than 1/2 per step.  The
-    # window outlasts the zero eigenvalue's transient of up to depth steps.
-    # ``gap`` measures the iteration actually run.  The log-domain half
-    # damps every step (see ``power_solve``).
-    lam_prev = 0.0
-    diffs: list[float] = []
-    damped = False
-    gap = None
-    stop = "max_iter"
-    it = 0
-    for it in range(1, max_iter + 1):
+    def step(v, damped):
         w_raw = apply(v)
         if not np.all(np.isfinite(w_raw)):
             raise FloatingPointError("power iteration overflowed")
@@ -523,19 +533,11 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int):
         if top <= 0 or not np.isfinite(top):
             raise FloatingPointError("power iteration left the positive cone")
         w = w / top
-        diff = float(np.max(np.abs(w - v)))
-        if diffs and diffs[-1] > 0 and diff > 0:
-            gap = 1.0 - min(diff / diffs[-1], 1.0)
-        v = w
-        lam_ok = abs(lam - lam_prev) < tol * max(1.0, abs(lam))
-        lam_prev = lam
-        if lam_ok and diff < 10 * tol:
-            stop = "tol"
-            break
-        diffs.append(diff)
-        damped = damped or (it > window and diff > diffs[-1 - window] * 0.5 ** window)
-    resid = float(np.max(np.abs(apply(v) - lam_prev * v)) / max(lam_prev, 1e-300))
-    return lam_prev, v, it, resid, gap, stop
+        return lam, w, float(np.max(np.abs(w - v)))
+
+    lam, v, it, gap, stop = _iterate(step, v, tol, max_iter, 10, window)
+    resid = float(np.max(np.abs(apply(v) - lam * v)) / max(lam, 1e-300))
+    return lam, v, it, resid, gap, stop
 
 
 def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
@@ -543,12 +545,15 @@ def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
                     start: EigenData | None = None) -> EigenData:
     """Power iteration in log scale; required once exp(t A) overflows.
 
-    Each half stops once successive log Rayleigh quotients agree to
-    ``tol * max(1, |log lambda|)`` and the iterate, on the components
-    within e^60 of its maximum, moves by less than ``100 * tol``.  Both
-    tests must pass: the windowed change alone can settle before mass
-    outside the window has grown in.  Converged and ``max_iter`` are as
-    in ``power_solve``, and so is the warm start from ``start``.
+    Each half runs ``_iterate`` damped from the first step: above the log
+    threshold the operators concentrate on periodic orbits, where undamped
+    log iteration is slower or stalls (at (3, 3.5), depths 6 and 7:
+    111-112 iterations per half instead of 33-46 at t = 64, and max_iter
+    at t = 512).  The change is taken on the components within e^60 of the
+    iterate's maximum and must settle below ``100 * tol``; the quotient
+    test must pass too, as the windowed change alone can settle before
+    mass outside the window has grown in.  Converged, ``max_iter`` and
+    the warm start from ``start`` are as in ``power_solve``.
     """
     L = _Operator(T, t_scale)
     v0, u0 = _warm_start(start, t_scale)
@@ -567,43 +572,27 @@ _LOG_WINDOW = 60.0   # components below max - window carry < e^-60 relative mass
 
 def _log_power_one(apply_log, n: int, tol: float, max_iter: int,
                    logv0: np.ndarray | None = None):
-    # The iterate change is judged on the mass-carrying window only:
-    # components far below the maximum keep drifting by a constant
-    # log-amount per iteration (they decay at their own rate) and never
-    # settle, while contributing nothing to the eigendata.
-    logv = np.zeros(n) if logv0 is None else logv0
-    lam_prev = None
-    diff_prev = None
-    gap = None
-    stop = "max_iter"
-    it = 0
-    for it in range(1, max_iter + 1):
+    # The change is judged on the mass-carrying components only: those far
+    # below the maximum keep drifting by a constant log-amount per step
+    # (they decay at their own rate) and never settle, while contributing
+    # nothing to the eigendata.
+    def step(logv, damped):
         logw_raw = apply_log(logv)
-        # Rayleigh quotient in log scale
         log_lam = _lse_vec(logv + logw_raw) - _lse_vec(2.0 * logv)
-        # damped update log(exp(Lv) + lam v): same Perron vector, breaks
-        # the modulus tie of asymptotically periodic operators
-        logw = np.logaddexp(logw_raw, log_lam + logv)
+        logw = np.logaddexp(logw_raw, log_lam + logv)   # log(L v + lam v)
         logw = logw - np.max(logw)
         window = logw > -_LOG_WINDOW
-        diff = float(np.max(np.abs(logw[window] - logv[window])))
-        if diff_prev is not None and diff_prev > 0 and diff > 0:
-            gap = 1.0 - min(diff / diff_prev, 1.0)
-        logv = logw
-        lam_ok = (lam_prev is not None
-                  and abs(log_lam - lam_prev) < tol * max(1.0, abs(log_lam)))
-        lam_prev = log_lam
-        if lam_ok and diff < 100 * tol:
-            stop = "tol"
-            break
-        diff_prev = diff
+        return log_lam, logw, float(np.max(np.abs(logw[window] - logv[window])))
+
+    logv = np.zeros(n) if logv0 is None else logv0
+    log_lam, logv, it, gap, stop = _iterate(step, logv, tol, max_iter, 100, None)
     logw = apply_log(logv)
     top = np.max(logv)
     window = logv > top - _LOG_WINDOW
     # eigen-equation violation weighted by relative component mass
-    resid = float(np.max(np.abs(logw[window] - lam_prev - logv[window])
+    resid = float(np.max(np.abs(logw[window] - log_lam - logv[window])
                          * np.exp(logv[window] - top)))
-    return lam_prev, logv, it, resid, gap, stop
+    return log_lam, logv, it, resid, gap, stop
 
 
 @dataclass(frozen=True)

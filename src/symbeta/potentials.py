@@ -5,8 +5,9 @@ shift.  Supported kinds:
 
 - ``zero``:        A = 0
 - ``digit_table``: A(x) = c[x(1)], one value per first digit
-- ``block_table``: A(x) = table[x(1..k)], one value per admissible k-word
-- ``geometric``:   A(x) = c * sum_{j<=kmax} theta^(j-1) x(j), 0 < theta < 1/2
+- ``block_table``: A(x) = table[x(1..k)], one value per admissible k-word, k >= 1
+- ``geometric``:   A(x) = c * sum_{j<=kmax} theta^(j-1) x(j), 0 < theta < 1/2,
+  kmax >= 1
 
 Every kind is Holder for the shift metric d = 2^(1-n).  The first three
 are constant on depth-k cylinders (k = 0, 1 and the block length); on a
@@ -54,6 +55,8 @@ class PotentialSpec:
 
     @staticmethod
     def block_table(k: int, table: Mapping[Sequence[int], float]) -> "PotentialSpec":
+        if k < 1:
+            raise ValueError("block_table block length must be >= 1")
         tbl = {tuple(w): float(v) for w, v in table.items()}
         if any(len(w) != k for w in tbl):
             raise ValueError(f"block_table keys must have length {k}")
@@ -63,6 +66,8 @@ class PotentialSpec:
     def geometric(c: float, theta: float = 0.25, kmax: int = 12) -> "PotentialSpec":
         if not (0.0 < theta < 0.5):
             raise ValueError("theta must lie in (0, 1/2)")
+        if kmax < 1:
+            raise ValueError("kmax must be >= 1")
         return PotentialSpec(kind="geometric", geo_c=float(c), geo_theta=float(theta),
                              geo_kmax=int(kmax))
 

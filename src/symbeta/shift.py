@@ -433,15 +433,7 @@ def kneading_self_admissible(K: Kneading) -> bool | None:
     """
     if K.exact:
         return is_admissible_point(K.upper_seq(), K)
-    undecided = False
-    for k in range(1, K.depth):
-        w = K.upper[k:]
-        r = _suffix_ok(w, K)
-        if r is False:
-            return False
-        if r is None:
-            undecided = True
-    return None if undecided else True
+    return is_admissible(K.upper[1:], K)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,23 @@ expansions over rational and quadratic bases (terminating, cycling and
 truncated), words with digits above 9 (the comma form), and the row
 renderers of ``spectrum --full``, ``zerotemp`` and ``thermo`` in every
 format, plus ``thermo`` on a shift that is not full (words with fewer
-than m + 1 successors), and the commands of the benchmark's symbolic
-workload.  Any change to the digit recursions or the renderers that moves
-one byte of output fails here.
+than m + 1 successors), two commands of the benchmark's symbolic
+workload, and its spectrum-deep, zerotemp-scan and thermo-gaps commands at
+seed 0.  Any change to the digit recursions, the solvers or the renderers
+that moves one byte of output fails here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from symbeta.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 POT = "--potential digit_table:0.3,0,0.1,0.05"
 
@@ -71,3 +78,36 @@ def test_stdout_is_pinned(argv, digest, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the benchmark's spectrum-deep, zerotemp-scan and thermo-gaps commands at
+# seed 0.  At these sizes OpenBLAS splits np.dot across threads and the last
+# printed digits depend on the thread count, so each runs in its own process
+# pinned to one thread.
+GEO = "--potential geometric:c=1,theta=0.25,kmax=12"
+BENCH_CASES = [
+    ("spectrum --m 5 --beta 6 --depth 7 --potential digit_table:0.3,0,0.1,0.05,0.2,0.1",
+     "9e301a7ecc2e5d0095e68cf32fd54c64191949a4b7fdbc4a2978ec4b279088ad"),
+    (f"spectrum --m 4 --beta 5 --depth 7 {GEO}",
+     "bacdfb117105520b57eeade6728185e55bfc63efd9bce989e38c7c3d1c522696"),
+    (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
+     "13f085e5df007fca341e08e69bbcdac7512d4a8f9e429cc886feaf52a2aa32ce"),
+    (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
+     "83942c8c966eda25d2cbceb84515aba0a1b887eacde55b2216db8ff8d584d8f5"),
+    (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",
+     "7609ca7974e42938609250813d09a7708755bfcd65904fd5b117b95cfa2356c5"),
+    ("thermo --m 4 --beta 5 --depth 5 --potential digit_table:0.3,0,0.1,0.05,0.2",
+     "562a9c1810719a42c66fd452286b46ada4ea95759af4709b251a567ac1dc30c1"),
+    (f"thermo --m 3 --beta 3.5 --depth 6 {POT}",
+     "1ea11086681de85f8cbf7937e7c54fc1390a74ab670d2760ab1dd798e7c9ea90"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])
+def test_benchmark_stdout_is_pinned(argv, digest):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "symbeta", *argv.split()],
+                         capture_output=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == digest

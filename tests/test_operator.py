@@ -145,6 +145,39 @@ def test_max_iter_is_never_converged():
         assert eig.iterations == 6
 
 
+def _stops(eig):
+    return eig.iterations_fwd, eig.iterations_bwd, eig.stop_reason, eig.gap_estimate
+
+
+def test_stop_rule_is_pinned():
+    # step counts, stop reasons and gap estimates of both scales, cold,
+    # warm-started along a zerotemp continuation (log scale from t = 64)
+    # and cut at max_iter
+    T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=5)
+    assert _stops(power_solve(T)) == (31, 59, "tol", 0.6287799791449427)
+    assert _stops(log_power_solve(T, t_scale=64.0)) == (44, 116, "tol", 0.5483383685800605)
+    assert _stops(power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.480938747846111)
+    assert _stops(log_power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.5145848424851678)
+    chain = [(31, 59, "tol", 0.6287799791449427), (31, 32, "tol", 0.6269005847953216),
+             (32, 31, "tol", 0.5123456790123457), (30, 28, "tol", 0.7764705882352941),
+             (34, 32, "tol", 0.6734693877551021), (30, 30, "tol", 0.7912087912087912),
+             (39, 43, "tol", 0.49956634865568084), (37, 38, "tol", 0.5214067278287462),
+             (37, 36, "tol", 0.5033557046979866)]
+    for t, stops in zip((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0), chain):
+        T = T.solve(t_scale=t)
+        assert _stops(T.eigen) == stops, t
+
+
+def test_each_half_compares_two_quotients():
+    # lambda ~ 2e-15 < tol: a first quotient compared with a start value
+    # of 0 would pass the quotient test before two quotients exist
+    T = system(3, 4, PotentialSpec.digit_table([-35.0, -35.0, -35.0, -36.0]), n=3)
+    for eig in (power_solve(T), log_power_solve(T)):
+        assert eig.lam < 1e-14
+        assert eig.converged and eig.stop_reason == "tol"
+        assert min(eig.iterations_fwd, eig.iterations_bwd) >= 2
+
+
 def test_verdict_fields_are_python_scalars():
     T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=4)
     for t in (1.0, 256.0):

@@ -317,6 +317,17 @@ def test_cli_malformed_value_exits_2(argv, config_text, tmp_path, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("potential", [
+    "geometric:c=1,kmax=-3", "geometric:c=1,kmax=0", "block_table:-1:", "block_table:0:"])
+def test_cli_potential_of_no_digits_exits_2(potential, capsys):
+    # a block or a geometric sum must read at least one digit
+    argv = ["spectrum", "--m", "3", "--beta", "4", "--depth", "3", "--potential", potential]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: bad potential spec: ")
+    assert not captured.out
+
+
 @pytest.mark.parametrize("config_text", ["log_threshold = 16\n", "irreducibility_j = 8\n"])
 def test_cli_removed_config_keys_exit_2(config_text, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
