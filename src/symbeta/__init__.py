@@ -11,14 +11,13 @@ from .expansion import (Params, beta_t, eval_series, golden_ratio,
                         quasi_greedy, quasi_greedy_of_one, quasi_lazy,
                         transitive_pattern, unique_expansion)
 from .operator import (EigenData, NormalizedSystem, RegimeError, TransferSystem,
-                       build_system, canonical_point, dense_spectrum, iterate,
-                       lk_solve, log_power_solve, normalize_potential,
-                       power_solve)
+                       build_system, dense_spectrum, iterate, lk_solve,
+                       log_power_solve, normalize_potential, power_solve)
 from .potentials import PotentialSpec, parse_potential
 from .sequences import (PeriodicSeq, Word, lex_compare, metric_d, reflect_word,
                         word_minus, word_plus)
 from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
-                    build_kneading, check_transitivity, digit_interval,
+                    build_kneading, canonical_point, check_transitivity, digit_interval,
                     digit_interval_integers, enumerate_words, forbidden_words,
                     is_admissible, is_admissible_point, is_irreducible,
                     kneading_self_admissible, preimage_digits)

@@ -10,7 +10,8 @@ word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
 one grouped sum over the N words and one gather (``_Operator``).
 
 The potential is sampled at one canonical point per cylinder: the word
-extended digit by digit with the smallest admissible continuation.  Each
+extended digit by digit with the smallest admissible continuation
+(``shift.canonical_point``; this module reads no kneading digit).  Each
 sample is off by at most the potential's variation over its cylinder (see
 ``potentials``); no printed figure bounds the resulting pressure error.
 
@@ -25,101 +26,20 @@ perturbation as k grows.  All solves are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .expansion import Params
 from .potentials import PotentialSpec
-from .sequences import Word
-from .shift import (CylinderBasis, Kneading, TransitivityResult, UndecidedError,
+from .shift import (CylinderBasis, Kneading, UndecidedError, _canonical_points,
                     _row_keys, check_transitivity, enumerate_words, locate_rows)
 
 
 class RegimeError(ValueError):
     """Parameters outside the operator regime, or a definitely
     non-transitive shift."""
-
-
-# ---------------------------------------------------------------------------
-# canonical sampling points
-
-
-def canonical_point(w: Sequence[int], K: Kneading, total_len: int) -> Word:
-    """Deterministic extension of w to ``total_len`` digits, appending the
-    smallest admissible digit at each step.
-
-    Tracks which suffixes of the growing word are tied with a kneading
-    prefix; only those constrain the next digit.  Outside the univoque
-    closure an admissible word can have an empty cylinder (no admissible
-    continuation at all); the constraints then become contradictory and
-    the longest-standing one is dropped, deterministically, so the sample
-    point stays as close to the cell as possible.  Such cells carry
-    vanishing Gibbs weight as the depth grows.
-    """
-    w = tuple(w)
-    if total_len <= len(w):
-        return w[:total_len] if total_len < len(w) else w
-    # pinned suffix states: (is_upper, next kneading index); longest first
-    pins: list[tuple[bool, int]] = []
-    for start in range(len(w)):
-        up_tied = lo_tied = True
-        j = 0
-        for j, d in enumerate(w[start:], start=1):
-            u = K.upper_digit(j)
-            if u is None:
-                raise UndecidedError("kneading too shallow for canonical point")
-            if d != u:
-                up_tied = False
-            if d != K.m - u:
-                lo_tied = False
-            if not up_tied and not lo_tied:
-                break
-        if up_tied:
-            pins.append((True, j + 1))
-        if lo_tied:
-            pins.append((False, j + 1))
-
-    def pick(pins):
-        for a in range(K.m + 1):
-            u1 = K.upper_digit(1)
-            if a > u1 or a < K.m - u1:
-                continue
-            for is_up, j in pins:
-                u = K.upper_digit(j)
-                if u is None:
-                    raise UndecidedError("kneading too shallow for canonical point")
-                bound = u if is_up else K.m - u
-                if (is_up and a > bound) or (not is_up and a < bound):
-                    break
-            else:
-                return a
-        return None
-
-    out = list(w)
-    while len(out) < total_len:
-        chosen = pick(pins)
-        while chosen is None and pins:
-            pins = pins[1:]   # drop the longest-standing constraint
-            chosen = pick(pins)
-        if chosen is None:
-            raise RuntimeError(f"no extension of {tuple(out)} possible")
-        nxt: list[tuple[bool, int]] = []
-        for is_up, j in pins:
-            u = K.upper_digit(j)
-            bound = u if is_up else K.m - u
-            if chosen == bound:
-                nxt.append((is_up, j + 1))
-        u1 = K.upper_digit(1)
-        if chosen == u1:
-            nxt.append((True, 2))
-        if chosen == K.m - u1:
-            nxt.append((False, 2))
-        pins = nxt
-        out.append(chosen)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +100,7 @@ class TransferSystem:
     a_vals: np.ndarray
     head: np.ndarray       # rank of each word's (n-1)-prefix, nondecreasing
     tail: np.ndarray       # rank of each word's (n-1)-suffix among them, or -1
-    transitivity: TransitivityResult
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = ()
     eigen: EigenData | None = None
 
     @property
@@ -256,7 +175,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     The build runs as numpy passes over the (N, n) uint8 digit matrix of
     the sorted basis (``CylinderBasis.digits``), with no per-word Python
     loop: canonical sample points are computed once per kneading-pin
-    state and gathered, the potential is evaluated on the whole point
+    state and gathered (``shift._canonical_points``), the potential is evaluated on the whole point
     matrix (``PotentialSpec.values``), and the edges come from one sorted
     search of the words' (n-1)-suffixes among their (n-1)-prefixes (see
     ``_word_graph``).  No word tuple and no edge list is built.
@@ -305,35 +224,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     a_vals = A.values(points)
 
     head, tail = _word_graph(basis.digits, p.m + 1)
-    return TransferSystem(p, K, A, basis, a_vals, head, tail, trans, warnings)
-
-
-def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.ndarray:
-    """``canonical_point`` of every basis word, as an (N, total_len) uint8
-    matrix.
-
-    The appended digits depend only on which suffixes of the word are
-    tied with a kneading prefix or its reflection (its pins).  The longest
-    suffix tied with each fixes the word's last digits and so all of its
-    pins, so ``canonical_point`` runs once per distinct pair of those
-    lengths and the tails are gathered.  A word's k-suffix ties with a
-    kneading k-prefix where their keys (``shift._row_keys``) are equal.
-    """
-    D = basis.digits
-    N, n = D.shape
-    base = K.m + 1
-    longest_up = np.zeros(N, dtype=np.int64)
-    longest_lo = np.zeros(N, dtype=np.int64)
-    for k in range(1, n + 1):
-        suffix = _row_keys(D[:, n - k:], base)
-        up, lo = _row_keys(np.array([K.upper_prefix(k), K.lower_prefix(k)], dtype=np.uint8), base)
-        longest_up[suffix == up] = k
-        longest_lo[suffix == lo] = k
-    _, first, inverse = np.unique(longest_up * (n + 1) + longest_lo,
-                                  return_index=True, return_inverse=True)
-    tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
-                     dtype=np.uint8)
-    return np.concatenate([D, tails[inverse]], axis=1)
+    return TransferSystem(p, K, A, basis, a_vals, head, tail, tuple(warnings))
 
 
 def _word_graph(D: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:

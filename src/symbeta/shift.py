@@ -6,6 +6,9 @@ sequence (the quasi-greedy expansion of 1).  A finite word is admissible
 exactly when none of its factors is forbidden, which reduces to comparing
 each suffix against the kneading prefixes; a suffix that matches a kneading
 prefix exactly is admissible-so-far and constrains further extensions.
+Those constraints also give the operator's sample points
+(``canonical_point``), so every comparison with the kneading sequence is
+made in this module.
 
 Comparisons against a depth-truncated kneading sequence use three-valued
 logic: True / False / None, where None means the truncation is too shallow
@@ -144,35 +147,22 @@ def is_admissible_point(x: PeriodicSeq, K: Kneading) -> bool | None:
     if K.exact:
         up = K.upper_seq()
         lo = up.reflect(K.m)
+    else:
+        ties = (K.upper_prefix(K.depth), K.lower_prefix(K.depth))
     for k in range(shifts):
         s = x.shift(k)
         if K.exact:
             if lex_compare(s, up) > 0 or lex_compare(lo, s) > 0:
                 return False
         else:
-            r = _suffix_ok(s.prefix(K.depth), K)
+            head = s.prefix(K.depth)
+            r = _suffix_ok(head, K)
             if r is False:
                 return False
             # prefix comparisons that stay tied through the full depth are open
-            if _tied_through_depth(s, K):
+            if head in ties:
                 undecided = True
     return None if undecided else True
-
-
-def _tied_through_depth(s: PeriodicSeq, K: Kneading) -> bool:
-    up_tied = lo_tied = True
-    for j in range(1, K.depth + 1):
-        u = K.upper_digit(j)
-        d = s.digit(j)
-        if u is None:
-            break
-        if d != u:
-            up_tied = False
-        if d != K.m - u:
-            lo_tied = False
-        if not up_tied and not lo_tied:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +270,7 @@ def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
     the truncated order on that many digits is the order of the points.
     Truncated kneading: the comparison reads ``K.depth`` digits, and a
     rotation tied with the kneading prefix or its reflection through all
-    of them is undecided, as in ``_tied_through_depth``; the rotations are
+    of them is undecided, as in ``is_admissible_point``; the rotations are
     taken one digit longer, so ``_suffix_verdicts`` finds those ties.  A
     violation by any rotation wins over an undecided one.
     """
@@ -362,6 +352,91 @@ def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
     length n.  Sorted by (length, word).
     """
     return words_and_forbidden(p, K, n)[1]
+
+
+# ---------------------------------------------------------------------------
+# canonical sampling points
+
+
+def canonical_point(w: Sequence[int], K: Kneading, total_len: int) -> Word:
+    """Deterministic extension of w to ``total_len`` digits, appending the
+    smallest admissible digit at each step.
+
+    Only the suffixes of the growing word tied with a prefix of the
+    kneading sequence u or of its reflection (the word's pins, the empty
+    suffix among them) bound the next digit.  A suffix equal to u(1..k)
+    bounds it above by u(k+1); one equal to the reflection of u(1..k)
+    bounds it below by m - u(k+1).  The digit appended is the largest lower
+    bound, whenever that is at most the smallest upper bound.  Outside the
+    univoque closure an admissible word can have an empty cylinder (no
+    admissible continuation at all); the bounds then cross, and the
+    longest-standing pin is dropped, deterministically, until they do not,
+    so the sample point stays as close to the cell as possible.  Such cells
+    carry vanishing Gibbs weight as the depth grows.
+
+    Raises ``UndecidedError`` when a pin needs a kneading digit beyond the
+    known depth, and RuntimeError when no digit at all is admissible
+    (m - u(1) > u(1)).
+    """
+    w = tuple(w)
+    if total_len <= len(w):
+        return w[:total_len]
+    known = total_len if K.exact else min(total_len, K.depth)
+    up = K.upper_prefix(known)
+    lo = reflect_word(up, K.m)
+    # the pins: lengths of the suffixes tied with the upper and the lower
+    # kneading prefix, longest first
+    ups: list[int] = []
+    los: list[int] = []
+    for start in range(len(w)):
+        s = w[start:start + known]
+        for ties, prefix in ((ups, up), (los, lo)):
+            if s == prefix[:len(s)]:
+                if len(w) - start > len(s):
+                    raise UndecidedError("kneading too shallow for canonical point")
+                ties.append(len(s))
+    if lo[0] > up[0]:
+        raise RuntimeError(f"no extension of {w} possible")
+    out = list(w)
+    while len(out) < total_len:
+        ups.append(0)   # the empty suffix ties both, and is never dropped
+        los.append(0)
+        if max(ups[0], los[0]) >= known:
+            raise UndecidedError("kneading too shallow for canonical point")
+        while (a := max([lo[k] for k in los])) > min([up[k] for k in ups]):
+            # drop the longest-standing pin, the upper one of a pair
+            del (ups if ups[0] >= los[0] else los)[0]
+        ups = [k + 1 for k in ups if up[k] == a]
+        los = [k + 1 for k in los if lo[k] == a]
+        out.append(a)
+    return tuple(out)
+
+
+def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.ndarray:
+    """``canonical_point`` of every basis word, as an (N, total_len) uint8
+    matrix.
+
+    The appended digits depend only on the word's pins.  The longest
+    suffix tied with each kneading bound fixes the word's last digits and
+    so all of its pins, so ``canonical_point`` runs once per distinct pair
+    of those lengths and the tails are gathered.  A word's k-suffix ties
+    with a kneading k-prefix where their keys (``_row_keys``) are equal.
+    """
+    D = basis.digits
+    N, n = D.shape
+    base = K.m + 1
+    longest_up = np.zeros(N, dtype=np.int64)
+    longest_lo = np.zeros(N, dtype=np.int64)
+    for k in range(1, n + 1):
+        suffix = _row_keys(D[:, n - k:], base)
+        up, lo = _row_keys(np.array([K.upper_prefix(k), K.lower_prefix(k)], dtype=np.uint8), base)
+        longest_up[suffix == up] = k
+        longest_lo[suffix == lo] = k
+    _, first, inverse = np.unique(longest_up * (n + 1) + longest_lo,
+                                  return_index=True, return_inverse=True)
+    tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
+                     dtype=np.uint8)
+    return np.concatenate([D, tails[inverse]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +557,10 @@ def is_irreducible(K: Kneading, J: int) -> IrreducibilityResult:
 def _compare_seq_to_kneading(s: PeriodicSeq, K: Kneading) -> int | None:
     if K.exact:
         return lex_compare(s, K.upper_seq())
-    for j in range(1, K.depth + 1):
-        a, b = s.digit(j), K.upper_digit(j)
-        if a != b:
-            return -1 if a < b else 1
-    return None
+    a, b = s.prefix(K.depth), K.upper_prefix(K.depth)
+    if a == b:
+        return None   # tied through the known depth
+    return -1 if a < b else 1
 
 
 @dataclass(frozen=True)

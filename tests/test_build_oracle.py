@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from symbeta.expansion import Params
-from symbeta.operator import _Operator, _in_degree, build_system, canonical_point
+from symbeta.operator import _Operator, _in_degree, build_system
 from symbeta.potentials import PotentialSpec
-from symbeta.shift import (UndecidedError, _suffix_ok, build_kneading,
+from symbeta.shift import (UndecidedError, _suffix_ok, build_kneading, canonical_point,
                            check_transitivity, enumerate_words, forbidden_words,
                            is_admissible)
 
@@ -214,7 +214,7 @@ def test_build_matches_loop_reference(m, b, depths, kdepth):
             assert np.array_equal(T.a_vals, a_vals), (m, b, n, A.kind)
             for got, want in [(T.rows, rows), (T.cols, cols)]:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, b, n)
-            assert T.warnings == warns
+            assert T.warnings == tuple(warns)
             check_kernels(T, rows, cols, 1.0, dense=True)
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ import pytest
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec, parse_potential
 from symbeta.operator import (LK_SCHEDULE, RegimeError, _Operator, build_system,
-                              canonical_point, dense_spectrum, iterate, lk_solve,
-                              log_power_solve, normalize_potential, power_solve)
-from symbeta.shift import build_kneading, is_admissible, preimage_digits
+                              dense_spectrum, iterate, lk_solve, log_power_solve,
+                              normalize_potential, power_solve)
+from symbeta.shift import (UndecidedError, _row_keys, build_kneading, canonical_point,
+                           enumerate_words, is_admissible, preimage_digits)
 
 
 def system(m, b, A=None, n=3, **kw):
@@ -72,7 +75,6 @@ def test_canonical_points():
     # inside the univoque closure every extension stays admissible
     p = Params.make(4, "beta_T")
     K4 = build_kneading(p, 64)
-    from symbeta.shift import enumerate_words
     for w in enumerate_words(p, K4, 4).words[::5]:
         ext = canonical_point(w, K4, 12)
         assert ext[:4] == w
@@ -94,10 +96,68 @@ def test_canonical_point_empty_cylinder_fallback():
     # the forced digits before the dead end follow the kneading tail
     assert ext[4:7] == (0, 2, 1)
     # extensions preserve the word and are reproducible for every basis word
-    from symbeta.shift import enumerate_words
     for w in enumerate_words(p, K, 4).words[::9]:
         e = canonical_point(w, K, 12)
         assert e[:4] == w and e == canonical_point(w, K, 12)
+
+
+def test_canonical_point_sweep_is_pinned():
+    # every value, or exception type and message, of a sweep over m = 1..6,
+    # beta = 1.1, 1.6, ... <= m + 1 (many below the generalized golden
+    # ratio, where no digit extends anything), truncated and exact kneading,
+    # and the first 1300 words of each length 1..4, admissible or not
+    lines = []
+    for m in range(1, 7):
+        b = Fraction(11, 10)
+        while b <= m + 1:
+            p = Params.make(m, b)
+            for depth in (7, 64):
+                K = build_kneading(p, depth)
+                for length in range(1, 5):
+                    for w in itertools.islice(itertools.product(range(m + 1), repeat=length),
+                                              1300):
+                        try:
+                            lines.append(repr(canonical_point(w, K, 12)))
+                        except RuntimeError as e:
+                            lines.append(f"{type(e).__name__}: {e}")
+            b += Fraction(1, 2)
+    assert len(lines) == 89496
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "97a214482441d1c6cbe97ea1fa01d0923191b5186bd75f4c2967bfb3f3873c83")
+
+
+def test_canonical_point_errors():
+    # a pin that needs a kneading digit beyond the known depth is undecided
+    K = build_kneading(Params.make(3, "3.5"), 4)
+    assert not K.exact
+    for w in [K.upper_prefix(4), K.lower_prefix(4), K.upper_prefix(4) + (0,)]:
+        with pytest.raises(UndecidedError, match="too shallow for canonical point"):
+            canonical_point(w, K, 6)
+    # below the generalized golden ratio no first digit is admissible at
+    # all (m - u(1) > u(1)); that is reported first, even where a pin also
+    # needs a digit beyond the depth
+    K = build_kneading(Params.make(3, "1.1"), 4)
+    assert not K.exact and K.upper_digit(1) == 1
+    with pytest.raises(RuntimeError, match=r"no extension of \(1, 0, 0, 0\) possible") as err:
+        canonical_point(K.upper_prefix(4), K, 6)
+    assert type(err.value) is RuntimeError
+
+
+@pytest.mark.parametrize("m,b", [(2, "beta_T"), (3, "beta_T"), (4, "beta_T"), (5, "beta_T"),
+                                 (6, "beta_T"), (3, 4), (4, 5), (4, "4.7"), (5, "5.5"),
+                                 (3, "3.7")])
+def test_canonical_point_is_the_least_admissible_extension(m, b):
+    # on shifts where every admissible word extends, the sample point of w
+    # is the lex-least admissible length-9 word starting with w: the first
+    # row of the sorted length-9 basis whose 4-prefix is w
+    p = Params.make(m, b)
+    K = build_kneading(p, 64)
+    D = enumerate_words(p, K, 9).digits
+    W = enumerate_words(p, K, 4).digits
+    first = np.searchsorted(_row_keys(D[:, :4], m + 1), _row_keys(W, m + 1))
+    assert np.array_equal(D[first, :4], W)
+    want = [tuple(row) for row in D[first].tolist()]
+    assert [canonical_point(tuple(w), K, 9) for w in W.tolist()] == want
 
 
 # ---------------------------------------------------------------------------

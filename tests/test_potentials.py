@@ -4,8 +4,7 @@ import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec, parse_potential
-from symbeta.shift import build_kneading, enumerate_words
-from symbeta.operator import canonical_point
+from symbeta.shift import build_kneading, canonical_point, enumerate_words
 
 
 def test_zero_and_digit_table_eval():

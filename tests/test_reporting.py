@@ -163,11 +163,14 @@ def test_import_does_not_load_scipy():
 
 
 def test_module_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-m", "symbeta", "expand", "--m", "1", "--beta",
          "golden", "--a", "1", "--depth", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "110000" in out.stdout
 
