@@ -18,9 +18,10 @@ sample is off by at most the potential's variation over its cylinder (see
 Solvers: sup-normalized power iteration for the Perron eigenvalue with the
 right (eigenfunction) and left (eigenmeasure) eigenvectors, a log-domain
 variant for strongly scaled potentials (``TransferSystem.solve`` picks one
-by the scale t), and the perturbed fixed-point scheme
-psi -> L(psi + 1/k)/||L(psi + 1/k)|| whose values lambda_k decrease the
-perturbation as k grows.  All solves are deterministic.
+by the scale t), and the perturbed fixed-point map
+psi -> L(psi + 1/k)/||L(psi + 1/k)|| at one fixed k, whose value lambda_k
+exceeds lambda by an exactly known bias (``lk_solve``).  All solves are
+deterministic.
 """
 
 from __future__ import annotations
@@ -490,55 +491,34 @@ def _log_power_one(apply_log, n: int, tol: float, max_iter: int,
 class LkResult:
     lam: float
     psi: np.ndarray
-    history: tuple[tuple[float, float], ...]  # (k, lambda_k)
-    min_margin: float   # min over steps of lambda_k - exp(-sup|A|)
+    min_margin: float   # lambda_k - exp(-sup|A|)
     converged: bool
 
 
-# the perturbations 1/k of ``lk_solve``, decreasing
-LK_SCHEDULE = tuple(2.0 ** j for j in range(0, 36, 2))
+# the perturbation 1/k of ``lk_solve``
+LK_K = 2.0 ** 34
 
 
-def lk_solve(T: TransferSystem, inner_tol: float = 1e-14) -> LkResult:
+def lk_solve(T: TransferSystem, tol: float = 1e-14) -> LkResult:
     """Alternate Perron solver (at scale t = 1) through the perturbed
-    normalized maps psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf.
+    normalized map psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf at k = ``LK_K``.
 
-    Each map, k along ``LK_SCHEDULE``, is iterated towards its fixed
-    point psi_k (warm-started, at most 10000 steps), with lambda_k =
-    ||L(psi_k + 1/k)||_inf; lambda_k converges to the Perron eigenvalue
-    as k grows and always exceeds exp(-sup|A|).  Only the last map is
-    iterated to ``inner_tol``: psi_k is O(1/k) from the Perron vector
-    anyway, so an earlier step stops once the iterate moves by less than
-    max(inner_tol, 1e-2 / k) and hands its iterate on as the next warm
-    start.
+    Its fixed point psi_k, with L(psi_k + 1/k) = lambda_k psi_k, is iterated
+    by the forward half of ``power_solve`` (``_power_one``, with its stop
+    rule, damping switch and max_iter 20000), and lambda_k always exceeds
+    exp(-sup|A|).  lambda_k is biased above the Perron eigenvalue lambda by
+    exactly lambda <rho, 1> / (k <rho, psi_k>), rho the eigenmeasure: pair
+    the fixed-point equation with rho L = lambda rho.
 
     L v is constant on prefix groups, so the iteration runs on the G
-    group values g -> L(g[head] + 1/k) and returns psi = g[head]: the same
-    floats as iterating all N words.
+    group values g -> L(g[head] + 1/k) and returns psi = g[head].
     """
     L = _Operator(T, 1.0)
+    # max_iter is positional: the benchmark tracer reads it at args[2]
+    lam, g, _, _, _, stop = _power_one(lambda g: L.fwd_groups((g + 1.0 / LK_K)[T.head]),
+                                       tol, 20000, np.ones(len(L.first)), T.depth)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
-    g = np.ones(len(L.first))
-    history = []
-    min_margin = math.inf
-    converged = True
-    lam_k = 0.0
-    for k in LK_SCHEDULE:
-        step_tol = inner_tol if k == LK_SCHEDULE[-1] else max(inner_tol, 1e-2 / k)
-        ok = False
-        for _ in range(10000):
-            w = L.fwd_groups((g + 1.0 / k)[T.head])
-            lam_k = float(w.max())
-            w /= lam_k
-            change = float(np.max(np.abs(w - g)))
-            g = w
-            if change < step_tol:
-                ok = True
-                break
-        converged = converged and ok
-        history.append((float(k), lam_k))
-        min_margin = min(min_margin, lam_k - floor)
-    return LkResult(lam_k, g[T.head], tuple(history), min_margin, converged)
+    return LkResult(lam, g[T.head], lam - floor, stop == "tol")
 
 
 # ---------------------------------------------------------------------------

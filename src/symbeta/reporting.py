@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .expansion import Params, _check_range, as_real, beta_t, expansions
-from .operator import (LINEAR_LIMIT, RegimeError, _in_degree, _word_graph,
+from .operator import (LINEAR_LIMIT, LK_K, RegimeError, _in_degree, _word_graph,
                        build_system, lk_solve)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq, digits_str
@@ -258,13 +258,22 @@ def _build_solved(cfg: RunConfig, rep: Report, linear_scale: bool = False):
     return p, K, A, T
 
 
+# lk_lambda must meet its exact bias within LK_BIAS_C * tol * lk_lambda, the
+# scale of its own rounding and stop rule (the bias can exceed lambda many
+# times over).  Measured misses stay below 13 * tol * lk_lambda at tol 1e-6
+# to 1e-14 (rounding over 280k words reaches 8.3 at 1e-14) and lambda 2.4e-4
+# to 1.4e217.
+LK_BIAS_C = 100.0
+
+
 def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     rep = Report("spectrum", cfg, row_kind="cylinder")
     p, K, A, T = _build_solved(cfg, rep, linear_scale=True)
     eig = T.eigen
     psi, rho = eig.psi, eig.rho
     g = gibbs_measure(T)
-    lk = lk_solve(T, inner_tol=max(cfg.tol, 1e-14))
+    tol = max(cfg.tol, 1e-14)
+    lk = lk_solve(T, tol=tol)
     rep.summary = {
         "depth": cfg.depth,
         "basis_size": T.n_words,
@@ -293,6 +302,13 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     if not lk.converged:
         rep.warnings.append("lk_solve cross-check did not converge "
                             f"(lk_vs_power {rep.summary['lk_vs_power']:.3e})")
+        rep.exit_code = 4
+    # lk_lambda's exact bias: lambda_k = lambda (1 + <rho, 1> / (k <rho, psi_k>)),
+    # with sum(rho) = 1; a miss is an error of lambda or of lk_lambda
+    miss = abs(lk.lam - eig.lam * (1.0 + 1.0 / (LK_K * float(rho @ lk.psi))))
+    if miss > LK_BIAS_C * tol * lk.lam:
+        rep.warnings.append(f"lk_solve cross-check misses its exact bias by {miss:.3e} "
+                            f"(> {LK_BIAS_C:g} * tol * lk_lambda)")
         rep.exit_code = 4
     return rep
 

@@ -53,11 +53,11 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "7c9878abaf291f3a5621bf9d9f77bf4e9441224328789e162a420fd1a44df447"),
+     "66e77d8d0a99aeee9c148ff8494546365638ace04fe167afe258777e26676078"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
      "e9aa4196c6e5a1aef8eb5fa776c95350727deb57cbe79aaec5d0275a74e55efc"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "3d87235be206b44bfd904eeffebe7dba8e6eae194c440c0b55fbe1a68e86e04d"),
+     "6befe428b4758c391f093c123f6f311eb177003219847923225b814e7e0c5bcf"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "1a5f70daec519b041e76ece639d4ad011cd1c1c9999b0a03baa78a0444b973c0"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
@@ -87,11 +87,11 @@ def test_stdout_is_pinned(argv, digest, capsys):
 GEO = "--potential geometric:c=1,theta=0.25,kmax=12"
 BENCH_CASES = [
     ("spectrum --m 5 --beta 6 --depth 7 --potential digit_table:0.3,0,0.1,0.05,0.2,0.1",
-     "9e301a7ecc2e5d0095e68cf32fd54c64191949a4b7fdbc4a2978ec4b279088ad"),
+     "b78e6ce57ea6cb222d778425d2dee48b0af20ecfcbabc95b54b63aa8e5e1870c"),
     (f"spectrum --m 4 --beta 5 --depth 7 {GEO}",
-     "bacdfb117105520b57eeade6728185e55bfc63efd9bce989e38c7c3d1c522696"),
+     "8e89ebf0b24bf44e8a944173db03e23f2d78c06b102760abf3d288ff998b7b5a"),
     (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
-     "13f085e5df007fca341e08e69bbcdac7512d4a8f9e429cc886feaf52a2aa32ce"),
+     "8d2ea15ed285cd2e4f0e3e5966e7acdaef0a9a177aa91808e6b947412d72919d"),
     (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
      "83942c8c966eda25d2cbceb84515aba0a1b887eacde55b2216db8ff8d584d8f5"),
     (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",

@@ -10,9 +10,10 @@ import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec, parse_potential
-from symbeta.operator import (LK_SCHEDULE, RegimeError, _Operator, build_system,
+from symbeta.operator import (LK_K, RegimeError, _Operator, build_system,
                               dense_spectrum, iterate, lk_solve, log_power_solve,
                               normalize_potential, power_solve)
+from symbeta.reporting import LK_BIAS_C
 from symbeta.shift import (UndecidedError, _row_keys, build_kneading, canonical_point,
                            enumerate_words, is_admissible, preimage_digits)
 
@@ -351,9 +352,6 @@ def test_lk_solver_agrees_with_power():
     res = lk_solve(T)
     assert res.converged
     assert abs(res.lam - T.eigen.lam) < 1e-8
-    # lambda_k stays above exp(-sup|A|) along the whole schedule
-    floor = math.exp(-T.potential.sup_norm_bound(3))
-    assert all(lam > floor for _, lam in res.history)
     assert res.min_margin > 0
 
 
@@ -364,32 +362,38 @@ def test_lk_full_shift_constant_eigenfunction():
     assert np.allclose(res.psi, res.psi[0], atol=1e-10)
 
 
-def lk_reference(T, inner_tol=1e-14):
-    """``lk_solve`` as the loop over all N words it was before it iterated
-    the prefix-group values."""
+# the paper's construction: perturbations 1/k decreasing to lk_solve's 1/LK_K
+LK_SCHEDULE = tuple(2.0 ** j for j in range(0, 36, 2))
+
+
+def lk_reference(T, tol=1e-14):
+    """(k, lambda_k, psi_k) along ``LK_SCHEDULE``: the fixed point of each
+    map psi -> L(psi + 1/k) / ||L(psi + 1/k)||_inf, by an undamped loop
+    over all N words, warm-started from the one before."""
     L = _Operator(T, 1.0)
-    floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
-    psi = np.full(T.n_words, 1.0)
-    history = []
-    min_margin = math.inf
-    converged = True
-    lam_k = 0.0
+    psi = np.ones(T.n_words)
+    out = []
     for k in LK_SCHEDULE:
-        step_tol = inner_tol if k == LK_SCHEDULE[-1] else max(inner_tol, 1e-2 / k)
-        ok = False
         for _ in range(10000):
             w = L.fwd(psi + 1.0 / k)
             lam_k = float(w.max())
             w /= lam_k
             change = float(np.max(np.abs(w - psi)))
             psi = w
-            if change < step_tol:
-                ok = True
+            if change < tol:
                 break
-        converged = converged and ok
-        history.append((float(k), lam_k))
-        min_margin = min(min_margin, lam_k - floor)
-    return lam_k, psi, tuple(history), min_margin, converged
+        else:
+            raise AssertionError(f"no fixed point at k = {k}")
+        out.append((k, lam_k, psi))
+    return out
+
+
+def lk_bias_miss(T, k, lam_k, psi_k):
+    """Relative distance of lambda_k from its exact value lambda (1 + <rho, 1>
+    / (k <rho, psi_k>)), from L(psi_k + 1/k) = lambda_k psi_k paired with
+    rho L = lambda rho; sum(rho) = 1."""
+    lam = T.eigen.lam
+    return abs(lam_k - lam * (1.0 + 1.0 / (k * float(T.eigen.rho @ psi_k)))) / lam_k
 
 
 @pytest.mark.parametrize("m, b, n, pot", [
@@ -398,12 +402,22 @@ def lk_reference(T, inner_tol=1e-14):
     (4, 5, 5, "geometric:c=-0.8,theta=0.3,kmax=8"),
     (4, 5, 5, "digit_table:0.3,0,0.1,0.05,0.2"),
 ])
-def test_lk_on_prefix_groups_equals_the_word_loop(m, b, n, pot):
-    T = system(m, b, parse_potential(pot), n=n)
-    lam, psi, history, min_margin, converged = lk_reference(T)
-    res = lk_solve(T)
-    assert res.lam == lam and res.history == history and res.min_margin == min_margin
-    assert res.converged == converged and np.array_equal(res.psi, psi)
+def test_lk_meets_its_exact_bias_along_the_schedule(m, b, n, pot):
+    tol = 1e-14
+    T = system(m, b, parse_potential(pot), n=n).solve(tol=tol)
+    res = lk_solve(T, tol=tol)
+    assert res.converged
+    assert lk_bias_miss(T, LK_K, res.lam, res.psi) <= LK_BIAS_C * tol
+    floor = math.exp(-T.potential.sup_norm_bound(m))
+    schedule = lk_reference(T, tol)
+    for k, lam_k, psi_k in schedule:
+        assert lk_bias_miss(T, k, lam_k, psi_k) <= LK_BIAS_C * tol, k
+        assert lam_k > floor, k
+    # the schedule ends at lk_solve's one map, on the same fixed point
+    k, lam_k, psi_k = schedule[-1]
+    assert k == LK_K
+    assert lam_k == pytest.approx(res.lam, rel=LK_BIAS_C * tol)
+    assert np.max(np.abs(psi_k - res.psi)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

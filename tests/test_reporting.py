@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from dataclasses import fields, replace
 from pathlib import Path
@@ -433,6 +434,34 @@ def test_cli_spectrum_exits_4_on_an_unconverged_cross_check(monkeypatch, capsys)
     assert out.startswith(converged_out)
     assert out[len(converged_out):].startswith(
         "WARNING: lk_solve cross-check did not converge (lk_vs_power ")
+
+
+def test_cli_spectrum_exits_4_when_lambda_misses_the_lk_bias(monkeypatch, capsys):
+    argv = ["spectrum", "--m", "3", "--beta", "3.5", "--depth", "4",
+            "--potential", "digit_table:0.3,0,0.1,0.05"]
+    build = reporting._build_solved
+
+    def shifted(*args, **kwargs):
+        # a lambda wrong by 1e-9, every other solver output left as it is
+        p, K, A, T = build(*args, **kwargs)
+        eig = replace(T.eigen, log_lam=math.log(T.eigen.lam + 1e-9))
+        return p, K, A, replace(T, eigen=eig)
+
+    monkeypatch.setattr(reporting, "_build_solved", shifted)
+    assert main(argv) == 4
+    assert "WARNING: lk_solve cross-check misses its exact bias by " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pot", [
+    # a periodic-orbit tie: an undamped lk iteration oscillates here
+    "digit_table:20,0,0,0",
+    # lk_lambda's bias, 1/(k <rho, psi_k>), is 5.9e-3 of lambda here
+    "geometric:c=20,theta=0.4,kmax=12",
+])
+def test_cli_spectrum_cross_check_passes_on_a_strong_potential(pot, capsys):
+    assert main(["spectrum", "--m", "3", "--beta", "3.5", "--depth", "7",
+                 "--potential", pot]) == 0
+    assert "lk_solve" not in capsys.readouterr().out
 
 
 def test_cli_check_separates_kneading_digits_above_9(capsys):
