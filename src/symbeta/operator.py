@@ -6,8 +6,9 @@ summing over digits a whose prepended word stays admissible.  The sources
 of a word t are the words s with s[1:] == t[:-1]; they depend only on t's
 (n-1)-prefix.  So the word graph is stored once, as the ranks of each
 word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
-(``TransferSystem.head``, ``.tail``), and L or its transpose is applied as
-one grouped sum over the N words and one gather (``_Operator``).
+(``TransferSystem.head``, ``.tail``, from ``CylinderBasis.graph``), and L
+or its transpose is applied as one grouped sum over the N words and one
+gather (``_Operator``).
 
 The potential is sampled at one canonical point per cylinder: the word
 extended digit by digit with the smallest admissible continuation
@@ -35,7 +36,7 @@ import numpy as np
 from .expansion import Params
 from .potentials import PotentialSpec
 from .shift import (CylinderBasis, Kneading, UndecidedError, _canonical_points,
-                    _row_keys, check_transitivity, enumerate_words, locate_rows)
+                    check_transitivity, enumerate_words)
 
 
 class RegimeError(ValueError):
@@ -173,13 +174,13 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
                  require_regime: bool = True) -> TransferSystem:
     """Build the depth-n discretization of the transfer operator.
 
-    The build runs as numpy passes over the (N, n) uint8 digit matrix of
-    the sorted basis (``CylinderBasis.digits``), with no per-word Python
-    loop: canonical sample points are computed once per kneading-pin
-    state and gathered (``shift._canonical_points``), the potential is evaluated on the whole point
-    matrix (``PotentialSpec.values``), and the edges come from one sorted
-    search of the words' (n-1)-suffixes among their (n-1)-prefixes (see
-    ``_word_graph``).  No word tuple and no edge list is built.
+    The build runs as numpy passes over the sorted basis, with no
+    per-word Python loop: canonical sample points are computed once per
+    kneading-pin state and gathered (``shift._canonical_points``), the
+    potential is evaluated on the whole uint8 point matrix
+    (``PotentialSpec.values``), and the edges come from one sorted search
+    of the words' (n-1)-suffix keys among their (n-1)-prefix keys
+    (``CylinderBasis.graph``).  No word tuple and no edge list is built.
 
     Parameters
     ----------
@@ -224,25 +225,8 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     points = basis.digits if need <= n else _canonical_points(basis, K, need)
     a_vals = A.values(points)
 
-    head, tail = _word_graph(basis.digits, p.m + 1)
+    head, tail = basis.graph()
     return TransferSystem(p, K, A, basis, a_vals, head, tail, tuple(warnings))
-
-
-def _word_graph(D: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """(head, tail) of the word graph on the lex-sorted (N, n) digit matrix D
-    with digits below ``base``.
-
-    Target t has source s when s = a t[:-1] for a digit a, i.e. when
-    s[1:] == t[:-1].  Both sides are ranked among the distinct (n-1)-digit
-    prefixes of D: ``head[t]`` (nondecreasing, as D is sorted; it steps
-    where the prefix key, ``shift._row_keys``, changes) and ``tail[s]`` (-1
-    when s[1:] starts no word), found by one sorted search of the keys.
-    """
-    prefix = _row_keys(D[:, :-1], base)
-    new = np.ones(len(D), dtype=bool)
-    new[1:] = prefix[1:] != prefix[:-1]
-    head = np.cumsum(new) - 1
-    return head, locate_rows(D[new, :-1], D[:, 1:], base)
 
 
 def _in_degree(head: np.ndarray, tail: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .expansion import Params, _check_range, as_real, beta_t, expansions
-from .operator import (LINEAR_LIMIT, LK_K, RegimeError, _in_degree, _word_graph,
+from .operator import (LINEAR_LIMIT, LK_K, RegimeError, _in_degree,
                        build_system, lk_solve)
 from .potentials import parse_potential
 from .sequences import PeriodicSeq, digits_str
@@ -142,6 +142,8 @@ class Report:
 
 
 def _kneading(cfg: RunConfig, p: Params) -> Kneading:
+    if p.m > 255:
+        raise ConfigError(f"m = {p.m} > 255: words are stored as uint8 digits")
     return build_kneading(p, cfg.kneading_depth)
 
 
@@ -185,7 +187,7 @@ def cmd_check(cfg: RunConfig) -> Report:
     # a word's preimage digits a are those with a w[:-1] admissible: its
     # in-degree in the word graph.  Every a w[:-1] was a candidate of the
     # enumeration, so none is undecided.
-    counts = _in_degree(*_word_graph(basis.digits, p.m + 1))
+    counts = _in_degree(*basis.graph())
     cmin, cmax = (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
     rep.summary = {
         "m": p.m,
@@ -297,7 +299,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "support_size": int(np.sum(g.nrm.support)),
     }
     keep = g.ranked(None if full else 10)
-    rep.columns = {"word": T.basis.digits[keep], "mu": g.weights[keep],
+    rep.columns = {"word": T.basis.digits_of(keep), "mu": g.weights[keep],
                    "psi": psi[keep], "rho": rho[keep]}
     if not lk.converged:
         rep.warnings.append("lk_solve cross-check did not converge "

@@ -10,6 +10,13 @@ Those constraints also give the operator's sample points
 (``canonical_point``), so every comparison with the kneading sequence is
 made in this module.
 
+A word of length n is stored as its key, the word read as a base-(m+1)
+integer, so lexicographic order is the order of the keys, and the
+admissible words of one length grown from one digit are a contiguous
+range of them (``words_and_forbidden``).  ``CylinderBasis`` holds the
+ascending keys of a word level and derives from them its digit matrix,
+its word graph and the rows of given words; no other module reads a key.
+
 Comparisons against a depth-truncated kneading sequence use three-valued
 logic: True / False / None, where None means the truncation is too shallow
 to decide.  Exact (eventually periodic) kneading data never yields None.
@@ -169,27 +176,30 @@ def is_admissible_point(x: PeriodicSeq, K: Kneading) -> bool | None:
 # word enumeration
 
 
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One key per row of a digit matrix with digits below ``base``, in the
-    lexicographic order of the rows: the row read as a base-``base`` int64
-    while base**width < 2**63, else an opaque byte string compared bytewise
-    (no width limit).  Both kinds support ``==`` and ``np.searchsorted``."""
-    width = rows.shape[1]
-    if base ** width >= 2 ** 63:
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        return rows.view(np.dtype((np.void, width))).ravel()
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for j in range(width):
+def _key_dtype(base: int, width: int):
+    """int64 while every ``width``-digit key fits it, else Python ints."""
+    return np.int64 if base ** width < 2 ** 63 else object
+
+
+def _key(w: Sequence[int], base: int) -> int:
+    """The word w read as a base-``base`` integer."""
+    return sum(d * base ** i for i, d in enumerate(reversed(w)))
+
+
+def _keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """``_key`` of every row of a digit matrix with digits below ``base``,
+    ascending in the lexicographic order of the rows: int64 while
+    base**width < 2**63, else Python ints (no width limit)."""
+    keys = np.zeros(len(rows), dtype=_key_dtype(base, rows.shape[1]))
+    for j in range(rows.shape[1]):
         keys *= base
         keys += rows[:, j]
     return keys
 
 
-def locate_rows(rows: np.ndarray, queries: np.ndarray, base: int) -> np.ndarray:
-    """Index of each query row among the lex-sorted distinct ``rows`` (both
-    digit matrices of one width, digits below ``base``), -1 where it is
-    absent: one sorted search of the queries' keys among the rows' keys."""
-    keys, q = _row_keys(rows, base), _row_keys(queries, base)
+def _rank(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index of each of the keys ``q`` among the ascending distinct
+    ``keys``, -1 where it is absent: one sorted search."""
     idx = np.searchsorted(keys, q)
     hit = idx < len(keys)
     hit[hit] = keys[idx[hit]] == q[hit]
@@ -201,24 +211,40 @@ class CylinderBasis:
     """All admissible words of one length, lex-sorted.
 
     The depth-n cylinders of these words partition the shift and are the
-    discretization basis for the transfer operator.  ``digits`` is the
-    (N, depth) uint8 matrix of the words, one per row in lexicographic
-    order; it is the only stored form.  ``words`` (a tuple of digit
-    tuples) and ``index`` (word -> row) are built on first use and cached;
-    ``word(i)`` reads one row without building either.
+    discretization basis for the transfer operator.  The words are stored
+    once, as their ascending ``keys``: each word read as a base-``base``
+    integer (``_keys``), int64 while base**depth < 2**63 and Python ints
+    beyond.  Only this module reads that form.  ``digits`` (the (N, depth)
+    uint8 matrix, one word per row) is derived on each call; ``words`` (a
+    tuple of digit tuples) and ``index`` (word -> row) are built on first
+    use and cached; ``word(i)`` reads one word without building either.
     """
 
     depth: int
-    digits: np.ndarray = field(repr=False)
+    base: int
+    keys: np.ndarray = field(repr=False)
 
     def __len__(self):
-        return len(self.digits)
+        return len(self.keys)
 
     def __contains__(self, w):
         return tuple(w) in self.index
 
+    def digits_of(self, idx) -> np.ndarray:
+        """The uint8 digit matrix of the words at ``idx``, one per row."""
+        keys = np.array(self.keys[idx])     # a copy, divided in place
+        out = np.empty((len(keys), self.depth), dtype=np.uint8)
+        for j in reversed(range(self.depth)):
+            out[:, j] = keys % self.base
+            keys //= self.base
+        return out
+
+    @property
+    def digits(self) -> np.ndarray:
+        return self.digits_of(slice(None))
+
     def word(self, i: int) -> Word:
-        return tuple(self.digits[i].tolist())
+        return tuple(self.digits_of([i])[0].tolist())
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
@@ -228,28 +254,51 @@ class CylinderBasis:
     def index(self) -> dict[Word, int]:
         return {w: i for i, w in enumerate(self.words)}
 
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row of a (Q, depth) digit matrix among the words,
+        -1 where the row is not one of them."""
+        return _rank(self.keys, _keys(rows, self.base))
+
+    def graph(self) -> tuple[np.ndarray, np.ndarray]:
+        """(head, tail) of the word graph: target t has source s when
+        s[1:] == t[:-1].  Both sides are ranked among the distinct
+        (n-1)-prefixes of the words: ``head[t]`` is the rank of t's prefix
+        key // base (nondecreasing, as the keys ascend) and ``tail[s]`` the
+        rank of s's suffix key % base**(n-1), -1 when s[1:] starts no word.
+        """
+        prefixes, head = np.unique(self.keys // self.base, return_inverse=True)
+        return head, _rank(prefixes, self.keys % self.base ** (self.depth - 1))
+
+
+def _lex_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sign (-1, 0, 1) of the lexicographic comparison of the digit
+    rows a and b along their last axis, broadcast over the others: the
+    sign of their first differing digit, 0 where none differs (the first
+    digit is read then, and it ties)."""
+    a, b = np.broadcast_arrays(a, b)
+    first = (a != b).argmax(axis=-1)[..., None]
+    a_at, b_at = (np.take_along_axis(x, first, -1)[..., 0] for x in (a, b))
+    return (a_at > b_at).astype(np.int8) - (a_at < b_at)
+
 
 def _suffix_verdicts(cands: np.ndarray, K: Kneading) -> np.ndarray:
     """``_suffix_ok`` on every row of a uint8 candidate matrix at once:
     1 / 0 / -1 for True / False / None.
 
-    The key (``_row_keys``) of each row's first ``known`` digits (all with
-    exact kneading, at most ``K.depth`` otherwise) is placed by two sorted
-    searches against the keys of the kneading prefix and its reflection.
-    Below the lower or above the upper key the row is violated (0).  A tie
-    with either key, in a row longer than ``known``, needs a kneading digit
-    beyond the known depth (-1).  Every other row passes (1).
+    Each row's first ``known`` digits (all with exact kneading, at most
+    ``K.depth`` otherwise) are compared (``_lex_sign``) with the kneading
+    prefix and its reflection.  Below the lower or above the upper prefix
+    the row is violated (0).  A tie with either, in a row longer than
+    ``known``, needs a kneading digit beyond the known depth (-1).  Every
+    other row passes (1).
     """
     L = cands.shape[1]
     known = L if K.exact else min(L, K.depth)
-    keys = _row_keys(cands[:, :known], K.m + 1)
-    bounds = np.array([K.lower_prefix(known), K.upper_prefix(known)], dtype=np.uint8)
-    lo, up = np.split(_row_keys(bounds, K.m + 1), 2)
-    ok = (np.searchsorted(lo, keys, "right") > 0) & (np.searchsorted(up, keys) == 0)
-    out = ok.astype(np.int8)
-    if known < L:
-        out[ok & ((keys == lo) | (keys == up))] = -1
-    return out
+    c_lo, c_up = (_lex_sign(cands[:, :known], np.array(bound(known), dtype=np.uint8))
+                  for bound in (K.lower_prefix, K.upper_prefix))
+    ok = (c_lo >= 0) & (c_up <= 0)
+    tie = ((c_lo == 0) | (c_up == 0)) if known < L else False
+    return np.where(ok & tie, -1, ok).astype(np.int8)
 
 
 def _rotation_points(W: np.ndarray, width: int) -> np.ndarray:
@@ -284,35 +333,57 @@ def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
     return np.where((verdict == 0).any(axis=1), 0, verdict.min(axis=1))
 
 
-def _levels(p: Params, K: Kneading, n: int):
-    """Yield (candidates, ok) for lengths 1..n: the lex-sorted uint8 matrix
-    of every digit prepended to the admissible words one shorter, and
-    which candidates are admissible.
+def words_and_forbidden(p: Params, K: Kneading, n: int) -> tuple[CylinderBasis, list[Word]]:
+    """The admissible words of length n and the minimal forbidden words of
+    length <= n (inadmissible words whose every proper factor is
+    admissible), from one walk of the word levels.
 
-    Only the full-length suffix condition is new at each length; every
-    shorter suffix was checked at the previous one.  Prepending the
-    digits in increasing order to a sorted level keeps the candidates
-    sorted.
+    Level L is grown from the ascending keys of level L - 1 by prepending
+    each digit d in increasing order: candidate d * base**(L-1) + key.
+    Only the full-length suffix condition is new at each length (every
+    shorter suffix was checked at the previous one), and it reads
+    lo <= key // s <= up, with lo and up the keys of the reflected and the
+    plain kneading prefix of the ``known`` length and s = base**(L - known).
+    So for each d the admissible candidates are one slice of the previous
+    level, found by two sorted searches; two more find the candidates tied
+    with lo or up past the kneading depth, which are undecided.  A rejected
+    candidate is minimal forbidden when its key // base (the word without
+    its last digit) is in the previous level, as its key % base**(L-1)
+    (the word without its first digit) is by construction.
+
+    Raises
+    ------
+    UndecidedError
+        if the kneading truncation cannot decide some candidate.
     """
     if p.m > 255:
         raise ValueError("digits above 255 do not fit the uint8 word matrix")
-    level = np.zeros((1, 0), dtype=np.uint8)
+    base = p.m + 1
+    keys = np.zeros(1, dtype=np.int64)      # level 0: the empty word
+    forbidden: list[Word] = []
     for length in range(1, n + 1):
-        head = np.repeat(np.arange(p.m + 1, dtype=np.uint8), len(level))
-        cands = np.concatenate([head[:, None], np.tile(level, (p.m + 1, 1))], axis=1)
-        verdict = _suffix_verdicts(cands, K)
-        if np.any(verdict < 0):
+        prev = keys.astype(_key_dtype(base, length), copy=False)
+        known = length if K.exact else min(length, K.depth)
+        s = base ** (length - known)
+        lo, up = (_key(w, base) * s for w in (K.lower_prefix(known), K.upper_prefix(known)))
+        lead = base ** (length - 1) * np.arange(base).astype(prev.dtype)
+        # per prepended digit, where its candidates reach lo, lo + s, up and
+        # up + s: columns 0:3 are admissible, 0:1 and 2:3 tie lo and up
+        cut = np.searchsorted(prev, np.array([lo, lo + s, up, up + s], dtype=prev.dtype)
+                              - lead[:, None])
+        if known < length and lo <= up and np.any(cut[:, [1, 3]] > cut[:, [0, 2]]):
             raise UndecidedError(f"kneading too shallow at length {length}")
-        ok = verdict > 0
-        yield cands, ok
-        level = cands[ok]
+        keys = np.concatenate([d + prev[a:b] for d, (a, _, _, b) in zip(lead, cut)])
+        rejected = np.concatenate([d + prev[i] for d, (a, _, _, b) in zip(lead, cut)
+                                   for i in (slice(0, a), slice(max(a, b), None))])
+        bad = rejected[_rank(prev, rejected // base) >= 0]
+        forbidden.extend(map(tuple, CylinderBasis(length, base, bad).digits.tolist()))
+    return CylinderBasis(n, base, keys), forbidden
 
 
 def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
-    """Enumerate all admissible words of length n.
-
-    Words are grown level by level, by prepending each digit to the
-    admissible words of the previous length (see ``_levels``).
+    """Enumerate all admissible words of length n, level by level (see
+    ``words_and_forbidden``).
 
     Raises
     ------
@@ -321,26 +392,7 @@ def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for cands, ok in _levels(p, K, n):
-        pass
-    return CylinderBasis(n, cands[ok])
-
-
-def words_and_forbidden(p: Params, K: Kneading, n: int) -> tuple[CylinderBasis, list[Word]]:
-    """``enumerate_words(p, K, n)`` and ``forbidden_words(p, K, n)`` from one
-    walk of the levels: a rejected candidate is a minimal forbidden word
-    when dropping its last digit leaves a word of the previous level.
-    """
-    out: list[Word] = []
-    level = np.zeros((1, 0), dtype=np.uint8)
-    for cands, ok in _levels(p, K, n):
-        # bad[1:] is admissible by construction; with bad[:-1] admissible
-        # too, every proper factor passes
-        bad = cands[~ok]
-        bad = bad[locate_rows(level, bad[:, :-1], p.m + 1) >= 0]
-        out.extend(map(tuple, bad.tolist()))
-        level = cands[ok]
-    return CylinderBasis(n, level), out
+    return words_and_forbidden(p, K, n)[0]
 
 
 def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
@@ -419,24 +471,20 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
     The appended digits depend only on the word's pins.  The longest
     suffix tied with each kneading bound fixes the word's last digits and
     so all of its pins, so ``canonical_point`` runs once per distinct pair
-    of those lengths and the tails are gathered.  A word's k-suffix ties
-    with a kneading k-prefix where their keys (``_row_keys``) are equal.
+    of those lengths and the tails are gathered.  A word's k-suffix, key %
+    base**k, ties with a kneading k-prefix where it equals that prefix's key.
     """
-    D = basis.digits
-    N, n = D.shape
-    base = K.m + 1
-    longest_up = np.zeros(N, dtype=np.int64)
-    longest_lo = np.zeros(N, dtype=np.int64)
+    keys, n, base = basis.keys, basis.depth, basis.base
+    longest = np.zeros((2, len(keys)), dtype=np.int64)    # tied with up, with lo
     for k in range(1, n + 1):
-        suffix = _row_keys(D[:, n - k:], base)
-        up, lo = _row_keys(np.array([K.upper_prefix(k), K.lower_prefix(k)], dtype=np.uint8), base)
-        longest_up[suffix == up] = k
-        longest_lo[suffix == lo] = k
-    _, first, inverse = np.unique(longest_up * (n + 1) + longest_lo,
+        suffix = keys % base ** k
+        for row, bound in zip(longest, (K.upper_prefix, K.lower_prefix)):
+            row[suffix == _key(bound(k), base)] = k
+    _, first, inverse = np.unique(longest[0] * (n + 1) + longest[1],
                                   return_index=True, return_inverse=True)
     tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
                      dtype=np.uint8)
-    return np.concatenate([D, tails[inverse]], axis=1)
+    return np.concatenate([basis.digits, tails[inverse]], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ from .operator import (NormalizedSystem, TransferSystem, _Operator, build_system
                        normalize_potential)
 from .potentials import PotentialSpec
 from .sequences import Word
-from .shift import (Kneading, _levels, _periodic_verdicts, _rotation_points,
-                    locate_rows)
+from .shift import (Kneading, _lex_sign, _periodic_verdicts, _rotation_points,
+                    enumerate_words)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,8 @@ def orbit_measure(T: TransferSystem, orbit: "PeriodicOrbit") -> InvariantTestMea
     on depth-n cylinder words: each of the orbit's p depth-n windows
     weighs 1/p."""
     p = len(orbit.word)
-    word = np.asarray(orbit.word, dtype=np.uint8)[None, :]
     # the depth-n window at each point of the orbit, in orbit order
-    src = locate_rows(T.basis.digits, _rotation_points(word, T.depth)[0], T.params.m + 1)
+    src = T.basis.locate(_rotation_points(np.array([orbit.word], dtype=np.uint8), T.depth)[0])
     if np.any(src < 0):
         raise ValueError("orbit leaves the admissible word basis")
     weights = np.bincount(src, minlength=T.n_words) / p
@@ -272,13 +271,7 @@ def _least_rotation_rows(W: np.ndarray) -> np.ndarray:
     """Which rows of a word matrix are strictly lex-smaller than each of
     their nontrivial rotations: one row per primitive orbit, its lex-least
     rotation.  A non-primitive word equals one of its rotations and fails."""
-    N, L = W.shape
-    rot = _rotation_points(W, L)[:, 1:]
-    neq = rot != W[:, None, :]
-    first = neq.argmax(axis=2)           # first difference, 0 where none
-    w_at = W[np.arange(N)[:, None], first]
-    r_at = np.take_along_axis(rot, first[..., None], axis=2)[..., 0]
-    return (neq.any(axis=2) & (w_at < r_at)).all(axis=1)
+    return (_lex_sign(W[:, None], _rotation_points(W, W.shape[1])[:, 1:]) < 0).all(axis=1)
 
 
 def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
@@ -290,13 +283,12 @@ def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
     period, then lexicographically.  Orbits whose admissibility is
     undecided at the kneading depth are skipped.  The orbits of period L
     are found among the admissible words of length L (every factor of an
-    admissible point is an admissible word), in one pass over the word
-    levels.
+    admissible point is an admissible word, ``enumerate_words``).
     """
     out: list[PeriodicOrbit] = []
     need = max(A.needed_digits, 1)
-    for cands, ok in _levels(p, K, max_period):
-        W = cands[ok]
+    for length in range(1, max_period + 1):
+        W = enumerate_words(p, K, length).digits
         W = W[_least_rotation_rows(W)]
         W = W[_periodic_verdicts(W, K) == 1]
         N, L = W.shape

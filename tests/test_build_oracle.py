@@ -144,12 +144,13 @@ def test_enumeration_and_forbidden_match_loops():
 
 
 def test_deep_enumeration_has_no_key_width_limit():
-    # at m = 1 and n >= 64 there are (m+1)^n >= 2^64 words of length n, so
-    # a base-(m+1) int64 word code would wrap; the row keys are bytes there
+    # at m = 1 and n >= 63 there are (m+1)^n >= 2^63 words of length n, so
+    # a base-(m+1) int64 word key would wrap; the keys are Python ints there
     p = Params.make(1, "golden")
     K = build_kneading(p, 80)
-    for n in (64, 70):
+    for n in (62, 63, 64, 70):
         basis = enumerate_words(p, K, n)
+        assert basis.keys.dtype == (np.int64 if n < 63 else object)
         assert list(basis.words) == oracle_enumerate(p, K, n)
         assert forbidden_words(p, K, n) == oracle_forbidden(p, K, n)
 

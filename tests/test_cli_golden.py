@@ -5,9 +5,9 @@ expansions over rational and quadratic bases (terminating, cycling and
 truncated), words with digits above 9 (the comma form), and the row
 renderers of ``spectrum --full``, ``zerotemp`` and ``thermo`` in every
 format, plus ``thermo`` on a shift that is not full (words with fewer
-than m + 1 successors), two commands of the benchmark's symbolic
-workload, and its spectrum-deep, zerotemp-scan and thermo-gaps commands at
-seed 0.  Any change to the digit recursions, the solvers or the renderers
+than m + 1 successors), words and the word graph at a depth whose word
+keys pass int64, two commands of the benchmark's symbolic workload, and
+its spectrum-deep, zerotemp-scan and thermo-gaps commands at seed 0.  Any change to the digit recursions, the solvers or the renderers
 that moves one byte of output fails here.
 """
 
@@ -70,6 +70,11 @@ CASES = [
      "24a12e2a9e6742dd9e50af7a39b50fcbdc46174a4e45b5694faa6b00dfc6979d"),
     ("words --m 4 --beta 4.7 --depth 8 --format jsonl",
      "a467f3471490ee48cf15489532bbd22841a54c48b035ee70c989af2588351fd0"),
+    # 4^33 > 2^63: words and forbidden words past the int64 key width
+    ("words --m 3 --beta 2.9 --depth 33 --format jsonl",
+     "716d3fd0ad66fce39c12b4e4b183bfb931f7f2cbb71ee672e44c10a1902bf83b"),
+    ("check --m 3 --beta 2.9 --depth 33",
+     "a6ede824066f7d0d0581d05477635cda7d3efef3d957a0baea4ce30707cd60b2"),
 ]
 
 

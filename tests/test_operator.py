@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from symbeta.operator import (LK_K, RegimeError, _Operator, build_system,
                               dense_spectrum, iterate, lk_solve, log_power_solve,
                               normalize_potential, power_solve)
 from symbeta.reporting import LK_BIAS_C
-from symbeta.shift import (UndecidedError, _row_keys, build_kneading, canonical_point,
+from symbeta.shift import (UndecidedError, build_kneading, canonical_point,
                            enumerate_words, is_admissible, preimage_digits)
 
 
@@ -155,7 +156,8 @@ def test_canonical_point_is_the_least_admissible_extension(m, b):
     K = build_kneading(p, 64)
     D = enumerate_words(p, K, 9).digits
     W = enumerate_words(p, K, 4).digits
-    first = np.searchsorted(_row_keys(D[:, :4], m + 1), _row_keys(W, m + 1))
+    rows = list(map(tuple, D.tolist()))
+    first = [bisect_left(rows, tuple(w)) for w in W.tolist()]
     assert np.array_equal(D[first, :4], W)
     want = [tuple(row) for row in D[first].tolist()]
     assert [canonical_point(tuple(w), K, 9) for w in W.tolist()] == want

@@ -551,3 +551,19 @@ def test_zerotemp_rejects_a_bad_t_grid(grid, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert not captured.out
+
+
+# ---------------------------------------------------------------------------
+# words are stored as uint8 digits
+
+
+def test_m_above_255_is_a_config_error(capsys):
+    argv = ["--m", "256", "--beta", "200", "--depth", "3"]
+    for cmd in ("check", "words", "spectrum", "thermo", "zerotemp"):
+        assert main([cmd] + argv) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.err == "config error: m = 256 > 255: words are stored as uint8 digits\n"
+        assert not captured.out
+    # expand stores no word
+    assert main(["expand"] + argv + ["--a", "1"]) == 0
+    assert "greedy" in capsys.readouterr().out

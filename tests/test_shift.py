@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from symbeta.expansion import Params, unique_expansion
-from symbeta.operator import _in_degree, _word_graph
+from symbeta.operator import _in_degree
 from symbeta.sequences import PeriodicSeq, reflect_word
-from symbeta.shift import (UndecidedError, _row_keys, _suffix_ok, _suffix_verdicts,
-                           build_kneading, check_transitivity,
+from symbeta.shift import (CylinderBasis, UndecidedError, _keys, _suffix_ok,
+                           _suffix_verdicts, build_kneading, check_transitivity,
                            digit_interval, digit_interval_integers,
                            enumerate_words, forbidden_words, is_admissible,
                            is_admissible_point, is_irreducible,
-                           kneading_self_admissible, locate_rows, preimage_digits)
+                           kneading_self_admissible, preimage_digits)
 
 
 def kn(m, b, depth=64):
@@ -208,14 +208,15 @@ def test_suffix_verdicts_on_both_sides_of_the_int64_limit(m, b, depth, width):
     assert set(got.tolist()) == ({0, 1} if K.exact or width <= K.depth else {-1, 0, 1})
 
 
-@pytest.mark.parametrize("width, kind", [(5, np.int64), (31, np.int64), (32, np.void),
-                                         (40, np.void)])
+@pytest.mark.parametrize("width, kind", [(5, np.int64), (31, np.int64), (32, np.object_),
+                                         (40, np.object_)])
 def test_row_keys_sort_in_lex_order(width, kind):
     rng = random.Random(width)
     rows = sorted({tuple(rng.randrange(4) for _ in range(width)) for _ in range(300)}
                   | {(3,) * width, (0,) * width, (0,) * (width - 1) + (1,)})
-    keys = _row_keys(np.array(rows, dtype=np.uint8), 4)
+    keys = _keys(np.array(rows, dtype=np.uint8), 4)
     assert keys.dtype.type is kind
+    assert type(keys[-1]) is (int if kind is np.object_ else np.int64)
     # strictly increasing: each key is found at its own position only
     idx = np.arange(len(rows))
     assert (np.searchsorted(keys, keys, "left") == idx).all()
@@ -227,11 +228,9 @@ def test_locate_rows_matches_admissibility(m, b, n):
     p, K = kn(m, b)
     basis = enumerate_words(p, K, n)
     queries = list(product(range(m + 1), repeat=n))
-    # the basis base, and a base so large that n digits take the byte keys
-    for base in (m + 1, 2 ** 16):
-        got = locate_rows(basis.digits, np.array(queries, dtype=np.uint8), base).tolist()
-        assert got == [basis.index.get(w, -1) for w in queries], base
-        assert [i >= 0 for i in got] == [is_admissible(w, K) for w in queries], base
+    got = basis.locate(np.array(queries, dtype=np.uint8)).tolist()
+    assert got == [basis.index.get(w, -1) for w in queries]
+    assert [i >= 0 for i in got] == [is_admissible(w, K) for w in queries]
 
 
 @pytest.mark.parametrize("width", [31, 32, 40])
@@ -241,9 +240,11 @@ def test_locate_rows_at_wide_widths(width):
     # every row, and every row with its last or first digit changed
     queries = rows + [w[:-1] + ((w[-1] + 1) % 4,) for w in rows] \
         + [((w[0] + 2) % 4,) + w[1:] for w in rows]
-    got = locate_rows(np.array(rows, dtype=np.uint8), np.array(queries, dtype=np.uint8), 4)
+    basis = CylinderBasis(width, 4, _keys(np.array(rows, dtype=np.uint8), 4))
+    got = basis.locate(np.array(queries, dtype=np.uint8))
     index = {w: i for i, w in enumerate(rows)}
     assert got.tolist() == [index.get(w, -1) for w in queries]
+    assert basis.words == tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def test_preimage_counts_are_graph_in_degrees(m, beta, n):
     # check reads every word's preimage count from the word graph
     p, K = kn(m, beta)
     basis = enumerate_words(p, K, n)
-    counts = _in_degree(*_word_graph(basis.digits, p.m + 1))
+    counts = _in_degree(*basis.graph())
     assert counts.tolist() == [len(preimage_digits(w, p, K)) for w in basis.words]
 
 
