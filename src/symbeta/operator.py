@@ -8,7 +8,9 @@ of a word t are the words s with s[1:] == t[:-1]; they depend only on t's
 word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
 (``TransferSystem.head``, ``.tail``, from ``CylinderBasis.graph``), and L
 or its transpose is applied as one grouped sum over the N words and one
-gather (``_Operator``).
+gather (``_Operator``).  So L v is constant on the G prefix groups, and
+L^T u is e^{tA} times a value of the word's suffix group: the linear
+solves iterate those G group values, not the N word values.
 
 The potential is sampled at one canonical point per cylinder: the word
 extended digit by digit with the smallest admissible continuation
@@ -137,16 +139,6 @@ class TransferSystem:
         first = np.flatnonzero(np.diff(self.head, prepend=-1))
         return first, np.where(self.tail < 0, len(first), self.tail)
 
-    @cached_property
-    def _by_tail(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # for the log kernels: the sources sorted by group, ascending within
-        # a group, and each group closed by a -inf pad so that none is empty
-        first, tail = self._groups
-        key = np.append(tail, np.arange(len(first) + 1))
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        return order, np.flatnonzero(np.diff(key, prepend=-1)), key
-
     def dense(self, t_scale: float = 1.0) -> np.ndarray:
         """The operator at scale t as a dense (N, N) array, for small systems."""
         edge = self.tail[None, :] == self.head[:, None]
@@ -164,7 +156,7 @@ class TransferSystem:
         solve = power_solve if linear else log_power_solve
         solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
                                            t_scale=t_scale, start=self.eigen))
-        for key in ("_edges", "_groups", "_by_tail"):
+        for key in ("_edges", "_groups"):
             if key in vars(self):   # same graph: keep its cached index arrays
                 vars(solved)[key] = vars(self)[key]
         return solved
@@ -222,7 +214,8 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
             f"potential reads {need} digits but the kneading sequence is "
             f"only known to depth {K.depth}; sample points beyond it cannot "
             "be certified")
-    points = basis.digits if need <= n else _canonical_points(basis, K, need)
+    points = basis.digits_of(slice(None), need) if need <= n else \
+        _canonical_points(basis, K, need)
     a_vals = A.values(points)
 
     head, tail = basis.graph()
@@ -241,16 +234,26 @@ class _Operator:
 
     With e = exp(t A), (L v)[t] is the sum of e[s] v[s] over the sources s
     with tail[s] == head[t]: one grouped sum over the N sources and a
-    gather by head.  The transpose factors e[s] out, (L^T u)[s] = e[s] *
-    (sum of u over the words of prefix group tail[s]): one grouped sum over
-    the N targets and a gather by tail.  The log pair does the same with
-    logsumexp.  The index arrays are derived once per graph and cached on
-    the system (``TransferSystem._groups``, ``._by_tail``); an instance
-    adds t A, and e on its first linear application.
+    gather by head (``fwd``).  The transpose factors e[s] out, (L^T u)[s]
+    = e[s] * (sum of u over the words of prefix group tail[s]): one grouped
+    sum over the N targets and a gather by tail, taken on group values
+    (``bwd_groups``) in linear scale.  The log pair does the same with
+    logsumexp, its grouped max and sum taken in place by group index, with
+    no sort.  The index arrays are derived once per graph and cached on
+    the system (``TransferSystem._groups``); an instance adds t A, and e on
+    its first linear application.
+
+    Both Perron vectors are fixed by G prefix-group values (the exact
+    lumping of Kemeny and Snell, *Finite Markov Chains*, 1960): L v is
+    constant on prefix groups, and L^T u is e[s] times a value of group
+    tail[s].  ``fwd_groups`` and ``bwd_groups`` map those values, G in and
+    G out: forward psi = g[head], backward rho = f * U[tail], where f = e /
+    emax[tail] lies in (0, 1] and emax[h] is the largest e among the
+    sources in group h (``scaled``), so that U[h] is the largest rho among
+    them (f is 0 where all of a group's sources underflow to e = 0).
     """
 
     def __init__(self, T: TransferSystem, t_scale: float):
-        self.graph = T
         self.head = T.head
         self.first, self.tail = T._groups
         self.la = t_scale * T.a_vals
@@ -260,35 +263,58 @@ class _Operator:
         with np.errstate(over="ignore"):   # an overflow is an inf iterate
             return np.exp(self.la)
 
-    def fwd_groups(self, v: np.ndarray) -> np.ndarray:
-        # L v per prefix group, (L v)[t] = entry head[t]; bincount adds each
-        # group's sources in ascending order, as a sequential row sum does
-        return np.bincount(self.tail, self.e * v, minlength=len(self.first) + 1)[:-1]
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        """(emax, f): emax[h] the largest e among the sources in group h (0
+        for a group without sources), and f = e / emax[tail], or 0 where
+        every source of the group underflows to e = 0, as rho = e u is
+        there.  Entry G of emax is the words without successor, which carry
+        no rho."""
+        emax = _group_max(self.tail, self.e, len(self.first) + 1, 0.0)
+        top = emax[self.tail]
+        return emax, np.divide(self.e, top, out=np.zeros_like(top), where=top > 0)
 
     def fwd(self, v: np.ndarray) -> np.ndarray:
-        return self.fwd_groups(v)[self.head]
+        # (L v)[t] is entry head[t] of the sums per prefix group; bincount
+        # adds each group's sources in ascending order, as a sequential row
+        # sum does
+        return np.bincount(self.tail, self.e * v, minlength=len(self.first) + 1)[:-1][self.head]
 
-    def bwd(self, u: np.ndarray) -> np.ndarray:
-        return self.e * np.append(np.bincount(self.head, u), 0.0)[self.tail]
+    def fwd_groups(self, g: np.ndarray) -> np.ndarray:
+        # L (g[head]) per prefix group, with one N-length temporary
+        v = g[self.head]
+        v *= self.e
+        return np.bincount(self.tail, v, minlength=len(self.first) + 1)[:-1]
+
+    def bwd_groups(self, U: np.ndarray) -> np.ndarray:
+        # L^T (f U[tail]) = f U'[tail], U' = emax * (sum of f U[tail] per prefix group)
+        emax, f = self.scaled
+        return emax[:-1] * np.bincount(self.head, f * np.append(U, 0.0)[self.tail])
 
     def log_fwd(self, logv: np.ndarray) -> np.ndarray:
-        order, first, key = self.graph._by_tail
-        x = np.append(self.la + logv, np.full(len(self.first) + 1, -np.inf))
-        return _lse_runs(x[order], first, key)[self.head]
+        return _lse_groups(self.la + logv, self.tail, len(self.first) + 1)[:-1][self.head]
 
     def log_bwd(self, logu: np.ndarray) -> np.ndarray:
-        g = _lse_runs(logu, self.first, self.head)
+        g = _lse_groups(logu, self.head, len(self.first))
         return self.la + np.append(g, -np.inf)[self.tail]
 
 
-def _lse_runs(x: np.ndarray, first: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """logsumexp of each run of x starting at ``first`` (``run[i]`` is the
-    run of x[i]); -inf for a run of -inf, without evaluating log(0) or
-    -inf - -inf."""
-    mx = np.maximum.reduceat(x, first)
+def _group_max(group: np.ndarray, x: np.ndarray, size: int, empty: float) -> np.ndarray:
+    """The largest x[i] of each group (``group[i]`` is the group of x[i]),
+    ``empty`` for a group without entries or below it."""
+    mx = np.full(size, empty)
+    np.maximum.at(mx, group, x)
+    return mx
+
+
+def _lse_groups(x: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """logsumexp of x over each group (``group[i]`` is the group of x[i]),
+    each group summed in ascending i; -inf for a group of -inf or without
+    entries, without evaluating log(0) or -inf - -inf."""
+    mx = _group_max(group, x, size, -np.inf)
     live = mx > -np.inf
     mx = np.where(live, mx, 0.0)
-    s = np.add.reduceat(np.exp(x - mx[run]), first)
+    s = np.bincount(group, np.exp(x - mx[group]), minlength=size)
     return np.where(live, mx + np.log(np.where(live, s, 1.0)), -np.inf)
 
 
@@ -383,27 +409,53 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
     into ``max_iter`` returns its best iterate with ``converged=False``
     rather than raising.  ``start`` (eigendata at another scale)
     warm-starts both halves from its eigenvectors, see ``_warm_start``.
+
+    Both halves iterate G prefix-group values, not N word values (see
+    ``_Operator``): g with psi = g[head], started from the start's psi on
+    each group's first word, and U with rho = f * U[tail], started from
+    the largest rho of each group's sources.  The cold start is psi = 1 and
+    rho = f (U = 1 on the groups with sources).  Each Rayleigh quotient
+    weighs a group by its share of the word vector's squared norm: its
+    size forward, the sum of f^2 over its sources backward.  So the
+    quotient, the sup-norm, the change and the residual are those of the
+    word vectors, in exact arithmetic.  ``TransferSystem.solve`` keeps
+    |t| max|A| below ``LINEAR_LIMIT`` here; called directly beyond it, a
+    group whose sources all underflow carries rho = 0 (as the dense
+    operator does), and an overflow raises FloatingPointError.
     """
     L = _Operator(T, t_scale)
     v0, u0 = (np.ones(T.n_words) if v is None else np.exp(v)
               for v in _warm_start(start, t_scale))
-    lam_f, psi, it_f, res_f, gap, stop_f = _power_one(L.fwd, tol, max_iter, v0, T.depth)
-    lam_b, rho, it_b, res_b, _, stop_b = _power_one(L.bwd, tol, max_iter, u0, T.depth)
+    G = len(L.first)
+    _, f = L.scaled
+    lam_f, g, it_f, res_f, gap, stop_f = _power_one(
+        L.fwd_groups, tol, max_iter, v0[L.first], T.depth,
+        weight=np.diff(L.first, append=T.n_words))
+    lam_b, U, it_b, res_b, _, stop_b = _power_one(
+        L.bwd_groups, tol, max_iter, _group_max(L.tail, u0, G + 1, 0.0)[:-1], T.depth,
+        weight=np.bincount(L.tail, f * f, minlength=G + 1)[:-1])
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
     with np.errstate(divide="ignore"):
-        log_psi = np.log(psi)
-        log_rho = np.log(rho)
+        log_psi = np.log(g)[T.head]
+        log_rho = np.log(f * np.append(U, 0.0)[L.tail])
     return _eigen(math.log(lam), log_psi, log_rho, t_scale, (it_f, it_b),
                   (stop_f, stop_b), resid, gap, tol, "linear")
 
 
-def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int):
+def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
+               *, weight: np.ndarray | float = 1.0):
+    """One half of a linear solve: ``_iterate`` on v -> apply(v), sup-normalized,
+    with the Rayleigh quotient sum(weight v apply(v)) / sum(weight v^2).
+    Every sum is a fixed-order reduction, so the result does not depend on
+    the BLAS thread count.  Returns (quotient, iterate, steps, residual,
+    gap, stop reason)."""
     def step(v, damped):
         w_raw = apply(v)
         if not np.all(np.isfinite(w_raw)):
             raise FloatingPointError("power iteration overflowed")
-        lam = float(np.dot(v, w_raw) / np.dot(v, v))
+        vw = weight * v
+        lam = float(np.add.reduce(vw * w_raw) / np.add.reduce(vw * v))
         w = w_raw + max(lam, 0.0) * v if damped else w_raw
         top = w.max()
         if top <= 0 or not np.isfinite(top):
@@ -499,7 +551,7 @@ def lk_solve(T: TransferSystem, tol: float = 1e-14) -> LkResult:
     """
     L = _Operator(T, 1.0)
     # max_iter is positional: the benchmark tracer reads it at args[2]
-    lam, g, _, _, _, stop = _power_one(lambda g: L.fwd_groups((g + 1.0 / LK_K)[T.head]),
+    lam, g, _, _, _, stop = _power_one(lambda g: L.fwd_groups(g + 1.0 / LK_K),
                                        tol, 20000, np.ones(len(L.first)), T.depth)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
     return LkResult(lam, g[T.head], lam - floor, stop == "tol")

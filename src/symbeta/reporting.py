@@ -3,7 +3,8 @@
 Reports render to a human table, line-delimited JSON records (one object
 per row) or CSV for curves.  Output is deterministic: identical config and
 version produce byte-identical bytes (sorted keys, repr floats, no
-timestamps) with BLAS on one thread, whose sums round by thread count.
+timestamps), whatever the BLAS thread count: no printed sum goes through
+BLAS.
 
 A report carries its rows as columns: each renderer turns a column into
 its cell strings in one pass and joins the lines, with no object per row.
@@ -307,7 +308,7 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         rep.exit_code = 4
     # lk_lambda's exact bias: lambda_k = lambda (1 + <rho, 1> / (k <rho, psi_k>)),
     # with sum(rho) = 1; a miss is an error of lambda or of lk_lambda
-    miss = abs(lk.lam - eig.lam * (1.0 + 1.0 / (LK_K * float(rho @ lk.psi))))
+    miss = abs(lk.lam - eig.lam * (1.0 + 1.0 / (LK_K * float(np.add.reduce(rho * lk.psi)))))
     if miss > LK_BIAS_C * tol * lk.lam:
         rep.warnings.append(f"lk_solve cross-check misses its exact bias by {miss:.3e} "
                             f"(> {LK_BIAS_C:g} * tol * lk_lambda)")

@@ -230,11 +230,13 @@ class CylinderBasis:
     def __contains__(self, w):
         return tuple(w) in self.index
 
-    def digits_of(self, idx) -> np.ndarray:
-        """The uint8 digit matrix of the words at ``idx``, one per row."""
-        keys = np.array(self.keys[idx])     # a copy, divided in place
-        out = np.empty((len(keys), self.depth), dtype=np.uint8)
-        for j in reversed(range(self.depth)):
+    def digits_of(self, idx, width: int | None = None) -> np.ndarray:
+        """The uint8 digit matrix of the words at ``idx``, one per row: the
+        first ``width`` digits of each word (all ``depth`` by default)."""
+        width = self.depth if width is None else width
+        keys = self.keys[idx] // self.base ** (self.depth - width)   # new, divided in place
+        out = np.empty((len(keys), width), dtype=np.uint8)
+        for j in reversed(range(width)):
             out[:, j] = keys % self.base
             keys //= self.base
         return out

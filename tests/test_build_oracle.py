@@ -265,46 +265,65 @@ def test_dense_equals_edge_scatter():
 
 
 def check_kernels(T, rows, cols, t, dense):
-    """The four kernels of T at scale t against the operator with edges
-    (rows, cols): the forward kernel equal to the sequential sum over each
-    target's sources in ascending order, all four close to the dense
-    product (dense=True) or the edge-list sums, and the log kernels on
-    inputs with -inf entries raising no numpy warning."""
+    """The kernels of T at scale t against the operator with edges (rows,
+    cols): the forward kernel equal to the sequential sum over each
+    target's sources in ascending order; it, the group kernels the linear
+    solve runs (psi = g[head] forward, rho = f * U[tail] backward) and the
+    log kernels close to the dense product (dense=True) or the edge-list
+    sums; the log kernels on inputs with -inf entries raising no numpy
+    warning."""
     N = T.n_words
     rng = np.random.default_rng(N)
     e = np.exp(t * T.a_vals)
+    L = _Operator(T, t)
+    G = len(L.first)
     v = rng.uniform(0.5, 2.0, N)
     u = rng.uniform(0.5, 2.0, N)
+    g = rng.uniform(0.5, 2.0, G)
+    U = rng.uniform(0.5, 2.0, G)
     # zero on a whole source group and a whole target group, so that some
     # log-kernel outputs are -inf
     v[T.tail == T.tail[N // 2]] = 0.0
     u[T.head == T.head[N // 2]] = 0.0
     v[rng.random(N) < 0.2] = 0.0
     u[rng.random(N) < 0.2] = 0.0
+    g[rng.random(G) < 0.2] = 0.0
+    U[rng.random(G) < 0.2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, f = L.scaled
+        rho = f * np.append(U, 0.0)[L.tail]
+        got_f, got_g = L.fwd(v), L.fwd_groups(g)[T.head]
+        got_b = f * np.append(L.bwd_groups(U), 0.0)[L.tail]
+        with np.errstate(divide="ignore"):
+            lv, lu = np.log(v), np.log(u)
+        log_f, log_b = L.log_fwd(lv), L.log_bwd(lu)
+    assert np.all((f > 0) & (f <= 1))
     seq = np.zeros(N)
     for r, c in zip(rows.tolist(), cols.tolist()):
         seq[r] += e[c] * v[c]
     if dense:
         M = np.zeros((N, N))
         M[rows, cols] = e[cols]
-        want_f, want_b = M @ v, M.T @ u
+        want_f, want_g = M @ v, M @ g[T.head]
+        want_b, want_u = M.T @ rho, M.T @ u
     else:
-        want_f = seq
-        want_b = np.zeros(N)
-        np.add.at(want_b, cols, e[cols] * u[rows])
-    L = _Operator(T, t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got_f, got_b = L.fwd(v), L.bwd(u)
-        with np.errstate(divide="ignore"):
-            lv, lu = np.log(v), np.log(u)
-        log_f, log_b = L.log_fwd(lv), L.log_bwd(lu)
+        def fwd(x):
+            y = np.zeros(N)
+            np.add.at(y, rows, e[cols] * x[cols])
+            return y
+
+        def bwd(x):
+            y = np.zeros(N)
+            np.add.at(y, cols, e[cols] * x[rows])
+            return y
+        want_f, want_g, want_b, want_u = seq, fwd(g[T.head]), bwd(rho), bwd(u)
     assert np.array_equal(got_f, seq)
-    assert np.allclose(got_f, want_f, rtol=1e-13, atol=0)
-    assert np.allclose(got_b, want_b, rtol=1e-13, atol=0)
+    for got, want in [(got_f, want_f), (got_g, want_g), (got_b, want_b)]:
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
     with np.errstate(divide="ignore"):
         assert np.allclose(log_f, np.log(want_f), rtol=1e-13, atol=1e-13)
-        assert np.allclose(log_b, np.log(want_b), rtol=1e-13, atol=1e-13)
+        assert np.allclose(log_b, np.log(want_u), rtol=1e-13, atol=1e-13)
     assert np.any(np.isneginf(log_f)) and np.any(np.isneginf(log_b))
 
 
@@ -328,3 +347,53 @@ def test_kernels_on_dead_ends():
     assert _in_degree(cut.head, cut.tail).min() == 0 < _in_degree(T.head, T.tail).min()
     assert np.array_equal(cut.rows, rows) and np.array_equal(cut.cols, cols)
     check_kernels(cut, rows, cols, 1.0, dense=True)
+
+
+def lse_runs(x, first, run):
+    """The sorted-run logsumexp that ``_Operator.log_fwd`` used before it
+    took its grouped max and sum in place: logsumexp of each run of x
+    starting at ``first`` (``run[i]`` is the run of x[i])."""
+    mx = np.maximum.reduceat(x, first)
+    live = mx > -np.inf
+    mx = np.where(live, mx, 0.0)
+    s = np.add.reduceat(np.exp(x - mx[run]), first)
+    return np.where(live, mx + np.log(np.where(live, s, 1.0)), -np.inf)
+
+
+def argsort_log_fwd(L, logv):
+    # the sources sorted by group, ascending within a group, and each
+    # group closed by a -inf pad so that none is empty
+    G = len(L.first)
+    key = np.append(L.tail, np.arange(G + 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x = np.append(L.la + logv, np.full(G + 1, -np.inf))[order]
+    return lse_runs(x, np.flatnonzero(np.diff(key, prepend=-1)), key)[L.head]
+
+
+def test_log_kernels_match_the_sorted_run_form():
+    # dead ends (tail -1), a group without sources, -inf entries and a
+    # source group that is -inf throughout
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    T = build_system(p, K, PotentialSpec.geometric(1.0, theta=0.25, kmax=12), 5)
+    cut = replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
+    rng = np.random.default_rng(5)
+    for S in (T, cut):
+        for t in (1.0, 64.0):
+            L = _Operator(S, t)
+            logv = rng.normal(0.0, 3.0, S.n_words)
+            logv[rng.random(S.n_words) < 0.3] = -np.inf
+            logv[S.tail == S.tail[S.n_words // 2]] = -np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = L.log_fwd(logv)
+                want = argsort_log_fwd(L, logv)
+                got_b = L.log_bwd(logv)
+                want_b = L.la + np.append(lse_runs(logv, L.first, S.head), -np.inf)[L.tail]
+            assert np.any(np.isneginf(got)) and np.any(np.isfinite(got))
+            # the same -inf entries; reduceat and bincount may add a group's
+            # four terms in different orders
+            for g, w in ((got, want), (got_b, want_b)):
+                assert np.array_equal(np.isneginf(g), np.isneginf(w))
+                np.testing.assert_allclose(g, w, rtol=4e-16, atol=0)

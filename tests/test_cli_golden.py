@@ -53,17 +53,17 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "66e77d8d0a99aeee9c148ff8494546365638ace04fe167afe258777e26676078"),
+     "6731d536317df95747a340a7a07dff708424c4e24f362aa425a2d28ea9123296"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
-     "e9aa4196c6e5a1aef8eb5fa776c95350727deb57cbe79aaec5d0275a74e55efc"),
+     "89d387c973736658b195fb6b5970ed69e569b196376deadd79c167db9b782153"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "6befe428b4758c391f093c123f6f311eb177003219847923225b814e7e0c5bcf"),
+     "05be3c30f7558b42b4b966bcf4fd167f27f893dc7503caf61364c0c34813741e"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
-     "1a5f70daec519b041e76ece639d4ad011cd1c1c9999b0a03baa78a0444b973c0"),
+     "34727bc0a1b0ce77dc882ed9cbc823e3d5884c6bdd74eae5ce049ff28981c6d9"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "fad48e2894edb0dda976be3047f0001727f087f53ddc0987a8590722df1d4a1b"),
+     "7ce669f997071f4a6dad34089d6e2e6c97e5953a4c8e7378f6e792ea18b202d4"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "a570181ed4f27957be84efad3de237c4737cee2b32929ca8dec763e014255163"),
+     "d4a3375c8404dbeeb88fecdac9cba736c991e15298af6abb84ccd46cfab5d8cb"),
     # the benchmark's symbolic workload: a deep expansion at a rational
     # base with a 73-bit denominator, and 155,197 word rows
     ("expand --m 3 --beta beta_T --a 1 --depth 1000 --kneading-depth 1002",
@@ -86,33 +86,43 @@ def test_stdout_is_pinned(argv, digest, capsys):
 
 
 # the benchmark's spectrum-deep, zerotemp-scan and thermo-gaps commands at
-# seed 0.  At these sizes OpenBLAS splits np.dot across threads and the last
-# printed digits depend on the thread count, so each runs in its own process
-# pinned to one thread.
+# seed 0, each in its own process.
 GEO = "--potential geometric:c=1,theta=0.25,kmax=12"
 BENCH_CASES = [
     ("spectrum --m 5 --beta 6 --depth 7 --potential digit_table:0.3,0,0.1,0.05,0.2,0.1",
-     "b78e6ce57ea6cb222d778425d2dee48b0af20ecfcbabc95b54b63aa8e5e1870c"),
+     "b5297f5a9323edb67467fa492c96e73837a9503b123c1d9591d6602dca2fffc7"),
     (f"spectrum --m 4 --beta 5 --depth 7 {GEO}",
-     "8e89ebf0b24bf44e8a944173db03e23f2d78c06b102760abf3d288ff998b7b5a"),
+     "59de157ce6be040c6bbb2ccd6cc88f49656751de0d4b852815c81ab40334c69e"),
     (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
-     "8d2ea15ed285cd2e4f0e3e5966e7acdaef0a9a177aa91808e6b947412d72919d"),
+     "018107646f049e3930677487e61dec6a8d8a057a8c90fa8e00992b8941d3b13c"),
     (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
-     "83942c8c966eda25d2cbceb84515aba0a1b887eacde55b2216db8ff8d584d8f5"),
+     "5c4c7a4ea4a569a5bb2cdbba9c7489f1ecb2f88676ce4807be3c991c3635a912"),
     (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",
-     "7609ca7974e42938609250813d09a7708755bfcd65904fd5b117b95cfa2356c5"),
+     "56f92b952bee6c20ba8b155307bb5b37800ca60108e334d8d5fd26a47b332448"),
     ("thermo --m 4 --beta 5 --depth 5 --potential digit_table:0.3,0,0.1,0.05,0.2",
-     "562a9c1810719a42c66fd452286b46ada4ea95759af4709b251a567ac1dc30c1"),
+     "e62ddf97f2d7ea27cf48975bd0865346db08116fe0b482feb8eaee3a3c0e9b9d"),
     (f"thermo --m 3 --beta 3.5 --depth 6 {POT}",
-     "1ea11086681de85f8cbf7937e7c54fc1390a74ab670d2760ab1dd798e7c9ea90"),
+     "28b19e600a8a06ff08365b74e5d6017b820524942896ab06ba0b5c2c40c657c9"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])
-def test_benchmark_stdout_is_pinned(argv, digest):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+def run_cli(argv, threads="1"):
+    """stdout of the CLI in its own process, with BLAS on ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-m", "symbeta", *argv.split()],
                          capture_output=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert hashlib.sha256(out.stdout).hexdigest() == digest
+    return out.stdout
+
+
+@pytest.mark.parametrize("argv, digest", BENCH_CASES, ids=[c[0] for c in BENCH_CASES])
+def test_benchmark_stdout_is_pinned(argv, digest):
+    assert hashlib.sha256(run_cli(argv)).hexdigest() == digest
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count():
+    # every sum of the solves, the Gibbs state and the cross-check is a
+    # fixed-order reduction, not a BLAS dot product that splits by thread
+    argv = f"spectrum --m 5 --beta 6 --depth 7 {GEO}"
+    assert run_cli(argv, "1") == run_cli(argv, "2")

@@ -217,13 +217,13 @@ def test_stop_rule_is_pinned():
     # warm-started along a zerotemp continuation (log scale from t = 64)
     # and cut at max_iter
     T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=5)
-    assert _stops(power_solve(T)) == (31, 59, "tol", 0.6287799791449427)
+    assert _stops(power_solve(T)) == (31, 33, "tol", 0.6287799791449427)
     assert _stops(log_power_solve(T, t_scale=64.0)) == (44, 116, "tol", 0.5483383685800605)
     assert _stops(power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.480938747846111)
     assert _stops(log_power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.5145848424851678)
-    chain = [(31, 59, "tol", 0.6287799791449427), (31, 32, "tol", 0.6269005847953216),
+    chain = [(31, 33, "tol", 0.6287799791449427), (31, 32, "tol", 0.6269005847953216),
              (32, 31, "tol", 0.5123456790123457), (30, 28, "tol", 0.7764705882352941),
-             (34, 32, "tol", 0.6734693877551021), (30, 30, "tol", 0.7912087912087912),
+             (34, 32, "tol", 0.6), (30, 30, "tol", 0.7741935483870968),
              (39, 43, "tol", 0.49956634865568084), (37, 38, "tol", 0.5214067278287462),
              (37, 36, "tol", 0.5033557046979866)]
     for t, stops in zip((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0), chain):
@@ -522,6 +522,79 @@ def test_reflection_covariance():
     assert np.allclose(Tm[np.ix_(perm, perm)], Tm, atol=1e-14)
     psi = T.eigen.psi
     assert np.max(np.abs(psi[perm] - psi)) < 1e-9
+
+
+POT = "digit_table:0.3,0,0.1,0.05"
+
+
+def cut_system():
+    # (3, 3.5) at depth 5 with the sources of one prefix group cut: the
+    # words whose suffix was that group have no successor, and the group's
+    # words have no source
+    T = system(3, "3.5", parse_potential(POT), n=5)
+    return dataclasses.replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
+
+
+@pytest.mark.parametrize("m, b, n, pot, t", [
+    (3, "3.5", 4, POT, 1.0), (3, "3.5", 4, POT, 32.0), (3, 4, 3, POT, 1.0),
+    (3, 4, 3, POT, 32.0), (3, "3.5", 5, None, 1.0), (3, "3.5", 5, None, 8.0)])
+def test_group_solve_matches_the_dense_spectrum(m, b, n, pot, t):
+    # the golden spectrum, thermo and zerotemp systems, and the cut system;
+    # psi and rho within 1e-10 of the dense eigenvectors
+    T = system(m, b, parse_potential(pot), n=n) if pot else cut_system()
+    first = np.flatnonzero(np.diff(T.head, prepend=-1))
+    eig = power_solve(T, t_scale=t)
+    vals, right, left = dense_spectrum(T, t)
+    assert eig.converged and eig.stop_reason == "tol"
+    assert eig.lam == pytest.approx(abs(vals[0]), rel=1e-13)
+    left = left / left.sum()
+    right = right / np.dot(left, right)
+    assert np.max(np.abs(eig.psi - right)) < 1e-10 * np.max(right)
+    assert np.max(np.abs(eig.rho - left)) < 1e-10 * np.max(left)
+    # psi is one value per prefix group; rho is 0 exactly on dead ends
+    assert np.array_equal(eig.log_psi, eig.log_psi[first][T.head])
+    assert np.all(np.isneginf(eig.log_rho[T.tail < 0]))
+    if pot is None:
+        assert np.any(T.tail < 0) and np.any(np.isneginf(eig.log_psi))
+
+
+def test_group_solve_carries_zeros_where_every_source_of_a_group_underflows():
+    # called directly, below |t| max|A| = 600 nowhere: the sources of one
+    # prefix group have A = -800, so e = exp(A) is 0 on all of them, and
+    # the operator is that of the cut system
+    T = system(3, "3.5", parse_potential(POT), n=5)
+    dead = T.tail == T.tail[0]
+    under = dataclasses.replace(T, a_vals=np.where(dead, -800.0, T.a_vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = power_solve(under)
+    want = power_solve(cut_system())
+    assert eig.converged and eig.stop_reason == "tol"
+    assert eig.lam == pytest.approx(want.lam, rel=1e-14)
+    assert np.all(np.isneginf(eig.log_rho[dead]))
+    assert np.allclose(eig.psi, want.psi, rtol=1e-12, atol=0)
+    assert np.allclose(eig.rho, want.rho, rtol=1e-12, atol=0)
+
+
+def test_group_solve_keeps_the_forward_counts_of_the_word_solve():
+    # the step counts of the iteration over all N words, along a zerotemp
+    # chain: every forward half, and every warm-started backward half; the
+    # cold backward half starts from rho = f (the word solve from rho = 1)
+    p = Params.make(3, "3.5")
+    K = build_kneading(p, 64)
+    word_solve = {
+        6: [(32, 60), (32, 32), (34, 32), (34, 34), (44, 43), (32, 30), (40, 50),
+            (37, 44), (37, 36), (32, 32)],
+        7: [(32, 64), (32, 31), (31, 32), (34, 33), (36, 34), (30, 30), (41, 54),
+            (37, 38), (37, 36), (32, 32)]}
+    cold_bwd = {6: 55, 7: 62}
+    for n, want in word_solve.items():
+        T = build_system(p, K, parse_potential(POT), n)
+        for k, t in enumerate((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)):
+            T = T.solve(t_scale=t)
+            fwd, bwd = want[k]
+            assert (T.eigen.iterations_fwd, T.eigen.iterations_bwd) == \
+                (fwd, cold_bwd[n] if k == 0 else bwd), (n, t)
 
 
 def test_matrix_entries_positive_and_eigen_invariants():

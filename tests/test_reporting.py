@@ -409,6 +409,17 @@ def test_cli_thermo_says_why_it_exits_4(capsys):
     assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out
 
 
+def test_cli_thermo_exits_4_when_the_solve_runs_into_max_iter(monkeypatch, capsys):
+    # exit 4 by construction: both halves are cut at 3 steps
+    solve = operator.power_solve
+    monkeypatch.setattr(operator, "power_solve",
+                        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iter": 3}))
+    code = main(["thermo", "--m", "3", "--beta", "3.5", "--depth", "3",
+                 "--potential", "digit_table:0.3,0,0.1,0.05"])
+    assert code == 4
+    assert "WARNING: power iteration did not converge (residual" in capsys.readouterr().out
+
+
 def test_cli_thermo_solves_only_at_t_1(capsys):
     # the pressure asymptote at large t is zerotemp's; thermo's one solve,
     # at t = 1, converges on this system
