@@ -18,12 +18,17 @@ extended digit by digit with the smallest admissible continuation
 sample is off by at most the potential's variation over its cylinder (see
 ``potentials``); no printed figure bounds the resulting pressure error.
 
-Solvers: sup-normalized power iteration for the Perron eigenvalue with the
-right (eigenfunction) and left (eigenmeasure) eigenvectors, a log-domain
-variant for strongly scaled potentials (``TransferSystem.solve`` picks one
-by the scale t), and the perturbed fixed-point map
-psi -> L(psi + 1/k)/||L(psi + 1/k)|| at one fixed k, whose value lambda_k
-exceeds lambda by an exactly known bias (``lk_solve``).  All solves are
+Solvers: sup-normalized power iteration on the prefix-group values for
+the Perron eigenvalue with the right (eigenfunction) and left
+(eigenmeasure) eigenvectors (``power_solve``); the same linear iteration
+on the gauged potential for strongly scaled potentials
+(``log_power_solve``), where A is shifted by a coboundary of a max-plus
+eigenvector and by the maximal cycle mean, so that exp(t A') <= 1 at
+every t (``TransferSystem.solve`` picks one by the scale t); and the
+perturbed fixed-point map psi -> L(psi + 1/k)/||L(psi + 1/k)|| at one
+fixed k, whose value lambda_k exceeds lambda by an exactly known bias
+(``lk_solve``).  Every solve is one linear iteration loop
+(``_iterate``); no solve iterates in log scale.  All solves are
 deterministic.
 """
 
@@ -84,7 +89,7 @@ class EigenData:
         return np.exp(self.log_rho)
 
 
-# ``TransferSystem.solve`` iterates in log scale above this t, where exp(t A)
+# ``TransferSystem.solve`` takes the gauged solve above this t, where exp(t A)
 # soon overflows.  Fixed: the pinned zerotemp and thermo outputs switch here.
 LOG_THRESHOLD = 32.0
 # ... and wherever |t| max|A| reaches this bound, which leaves exp(tA) and
@@ -139,6 +144,33 @@ class TransferSystem:
         first = np.flatnonzero(np.diff(self.head, prepend=-1))
         return first, np.where(self.tail < 0, len(first), self.tail)
 
+    @cached_property
+    def _gauges(self) -> dict[float, tuple[np.ndarray, float, np.ndarray]]:
+        return {}
+
+    def _gauge(self, sign: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """The max-plus gauge (u, b*, b') of b = sign * A, computed once per
+        sign and cached: u per prefix group, by the max-plus half
+        ``_log_power_one`` on b / max|A| from u = 0; b* = max(b + u[head]
+        - u[tail]) over the words with a successor; and the gauged
+        potential b' = b + u[head] - u[tail] - b* there (0 on the words
+        without successor, which are sources of nothing), <= 0 however far
+        u has converged (see ``log_power_solve``)."""
+        if sign not in self._gauges:
+            first, tail = self._groups
+            scale = float(np.max(np.abs(self.a_vals), initial=0.0))
+            u = np.zeros(len(first))
+            if scale > 0:
+                # the step bound is positional: the benchmark tracer reads
+                # it at args[3]
+                u = scale * _log_power_one(_Operator(self, sign / scale), u, _GAUGE_TOL,
+                                           _GAUGE_MAX_ITER)[1]
+            b = sign * self.a_vals + u[self.head] - np.append(u, 0.0)[tail]
+            succ = self.tail >= 0
+            b_star = float(np.max(b[succ])) if succ.any() else 0.0
+            self._gauges[sign] = u, b_star, np.where(succ, b - b_star, 0.0)
+        return self._gauges[sign]
+
     def dense(self, t_scale: float = 1.0) -> np.ndarray:
         """The operator at scale t as a dense (N, N) array, for small systems."""
         edge = self.tail[None, :] == self.head[:, None]
@@ -147,16 +179,17 @@ class TransferSystem:
     def solve(self, tol: float = 1e-14, max_iter: int = 20000,
               t_scale: float = 1.0) -> "TransferSystem":
         """The system with its Perron eigendata at scale ``t_scale``, by
-        ``power_solve`` up to ``LOG_THRESHOLD`` and ``log_power_solve``
-        above it or where |t| max|A| >= ``LINEAR_LIMIT``, on which exp(tA)
-        overflows or underflows.  A solved system warm-starts from its own
-        eigendata."""
+        ``power_solve`` up to ``LOG_THRESHOLD`` and by the gauged
+        ``log_power_solve`` above it or where |t| max|A| >= ``LINEAR_LIMIT``,
+        on which exp(tA) overflows or underflows.  A solved system
+        warm-starts from its own eigendata, and the result keeps the
+        graph's cached index arrays and max-plus gauges."""
         a_max = float(np.max(np.abs(self.a_vals), initial=0.0))
         linear = t_scale <= LOG_THRESHOLD and abs(t_scale) * a_max < LINEAR_LIMIT
         solve = power_solve if linear else log_power_solve
         solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
                                            t_scale=t_scale, start=self.eigen))
-        for key in ("_edges", "_groups"):
+        for key in ("_edges", "_groups", "_gauges"):
             if key in vars(self):   # same graph: keep its cached index arrays
                 vars(solved)[key] = vars(self)[key]
         return solved
@@ -230,7 +263,8 @@ def _in_degree(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 class _Operator:
-    """L at one scale t and its transpose, in linear and in log scale.
+    """L at one scale t and its transpose, in linear and in log scale
+    (``a_vals`` replaces the system's potential, as the gauged solve does).
 
     With e = exp(t A), (L v)[t] is the sum of e[s] v[s] over the sources s
     with tail[s] == head[t]: one grouped sum over the N sources and a
@@ -253,10 +287,10 @@ class _Operator:
     them (f is 0 where all of a group's sources underflow to e = 0).
     """
 
-    def __init__(self, T: TransferSystem, t_scale: float):
+    def __init__(self, T: TransferSystem, t_scale: float, a_vals: np.ndarray | None = None):
         self.head = T.head
         self.first, self.tail = T._groups
-        self.la = t_scale * T.a_vals
+        self.la = t_scale * (T.a_vals if a_vals is None else a_vals)
 
     @cached_property
     def e(self) -> np.ndarray:
@@ -355,14 +389,15 @@ def _warm_start(start: EigenData | None, t_scale: float):
     return tuple(v - np.max(v) for v in (start.log_psi * r, start.log_rho * r))
 
 
-def _iterate(step, v, tol: float, max_iter: int, settle: float, window: int | None):
-    """The power-iteration loop of either half in either scale.
+def _iterate(step, v, tol: float, max_iter: int, window: int | None):
+    """The power-iteration loop of every half: the linear halves and the
+    max-plus half (``_log_power_one``).
 
     ``step(v, damped)`` applies the operator once and returns (quotient,
     normalized iterate, change): the Rayleigh quotient q of v, the next
     iterate, sup-normalized, and how far it moved.  The loop stops on
     "tol" once two successive quotients agree to ``tol * max(1, |q|)``
-    and the change is below ``settle * tol``; otherwise it stops on
+    and the change is below ``10 * tol``; otherwise it stops on
     "max_iter".  The gap estimate is 1 minus the last one-step
     contraction of the change, damped or not.
 
@@ -389,7 +424,7 @@ def _iterate(step, v, tol: float, max_iter: int, settle: float, window: int | No
             gap = 1.0 - min(diff / diffs[-1], 1.0)
         q_ok = q_prev is not None and abs(q - q_prev) < tol * max(1.0, abs(q))
         q_prev = q
-        if q_ok and diff < settle * tol:
+        if q_ok and diff < 10 * tol:
             stop = "tol"
             break
         diffs.append(diff)
@@ -402,8 +437,8 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
     """Perron eigendata by sup-normalized power iteration.
 
     Runs the forward iteration for the eigenfunction and the transpose
-    iteration for the eigenmeasure, each in ``_iterate`` with the settle
-    bound ``10 * tol`` and the switch to damping over a window of
+    iteration for the eigenmeasure, each in ``_iterate`` with the switch
+    to damping over a window of
     ``T.depth`` steps.  Converged means both halves stopped on "tol" and
     the eigen-equation residual is below ``100 * tol``; a half that runs
     into ``max_iter`` returns its best iterate with ``converged=False``
@@ -411,36 +446,50 @@ def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
     warm-starts both halves from its eigenvectors, see ``_warm_start``.
 
     Both halves iterate G prefix-group values, not N word values (see
-    ``_Operator``): g with psi = g[head], started from the start's psi on
-    each group's first word, and U with rho = f * U[tail], started from
-    the largest rho of each group's sources.  The cold start is psi = 1 and
-    rho = f (U = 1 on the groups with sources).  Each Rayleigh quotient
-    weighs a group by its share of the word vector's squared norm: its
-    size forward, the sum of f^2 over its sources backward.  So the
-    quotient, the sup-norm, the change and the residual are those of the
-    word vectors, in exact arithmetic.  ``TransferSystem.solve`` keeps
+    ``_Operator`` and ``_group_halves``).  ``TransferSystem.solve`` keeps
     |t| max|A| below ``LINEAR_LIMIT`` here; called directly beyond it, a
     group whose sources all underflow carries rho = 0 (as the dense
     operator does), and an overflow raises FloatingPointError.
     """
     L = _Operator(T, t_scale)
-    v0, u0 = (np.ones(T.n_words) if v is None else np.exp(v)
-              for v in _warm_start(start, t_scale))
-    G = len(L.first)
+    v0, u0 = _warm_start(start, t_scale)
+    log_lam, log_psi, log_rho, *rest = _group_halves(L, tol, max_iter, v0, u0, T.depth)
+    return _eigen(log_lam, log_psi, log_rho, t_scale, *rest, tol, "linear")
+
+
+def _group_halves(L: _Operator, tol: float, max_iter: int, logv0, logu0, window: int):
+    """Both linear halves of a solve on the group kernels of ``L``, from the
+    log word vectors (logv0, logu0), or cold where they are None.
+
+    The forward half iterates g with psi = g[head], started from the
+    start's psi on each group's first word; the backward half iterates U
+    with rho = f * U[tail], started from the largest rho of each group's
+    sources.  The cold start is psi = 1 and rho = f (U = 1 on the groups
+    with sources).  Each Rayleigh quotient weighs a group by its share of
+    the word vector's squared norm: its size forward, the sum of f^2 over
+    its sources backward.  So the quotient, the sup-norm, the change and
+    the residual are those of the word vectors, in exact arithmetic.  A
+    word whose psi or rho underflows to 0 gets log -inf.  Returns (log
+    lambda, log psi, log rho, steps, stop reasons, residual, gap), the
+    vectors unnormalized.
+    """
+    n, G = len(L.head), len(L.first)
+    v0, u0 = (np.ones(n) if v is None else np.exp(v) for v in (logv0, logu0))
     _, f = L.scaled
+    # max_iter is positional: the benchmark tracer reads it at args[2]
     lam_f, g, it_f, res_f, gap, stop_f = _power_one(
-        L.fwd_groups, tol, max_iter, v0[L.first], T.depth,
-        weight=np.diff(L.first, append=T.n_words))
+        L.fwd_groups, tol, max_iter, v0[L.first], window,
+        weight=np.diff(L.first, append=n))
     lam_b, U, it_b, res_b, _, stop_b = _power_one(
-        L.bwd_groups, tol, max_iter, _group_max(L.tail, u0, G + 1, 0.0)[:-1], T.depth,
+        L.bwd_groups, tol, max_iter, _group_max(L.tail, u0, G + 1, 0.0)[:-1], window,
         weight=np.bincount(L.tail, f * f, minlength=G + 1)[:-1])
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
     with np.errstate(divide="ignore"):
-        log_psi = np.log(g)[T.head]
+        log_psi = np.log(g)[L.head]
         log_rho = np.log(f * np.append(U, 0.0)[L.tail])
-    return _eigen(math.log(lam), log_psi, log_rho, t_scale, (it_f, it_b),
-                  (stop_f, stop_b), resid, gap, tol, "linear")
+    return (math.log(lam), log_psi, log_rho, (it_f, it_b), (stop_f, stop_b), resid,
+            gap)
 
 
 def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
@@ -463,7 +512,7 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
         w = w / top
         return lam, w, float(np.max(np.abs(w - v)))
 
-    lam, v, it, gap, stop = _iterate(step, v, tol, max_iter, 10, window)
+    lam, v, it, gap, stop = _iterate(step, v, tol, max_iter, window)
     resid = float(np.max(np.abs(apply(v) - lam * v)) / max(lam, 1e-300))
     return lam, v, it, resid, gap, stop
 
@@ -471,56 +520,76 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
 def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
                     max_iter: int = 20000,
                     start: EigenData | None = None) -> EigenData:
-    """Power iteration in log scale; required once exp(t A) overflows.
+    """Perron eigendata at any scale t, by the linear group solve on the
+    gauged potential; required once exp(t A) overflows or underflows.
 
-    Each half runs ``_iterate`` damped from the first step: above the log
-    threshold the operators concentrate on periodic orbits, where undamped
-    log iteration is slower or stalls (at (3, 3.5), depths 6 and 7:
-    111-112 iterations per half instead of 33-46 at t = 64, and max_iter
-    at t = 512).  The change is taken on the components within e^60 of the
-    iterate's maximum and must settle below ``100 * tol``; the quotient
-    test must pass too, as the windowed change alone can settle before
-    mass outside the window has grown in.  Converged, ``max_iter`` and
-    the warm start from ``start`` are as in ``power_solve``.
+    With s = |t|, b = sign(t) A, and u, b* the max-plus gauge of b
+    (``TransferSystem._gauge``), the gauged potential is b' = b +
+    u[head] - u[tail] - b* on every word with a successor: b' <= 0 by
+    the choice of b*, and 0, to the accuracy of u, on the critical cycles
+    of b.  Conjugating the
+    operator by D = diag(exp(s u[head])) and dividing it by exp(s b*)
+    gives the operator of b' at scale s (exp(s b') <= 1, so no value
+    overflows at any t), with the same Perron vectors up to D:
+
+        log lambda = s b* + log lambda',  log psi = log psi' + s u[head],
+        log rho = log rho' - s u[head],
+
+    so the Gibbs weights psi rho = psi' rho' are unchanged.  The shift is
+    applied before ``_eigen`` normalizes.  Both halves run as in
+    ``power_solve`` (``_group_halves``).  The forward half starts cold,
+    from psi' = 1; a warm start from ``start`` (see ``_warm_start``) sets
+    the backward half's start only, moved into gauged coordinates, since
+    a warm forward start saved no more than 2 steps and could cost 6.  A
+    word whose psi' or rho' underflows (less than e^-745 of the largest)
+    gets log -inf.  The name and the printed mode "log" are those of the
+    log-scale iteration this solve replaced.
     """
-    L = _Operator(T, t_scale)
-    v0, u0 = _warm_start(start, t_scale)
-    log_lam_f, log_psi, it_f, res_f, gap, stop_f = _log_power_one(
-        L.log_fwd, T.n_words, tol, max_iter, v0)
-    log_lam_b, log_rho, it_b, res_b, _, stop_b = _log_power_one(
-        L.log_bwd, T.n_words, tol, max_iter, u0)
-    log_lam = 0.5 * (log_lam_f + log_lam_b)
-    resid = max(res_f, res_b, abs(log_lam_f - log_lam_b))
-    return _eigen(log_lam, log_psi, log_rho, t_scale, (it_f, it_b),
-                  (stop_f, stop_b), resid, gap, tol, "log")
+    sign = -1.0 if t_scale < 0 else 1.0
+    s = abs(t_scale)
+    u, b_star, gauged = T._gauge(sign)
+    L = _Operator(T, s, gauged)
+    lift = s * u[T.head]
+    _, u0 = _warm_start(start, t_scale)
+    if u0 is not None:
+        u0 = u0 + lift
+        u0 -= np.max(u0)
+    log_lam, log_psi, log_rho, *rest = _group_halves(L, tol, max_iter, None, u0, T.depth)
+    return _eigen(s * b_star + log_lam, log_psi + lift, log_rho - lift, t_scale, *rest,
+                  tol, "log")
 
 
-_LOG_WINDOW = 60.0   # components below max - window carry < e^-60 relative mass
+# stop rule and fixed step bound of the max-plus half, on b / max|A|
+_GAUGE_TOL = 1e-14
+_GAUGE_MAX_ITER = 1000
 
 
-def _log_power_one(apply_log, n: int, tol: float, max_iter: int,
-                   logv0: np.ndarray | None = None):
-    # The change is judged on the mass-carrying components only: those far
-    # below the maximum keep drifting by a constant log-amount per step
-    # (they decay at their own rate) and never settle, while contributing
-    # nothing to the eigendata.
-    def step(logv, damped):
-        logw_raw = apply_log(logv)
-        log_lam = _lse_vec(logv + logw_raw) - _lse_vec(2.0 * logv)
-        logw = np.logaddexp(logw_raw, log_lam + logv)   # log(L v + lam v)
-        logw = logw - np.max(logw)
-        window = logw > -_LOG_WINDOW
-        return log_lam, logw, float(np.max(np.abs(logw[window] - logv[window])))
+def _log_power_one(L: _Operator, v: np.ndarray, tol: float, max_iter: int):
+    """The max-plus half: the log-scale power step v -> log L e^v divided
+    by t, in the limit t -> oo, on the G prefix-group values of ``L.la``.
 
-    logv = np.zeros(n) if logv0 is None else logv0
-    log_lam, logv, it, gap, stop = _iterate(step, logv, tol, max_iter, 100, None)
-    logw = apply_log(logv)
-    top = np.max(logv)
-    window = logv > top - _LOG_WINDOW
-    # eigen-equation violation weighted by relative component mass
-    resid = float(np.max(np.abs(logw[window] - log_lam - logv[window])
-                         * np.exp(logv[window] - top)))
-    return log_lam, logv, it, resid, gap, stop
+    The step is (B v)[h] = max of la[s] + v[head[s]] over the sources s
+    of group h (``np.logaddexp`` becomes ``np.maximum``), damped by the
+    quotient q as the linear step is, w = max(B v, q + v), and shifted to
+    maximum 0.  q is the midpoint of the max-plus Collatz-Wielandt bracket
+    [min(B v - v), max(B v - v)] over the groups with sources; for a
+    transitive graph the bracket holds the maximal cycle mean, and it
+    closes where v is a max-plus eigenvector.  The step runs in
+    ``_iterate``, always damped.  Returns (quotient, iterate, steps, gap,
+    stop reason).
+    """
+    G = len(L.first)
+
+    def step(v, damped):
+        w = _group_max(L.tail, L.la + v[L.head], G + 1, -np.inf)[:-1]
+        live = w > -np.inf
+        d = w[live] - v[live]
+        q = 0.5 * (float(np.min(d)) + float(np.max(d)))
+        w = np.maximum(w, q + v)
+        w -= np.max(w)
+        return q, w, float(np.max(np.abs(w - v)))
+
+    return _iterate(step, v, tol, max_iter, None)
 
 
 @dataclass(frozen=True)
@@ -594,8 +663,11 @@ class NormalizedSystem:
 def normalize_potential(T: TransferSystem) -> NormalizedSystem:
     """Rescale the operator by its Perron data.  Requires a solved system.
 
-    Only supported sources enter: unconverged, deeply decayed components
-    hold no reliable eigenvector ratios and no mass.  With log psi set to
+    Only supported sources enter: the support is the words with finite
+    log psi and log rho within e^600 of the heaviest Gibbs weight.  A word
+    whose psi or rho underflowed to 0 in the gauged solve (log -inf, see
+    ``log_power_solve``) is outside it, as are deeply decayed components,
+    which hold no reliable eigenvector ratios and no mass.  With log psi set to
     -inf off the support, row t of Mbar sums to exp(log_fwd(log psi)[t] -
     log psi(t) - log lambda), and J's marginals are log_j_out = log rho -
     log lambda + log_fwd(log psi) and log_j_in = log_bwd(log rho) + log
@@ -606,7 +678,7 @@ def normalize_potential(T: TransferSystem) -> NormalizedSystem:
         raise ValueError("system is not solved; run TransferSystem.solve first")
     L = _Operator(T, eig.t_scale)
     log_mu = eig.log_psi + eig.log_rho
-    support = log_mu > (np.max(log_mu) - 600.0)
+    support = np.isfinite(log_mu) & (log_mu > np.max(log_mu) - 600.0)
     log_psi = np.where(support, eig.log_psi, -np.inf)
     into = L.log_fwd(log_psi) - eig.log_lam     # log (lambda^-1 L psi)
     sums = np.exp(into[support] - eig.log_psi[support])

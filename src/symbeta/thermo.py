@@ -107,9 +107,12 @@ def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
     """
     T = nrm.system
     eig = T.eigen
-    # marginal entries below ~e^-100 relative weight contribute nothing
-    # and, at strong scaling, may sit on unconverged eigenvector components
-    j_out, j_in = (np.exp(np.where(log_j > np.max(log_j) - 100.0, log_j, -np.inf))
+    # J is taken on the support only: a word whose psi or rho underflowed
+    # to 0 (log -inf) carries no J, so log psi is finite wherever the flow
+    # is read.  Marginal entries below ~e^-100 relative weight contribute
+    # nothing and, at strong scaling, may sit on unconverged components.
+    j_out, j_in = (np.exp(np.where(nrm.support & (log_j > np.max(log_j) - 100.0),
+                                   log_j, -np.inf))
                    for log_j in (nrm.log_j_out, nrm.log_j_in))
     # h = -sum J log Mbar, summed by target and by source (module docstring)
     flow = j_out - j_in
@@ -362,9 +365,13 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     inverse temperatures.
 
     The scan is a continuation in t: each grid point solves the system
-    solved at the point before it (``TransferSystem.solve``, log scale
-    above t = 32), warm-started from its eigendata and with its cached
-    graph index arrays; a point that runs into ``max_iter`` is reported unconverged.
+    solved at the point before it (``TransferSystem.solve``), warm-started
+    from its eigendata and with its cached graph index arrays.  Above t =
+    32 the solve is the gauged linear solve (``log_power_solve``, printed
+    as mode "log"): the max-plus gauge is computed once for the scan, at
+    its first such point, and each of these solves starts its forward half
+    cold and its backward half from the point before it.  A point that
+    runs into ``max_iter`` is reported unconverged.
     The upper estimate of the maximal ergodic average is P(t_max A)/t_max
     of the last point, and the periodic-orbit lower bound needs no further
     solve.  The entropy at large t estimates the residual entropy of the

@@ -96,9 +96,9 @@ BENCH_CASES = [
     (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
      "018107646f049e3930677487e61dec6a8d8a057a8c90fa8e00992b8941d3b13c"),
     (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
-     "5c4c7a4ea4a569a5bb2cdbba9c7489f1ecb2f88676ce4807be3c991c3635a912"),
+     "63e68d71caa5308ecd60dab0c731f6be437ec02a2732ce1e95e4b5db973239d8"),
     (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",
-     "56f92b952bee6c20ba8b155307bb5b37800ca60108e334d8d5fd26a47b332448"),
+     "598af26aa42f63435c1228e73e75bf7a4356e83d11a8ae7488f780201a591f8f"),
     ("thermo --m 4 --beta 5 --depth 5 --potential digit_table:0.3,0,0.1,0.05,0.2",
      "e62ddf97f2d7ea27cf48975bd0865346db08116fe0b482feb8eaee3a3c0e9b9d"),
     (f"thermo --m 3 --beta 3.5 --depth 6 {POT}",

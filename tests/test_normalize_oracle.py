@@ -108,6 +108,18 @@ def test_grouped_normalization_along_the_t_grid(m, b, pot, n):
     assert T.eigen.t_scale == 512.0 and T.eigen.mode == "log"
 
 
+def test_row_sums_equal_one_along_the_geometric_grid():
+    # the gauged solves from t = 64 converge on every supported word: the
+    # word-sampled log solve they replaced left words far below its
+    # maximum unconverged, and the row sums there read 0.36, 0.66 and 0.88
+    # at t = 64, 128 and 256
+    T = system(3, "3.5", GEO, 5)
+    for t in DEFAULT_T_GRID:
+        T = T.solve(tol=1e-14, t_scale=t)
+        assert T.eigen.converged
+        assert normalize_potential(T).row_sum_residual < 1e-10, t
+
+
 def test_normalize_entropy_and_lk_build_no_edge_list():
     T = system(3, "3.5", C4, 5).solve(tol=1e-14)
     entropy_of_gibbs(normalize_potential(T))

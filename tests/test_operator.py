@@ -17,6 +17,7 @@ from symbeta.operator import (LK_K, RegimeError, _Operator, build_system,
 from symbeta.reporting import LK_BIAS_C
 from symbeta.shift import (UndecidedError, build_kneading, canonical_point,
                            enumerate_words, is_admissible, preimage_digits)
+from symbeta.thermo import gibbs_measure
 
 
 def system(m, b, A=None, n=3, **kw):
@@ -213,19 +214,19 @@ def _stops(eig):
 
 
 def test_stop_rule_is_pinned():
-    # step counts, stop reasons and gap estimates of both scales, cold,
-    # warm-started along a zerotemp continuation (log scale from t = 64)
-    # and cut at max_iter
+    # step counts, stop reasons and gap estimates of both solves, cold,
+    # warm-started along a zerotemp continuation (the gauged solve from
+    # t = 64) and cut at max_iter
     T = system(3, "3.5", PotentialSpec.digit_table([0.3, 0.0, 0.1, 0.05]), n=5)
     assert _stops(power_solve(T)) == (31, 33, "tol", 0.6287799791449427)
-    assert _stops(log_power_solve(T, t_scale=64.0)) == (44, 116, "tol", 0.5483383685800605)
+    assert _stops(log_power_solve(T, t_scale=64.0)) == (29, 38, "tol", 0.5970149253731343)
     assert _stops(power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.480938747846111)
-    assert _stops(log_power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.5145848424851678)
+    assert _stops(log_power_solve(T, max_iter=3)) == (3, 3, "max_iter", 0.48562900661181274)
     chain = [(31, 33, "tol", 0.6287799791449427), (31, 32, "tol", 0.6269005847953216),
              (32, 31, "tol", 0.5123456790123457), (30, 28, "tol", 0.7764705882352941),
              (34, 32, "tol", 0.6), (30, 30, "tol", 0.7741935483870968),
-             (39, 43, "tol", 0.49956634865568084), (37, 38, "tol", 0.5214067278287462),
-             (37, 36, "tol", 0.5033557046979866)]
+             (29, 30, "tol", 0.5970149253731343), (19, 19, "tol", 0.5193133047210301),
+             (12, 11, "tol", 0.998934129183543)]
     for t, stops in zip((1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0), chain):
         T = T.solve(t_scale=t)
         assert _stops(T.eigen) == stops, t
@@ -578,15 +579,17 @@ def test_group_solve_carries_zeros_where_every_source_of_a_group_underflows():
 
 def test_group_solve_keeps_the_forward_counts_of_the_word_solve():
     # the step counts of the iteration over all N words, along a zerotemp
-    # chain: every forward half, and every warm-started backward half; the
-    # cold backward half starts from rho = f (the word solve from rho = 1)
+    # chain up to t = 32: every forward half, and every warm-started
+    # backward half; the cold backward half starts from rho = f (the word
+    # solve from rho = 1).  From t = 64 the counts are the gauged solve's
+    # (``log_power_solve``), whose forward half starts cold.
     p = Params.make(3, "3.5")
     K = build_kneading(p, 64)
     word_solve = {
-        6: [(32, 60), (32, 32), (34, 32), (34, 34), (44, 43), (32, 30), (40, 50),
-            (37, 44), (37, 36), (32, 32)],
-        7: [(32, 64), (32, 31), (31, 32), (34, 33), (36, 34), (30, 30), (41, 54),
-            (37, 38), (37, 36), (32, 32)]}
+        6: [(32, 60), (32, 32), (34, 32), (34, 34), (44, 43), (32, 30), (28, 29),
+            (16, 16), (13, 12), (11, 10)],
+        7: [(32, 64), (32, 31), (31, 32), (34, 33), (36, 34), (30, 30), (28, 28),
+            (17, 17), (14, 13), (12, 11)]}
     cold_bwd = {6: 55, 7: 62}
     for n, want in word_solve.items():
         T = build_system(p, K, parse_potential(POT), n)
@@ -595,6 +598,145 @@ def test_group_solve_keeps_the_forward_counts_of_the_word_solve():
             fwd, bwd = want[k]
             assert (T.eigen.iterations_fwd, T.eigen.iterations_bwd) == \
                 (fwd, cold_bwd[n] if k == 0 else bwd), (n, t)
+
+
+# ---------------------------------------------------------------------------
+# the gauged solve (log_power_solve)
+
+
+GEO = "geometric:c=1,theta=0.25,kmax=12"
+
+
+def gauged_potential(T):
+    """The gauged potential A' = A + u[head] - u[tail] - b* from the cached
+    gauge (u, b*) of A, 0 on the words without successor (they are sources
+    of nothing)."""
+    u, b_star, _ = T._gauge(1.0)
+    succ = np.where(T.tail >= 0, T.tail, 0)
+    return np.where(T.tail >= 0, T.a_vals + u[T.head] - u[succ] - b_star, 0.0)
+
+
+def dense_perron(M):
+    """Perron root and right and left Perron vectors (each summing to 1) of
+    a dense nonnegative matrix: the eigenvalue of largest real part from
+    ``eigvals``, then each vector from one bordered solve [[M - lam I, 1],
+    [1^T, 0]] x = e_n, which is nonsingular for a simple root with a
+    positive left and right vector.  At large t the critical cycle makes
+    the gauged matrix nearly a permutation, with eigenvalues of almost the
+    Perron root's modulus, so the root is not picked by modulus."""
+    vals = np.linalg.eigvals(M)
+    lam = float(vals[np.argmax(vals.real)].real)
+    n = len(M)
+    vecs = []
+    for X in (M, M.T):
+        B = np.ones((n + 1, n + 1))
+        B[:n, :n] = X - lam * np.eye(n)
+        B[n, n] = 0.0
+        vecs.append(np.linalg.solve(B, np.eye(n + 1)[n])[:n])
+    return lam, vecs[0], vecs[1]
+
+
+def lumped(T, e):
+    """The G x G prefix-group lumping K[h, h'] = sum of e[s] over the words
+    s of group h' with tail[s] = h of the operator with entries e: its
+    Perron root is the operator's, with psi = g[head] and rho = e R[tail]
+    for its right and left vectors g and R."""
+    first, tail = T._groups
+    K = np.zeros((len(first) + 1, len(first)))
+    np.add.at(K, (tail, T.head), e)
+    return K[:-1]
+
+
+@pytest.mark.parametrize("t", [16.0, 32.0])
+@pytest.mark.parametrize("pot", [POT, GEO])
+def test_gauged_solve_equals_the_linear_solve_and_the_dense_spectrum(pot, t):
+    T = system(3, "3.5", parse_potential(pot), n=5)
+    gauged, linear = log_power_solve(T, t_scale=t), power_solve(T, t_scale=t)
+    vals, right, left = dense_spectrum(T, t)
+    assert gauged.converged and gauged.mode == "log"
+    assert gauged.log_lam == pytest.approx(linear.log_lam, rel=1e-13)
+    assert gauged.log_lam == pytest.approx(math.log(abs(vals[0])), rel=1e-13)
+    w = np.exp(gauged.log_psi + gauged.log_rho)
+    assert np.max(np.abs(w - linear.psi * linear.rho)) < 1e-12 * np.max(w)
+    mu = right * left / np.dot(right, left)
+    assert np.max(np.abs(w - mu)) < 1e-12 * np.max(w)
+
+
+@pytest.mark.parametrize("t", [64.0, 256.0, 512.0, 4096.0])
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("pot", [POT, GEO])
+def test_gauged_solve_matches_a_dense_eigensolve_of_the_gauged_matrix(pot, n, t):
+    # cold, at scales where exp(tA) leaves the float range or nearly does;
+    # the gauged matrix is dense up to N = 744 and lumped at depth 7
+    # (N = 2,062, G = 744)
+    T = system(3, "3.5", parse_potential(pot), n=n)
+    eig = log_power_solve(T, t_scale=t)
+    assert eig.converged and eig.stop_reason == "tol"
+    assert not np.isnan(eig.log_psi).any() and not np.isnan(eig.log_rho).any()
+    a = gauged_potential(T)
+    assert np.max(a[T.tail >= 0]) == 0.0
+    if T.n_words <= 744:
+        lam, psi, rho = dense_perron(dataclasses.replace(T, a_vals=a).dense(t))
+    else:
+        e = np.exp(t * a)
+        lam, g, R = dense_perron(lumped(T, e))
+        psi, rho = g[T.head], e * np.append(R, 0.0)[T._groups[1]]
+    log_lam = t * T._gauge(1.0)[1] + math.log(lam)
+    assert eig.log_lam == pytest.approx(log_lam, rel=1e-12)
+    w, mu = np.exp(eig.log_psi + eig.log_rho), psi * rho / np.dot(psi, rho)
+    assert np.max(np.abs(w - mu)) <= 1e-12 * np.max(mu)
+
+
+def coboundary_pair(n, seed=7):
+    # a digit table c and the block table c[i] + f[i] - f[j]: the two
+    # depth-n operators are diagonally similar (f(x0) - f(x1) telescopes
+    # along every path), so their pressures and Gibbs weights are equal
+    rng = np.random.default_rng(seed)
+    c, f = rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4)
+    cob = PotentialSpec.block_table(2, {(i, j): c[i] + f[i] - f[j]
+                                        for i in range(4) for j in range(4)})
+    return (system(3, "3.5", PotentialSpec.digit_table(list(c)), n=n),
+            system(3, "3.5", cob, n=n))
+
+
+@pytest.mark.parametrize("t", [1.0, 64.0, 512.0])
+def test_coboundary_potential_has_the_same_pressure_and_gibbs_weights(t):
+    tol = 1e-14
+    T1, T2 = (T.solve(tol=tol, t_scale=t) for T in coboundary_pair(7))
+    e1, e2 = T1.eigen, T2.eigen
+    assert e1.converged and e2.converged
+    # each solve meets its eigen-equation to 100 tol; its exponents t A are
+    # rounded by at most eps t max|A| and its sums run over at most N
+    # terms, each moving log lambda by at most that much (the weights too,
+    # with a spectral gap of order 1 here)
+    eps = np.finfo(float).eps
+    a_max = max(np.max(np.abs(T.a_vals)) for T in (T1, T2))
+    bound = 2 * (100 * tol + T1.n_words * eps + eps * t * a_max)
+    assert abs(e1.log_lam - e2.log_lam) <= bound
+    w1, w2 = (np.exp(e.log_psi + e.log_rho) for e in (e1, e2))
+    assert np.max(np.abs(w1 - w2)) <= bound
+
+
+@pytest.mark.parametrize("make, t", [
+    (lambda: system(3, "3.5", parse_potential(GEO), n=9), 512.0),
+    (lambda: system(3, "3.5", parse_potential(GEO), n=9), 4096.0),
+    (cut_system, 4096.0)])
+def test_gauged_solve_gives_underflowed_words_minus_inf(make, t):
+    # words whose psi' or rho' underflows carry log -inf, never nan, and
+    # lie outside the support; the Gibbs state is still exact on the rest
+    T = make()
+    eig = log_power_solve(T, t_scale=t)
+    assert eig.converged
+    for v in (eig.log_psi, eig.log_rho):
+        assert not np.isnan(v).any()
+    dead = np.isneginf(eig.log_psi + eig.log_rho)
+    assert dead.any()
+    g = gibbs_measure(dataclasses.replace(T, eigen=eig))
+    assert not g.nrm.support[dead].any()
+    assert np.all(g.weights[dead] == 0.0)
+    assert math.isfinite(g.entropy) and g.entropy >= 0.0
+    assert g.identity_residual < 1e-10 * max(1.0, abs(eig.log_lam))
+    assert g.nrm.row_sum_residual < 1e-10
 
 
 def test_matrix_entries_positive_and_eigen_invariants():

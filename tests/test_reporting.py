@@ -386,6 +386,7 @@ def test_cli_checks_only_the_merged_config(tmp_path, capsys):
     ("zerotemp --m 3 --beta 4 --depth 3 --potential digit_table:30,0,0,0", 0),
     ("zerotemp --m 3 --beta 3.5 --depth 5 --potential geometric:c=20,theta=0.25,kmax=12", 0),
     ("thermo --m 3 --beta 4 --depth 3 --potential digit_table:800,0,0,0", 0),
+    ("thermo --m 3 --beta 4 --depth 3 --potential digit_table:1e300,0,0,0", 0),
     # spectrum's lambda and lk_solve are linear-scale: refused
     ("spectrum --m 3 --beta 4 --depth 3 --potential digit_table:800,0,0,0", 3),
     ("spectrum --m 3 --beta 4 --depth 3 --potential digit_table:1e300,0,0,0", 3),
@@ -400,6 +401,16 @@ def test_cli_large_potentials_exit_without_traceback(argv, code, capsys):
     else:
         assert captured.err.startswith("refused: max |A| = ")
         assert not captured.out
+
+
+def test_cli_thermo_puts_a_huge_potential_on_its_maximizing_orbit(capsys):
+    # the gauged solve takes t A = 1e300 on digit 0 without rounding the
+    # other words' weights away: the Gibbs state is the fixed point 0^oo
+    argv = "thermo --m 3 --beta 4 --depth 3 --potential digit_table:1e300,0,0,0"
+    assert main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for want in ("average 1e+300", "identity_residual 0.0", "converged True"):
+        assert any(ln.split() == want.split() for ln in lines), want
 
 
 def test_cli_thermo_says_why_it_exits_4(capsys):
