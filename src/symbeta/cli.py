@@ -51,14 +51,18 @@ _FLAGS = {
 _FIELDS = {f.name for f in fields(RunConfig)}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Flags are kept as text; ``config_from_args`` converts them."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Flags are kept as text; ``config_from_args`` converts them.  Every
+    subcommand is known, but only ``command`` gets its flags (all of them
+    do when it is None), so a run builds the one parser it reads."""
     ap = argparse.ArgumentParser(
         prog="symbeta",
         description="thermodynamic formalism on symmetric beta-shifts")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         for field_name, help_text in _FLAGS.items():
             flag = "format" if field_name == "fmt" else field_name.replace("_", "-")
             sp.add_argument(f"--{flag}", dest=field_name, help=help_text)
@@ -88,7 +92,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first argument; anything else gets every flag
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         cfg = config_from_args(args)
         rep = _COMMANDS[args.command](cfg, args)

@@ -6,11 +6,12 @@ summing over digits a whose prepended word stays admissible.  The sources
 of a word t are the words s with s[1:] == t[:-1]; they depend only on t's
 (n-1)-prefix.  So the word graph is stored once, as the ranks of each
 word's (n-1)-prefix and (n-1)-suffix among the distinct prefixes
-(``TransferSystem.head``, ``.tail``, from ``CylinderBasis.graph``), and L
-or its transpose is applied as one grouped sum over the N words and one
-gather (``_Operator``).  So L v is constant on the G prefix groups, and
-L^T u is e^{tA} times a value of the word's suffix group: the linear
-solves iterate those G group values, not the N word values.
+(``TransferSystem.head``, ``.tail``, which the level walk gives with the
+basis, ``CylinderBasis.graph``), and L or its transpose is applied as one
+grouped sum over the N words and one gather (``_Operator``).  So L v is
+constant on the G prefix groups, and L^T u is e^{tA} times a value of the
+word's suffix group: the linear solves iterate those G group values, not
+the N word values.
 
 The potential is sampled at one canonical point per cylinder: the word
 extended digit by digit with the smallest admissible continuation
@@ -30,6 +31,13 @@ fixed k, whose value lambda_k exceeds lambda by an exactly known bias
 (``lk_solve``).  Every solve is one linear iteration loop
 (``_iterate``); no solve iterates in log scale.  All solves are
 deterministic.
+
+Normalization (``normalize_potential``) works on the same prefix-group
+sums, in the coordinates of the operator the solve iterated (t A, or the
+gauged potential above the switch): the row sums of the normalized
+operator and both marginals of its transition weights are G values, each
+from one pass over the N words, and no pass reads an edge or a logarithm
+per word.
 """
 
 from __future__ import annotations
@@ -141,7 +149,7 @@ class TransferSystem:
     def _groups(self) -> tuple[np.ndarray, np.ndarray]:
         # the first word of each prefix group, and tail with a source whose
         # suffix starts no word sent to an extra, unread group
-        first = np.flatnonzero(np.diff(self.head, prepend=-1))
+        first = np.flatnonzero(np.concatenate(([True], self.head[1:] != self.head[:-1])))
         return first, np.where(self.tail < 0, len(first), self.tail)
 
     @cached_property
@@ -203,9 +211,10 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     per-word Python loop: canonical sample points are computed once per
     kneading-pin state and gathered (``shift._canonical_points``), the
     potential is evaluated on the whole uint8 point matrix
-    (``PotentialSpec.values``), and the edges come from one sorted search
-    of the words' (n-1)-suffix keys among their (n-1)-prefix keys
-    (``CylinderBasis.graph``).  No word tuple and no edge list is built.
+    (``PotentialSpec.values``), and the word graph comes from the last
+    step of the level walk, where each word's (n-1)-suffix is a word of the
+    previous level at a known position (``shift._level_graph``).  No word
+    tuple and no edge list is built.
 
     Parameters
     ----------
@@ -237,7 +246,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
         warnings.append("kneading sequence is not self-admissible; "
                         "finite-depth word sets over-approximate the shift")
 
-    basis = enumerate_words(p, K, n)
+    basis = enumerate_words(p, K, n, graph=True)
     if len(basis) == 0:
         raise ValueError("empty cylinder basis")
 
@@ -251,7 +260,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
         _canonical_points(basis, K, need)
     a_vals = A.values(points)
 
-    head, tail = basis.graph()
+    head, tail = basis.graph
     return TransferSystem(p, K, A, basis, a_vals, head, tail, tuple(warnings))
 
 
@@ -263,19 +272,19 @@ def _in_degree(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 class _Operator:
-    """L at one scale t and its transpose, in linear and in log scale
-    (``a_vals`` replaces the system's potential, as the gauged solve does).
+    """L at one scale t and its transpose (``a_vals`` replaces the
+    system's potential, as the gauged solve does).
 
     With e = exp(t A), (L v)[t] is the sum of e[s] v[s] over the sources s
     with tail[s] == head[t]: one grouped sum over the N sources and a
     gather by head (``fwd``).  The transpose factors e[s] out, (L^T u)[s]
     = e[s] * (sum of u over the words of prefix group tail[s]): one grouped
     sum over the N targets and a gather by tail, taken on group values
-    (``bwd_groups``) in linear scale.  The log pair does the same with
-    logsumexp, its grouped max and sum taken in place by group index, with
-    no sort.  The index arrays are derived once per graph and cached on
-    the system (``TransferSystem._groups``); an instance adds t A, and e on
-    its first linear application.
+    (``bwd_groups``).  ``log_fwd`` is ``fwd`` in log scale (for ``iterate``),
+    a logsumexp whose grouped max and sum go by group index, with no sort.
+    The index arrays are derived once per graph and cached on the system
+    (``TransferSystem._groups``); an instance adds t A, and e on its first
+    linear application.
 
     Both Perron vectors are fixed by G prefix-group values (the exact
     lumping of Kemeny and Snell, *Finite Markov Chains*, 1960): L v is
@@ -327,10 +336,6 @@ class _Operator:
 
     def log_fwd(self, logv: np.ndarray) -> np.ndarray:
         return _lse_groups(self.la + logv, self.tail, len(self.first) + 1)[:-1][self.head]
-
-    def log_bwd(self, logu: np.ndarray) -> np.ndarray:
-        g = _lse_groups(logu, self.head, len(self.first))
-        return self.la + np.append(g, -np.inf)[self.tail]
 
 
 def _group_max(group: np.ndarray, x: np.ndarray, size: int, empty: float) -> np.ndarray:
@@ -632,60 +637,119 @@ def lk_solve(T: TransferSystem, tol: float = 1e-14) -> LkResult:
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Normalized operator data of a solved system, as length-N arrays.
+    """Normalized operator data of a solved system.
 
-    Mbar[t,s] = exp(t A(s)) psi(s) / (psi(t) lambda) on every edge makes
-    L_bar 1 = 1 (row sums equal 1 on the support of the Gibbs weights).
-    Words with the same (n-1)-prefix share their sources, so Mbar's row
-    sums and the two marginals of the transition weights J[t,s] =
-    mu(t) Mbar[t,s], summed over the supported sources s, are grouped sums
-    over the N words: ``log_j_out[t]`` sums row t of J and ``log_j_in[s]``
-    column s.  Both equal log mu on the support up to rounding.  No field
-    is per edge; ``dense`` builds Mbar for small systems.
+    Mbar[t,s] = e[s] psi(s) / (psi(t) lambda) on every edge makes L_bar 1 =
+    1 (row sums equal 1 on the support of the Gibbs weights), and J[t,s] =
+    mu(t) Mbar[t,s] are its transition weights, mu = psi rho the Gibbs
+    weights (``weights``, summing to 1).  Neither changes when psi is
+    scaled by a positive factor per prefix group and rho by its inverse,
+    with e[s] scaled to match, so both are taken in the coordinates of the
+    operator that the solve iterated (see ``_iterated``; log eigenvalue
+    ``log_lam``, log weights la), where psi and rho are in range at every
+    t.  There psi is one value per prefix group (``log_psi``), and words
+    with the same prefix share their sources, so no field is per edge, and
+    only ``weights`` and ``support`` are per word.  With R[h] the sum of
+    rho over group h (rho divided by sum(psi rho)):
+
+    - ``row_sums[h]`` = (L psi)[h] / (lambda psi[h]), the row sum of every
+      word of group h (0 where psi[h] underflowed);
+    - ``j_out[h]`` = R[h] (L psi)[h] / lambda, J's row marginal summed over
+      group h;
+    - ``j_in[h]`` = psi[h] / lambda * (sum of e[s] R[tail s] over the words
+      s of group h), J's column marginal summed over it;
+    - ``la_average``, the sum of J's column marginal times la over the
+      words.
+
+    ``support`` marks the words within e^600 of the heaviest Gibbs weight,
+    over which ``row_sum_residual`` is the largest |row sum - 1|.
+    ``log_j_out`` gives J's row marginal per word, and ``dense`` Mbar, for
+    small systems.
     """
 
     system: TransferSystem
-    row_sum_residual: float
+    log_lam: float
+    log_psi: np.ndarray
+    weights: np.ndarray
     support: np.ndarray  # bool mask of words carrying Gibbs mass
-    log_j_out: np.ndarray
-    log_j_in: np.ndarray
+    row_sums: np.ndarray
+    row_sum_residual: float
+    j_out: np.ndarray
+    j_in: np.ndarray
+    la_average: float
+
+    @property
+    def log_j_out(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights * self.row_sums[self.system.head])
 
     def dense(self) -> np.ndarray:
-        """Mbar as a dense (N, N) array, for small systems."""
-        T = self.system
-        eig = T.eigen
-        log_mbar = ((eig.t_scale * T.a_vals + eig.log_psi)[None, :]
-                    - eig.log_psi[:, None] - eig.log_lam)
-        return np.exp(log_mbar, out=np.zeros_like(log_mbar),
-                      where=T.tail[None, :] == T.head[:, None])
+        """Mbar as a dense (N, N) array, 0 on the rows of words whose psi
+        underflowed to 0."""
+        L = _iterated(self.system)[0]
+        log_psi = self.log_psi[L.head]
+        with np.errstate(invalid="ignore"):     # -inf - -inf off those rows
+            log_mbar = (L.la + log_psi)[None, :] - log_psi[:, None] - self.log_lam
+        edge = (L.tail[None, :] == L.head[:, None]) & np.isfinite(log_psi)[:, None]
+        return np.exp(log_mbar, out=np.zeros_like(log_mbar), where=edge)
+
+
+def _iterated(T: TransferSystem) -> tuple["_Operator", float, np.ndarray, np.ndarray]:
+    """The operator that the solve of ``T`` iterated, with its log
+    eigenvalue, its log psi per prefix group and its log rho per word: t A
+    and the eigendata itself after ``power_solve``; after
+    ``log_power_solve``, the gauged s b' and the eigendata moved back into
+    its coordinates (log lambda - s b*, log psi - s u, log rho + s u[head])."""
+    eig = T.eigen
+    log_psi = eig.log_psi[T._groups[0]]
+    if eig.mode == "linear":
+        return _Operator(T, eig.t_scale), eig.log_lam, log_psi, eig.log_rho
+    s = abs(eig.t_scale)
+    u, b_star, gauged = T._gauge(-1.0 if eig.t_scale < 0 else 1.0)
+    return (_Operator(T, s, gauged), eig.log_lam - s * b_star, log_psi - s * u,
+            eig.log_rho + s * u[T.head])
 
 
 def normalize_potential(T: TransferSystem) -> NormalizedSystem:
     """Rescale the operator by its Perron data.  Requires a solved system.
 
-    Only supported sources enter: the support is the words with finite
-    log psi and log rho within e^600 of the heaviest Gibbs weight.  A word
-    whose psi or rho underflowed to 0 in the gauged solve (log -inf, see
-    ``log_power_solve``) is outside it, as are deeply decayed components,
-    which hold no reliable eigenvector ratios and no mass.  With log psi set to
-    -inf off the support, row t of Mbar sums to exp(log_fwd(log psi)[t] -
-    log psi(t) - log lambda), and J's marginals are log_j_out = log rho -
-    log lambda + log_fwd(log psi) and log_j_in = log_bwd(log rho) + log
-    psi - log lambda, on one operator at the solve's scale.
+    Every field is a prefix-group sum in the coordinates of the operator
+    the solve iterated (``_iterated``; see ``NormalizedSystem``), taken in
+    one pass over the N words each: R and mu; L psi and the same sums
+    weighted by la; and the sums of e[s] R[tail s], read exactly rather
+    than through rho's eigen-equation, which holds only to the solve's
+    residual.  The eigendata is normalized to sum(psi rho) = 1, and psi and
+    rho are scaled by inverse factors to the same maximum, so every word
+    within e^600 of the heaviest is in range.  A word whose psi or rho
+    underflowed to 0 (log -inf, see ``log_power_solve``) carries no Gibbs
+    weight and no transition weight.
     """
     eig = T.eigen
     if eig is None:
         raise ValueError("system is not solved; run TransferSystem.solve first")
-    L = _Operator(T, eig.t_scale)
-    log_mu = eig.log_psi + eig.log_rho
-    support = np.isfinite(log_mu) & (log_mu > np.max(log_mu) - 600.0)
-    log_psi = np.where(support, eig.log_psi, -np.inf)
-    into = L.log_fwd(log_psi) - eig.log_lam     # log (lambda^-1 L psi)
-    sums = np.exp(into[support] - eig.log_psi[support])
-    resid = float(np.max(np.abs(sums - 1.0))) if support.any() else math.inf
-    log_j_in = L.log_bwd(eig.log_rho)
-    log_j_in += log_psi - eig.log_lam
-    return NormalizedSystem(T, resid, support, eig.log_rho + into, log_j_in)
+    L, log_lam, log_psi, log_rho = _iterated(T)
+    shift = 0.5 * (np.max(log_psi) - np.max(log_rho))
+    log_psi = log_psi - shift
+    psi = np.exp(log_psi)
+    rho = np.exp(log_rho + shift)
+    lam, head, G = math.exp(log_lam), L.head, len(L.first)
+    w = psi[head]
+    v = L.e * w                  # the terms e[s] psi[head s] of L psi
+    w *= rho
+    z = np.add.reduce(w)
+    w /= z
+    R = np.bincount(head, rho, minlength=G) / z
+    # (L psi)[h] = lambda psi[h] to the solve's residual, so 0 where psi[h]
+    # underflowed
+    Lpsi = np.where(psi > 0, np.bincount(L.tail, v, minlength=G + 1)[:-1], 0.0)
+    v *= L.la
+    la_average = float(np.add.reduce(R * np.bincount(L.tail, v, minlength=G + 1)[:-1])) / lam
+    into = np.bincount(head, L.e * np.append(R, 0.0)[L.tail], minlength=G)
+    row_sums = np.divide(Lpsi, lam * psi, out=np.zeros(G), where=psi > 0)
+    support = w > np.max(w) * math.exp(-600.0)
+    resid = float(np.max(np.abs(row_sums[np.logical_or.reduceat(support, L.first)] - 1.0)))
+    return NormalizedSystem(T, log_lam, log_psi, w, support, row_sums, resid,
+                            R * Lpsi / lam, psi * into / lam, la_average)
 
 
 # ---------------------------------------------------------------------------

@@ -184,11 +184,11 @@ def cmd_check(cfg: RunConfig) -> Report:
     trans = check_transitivity(p, K)
     lo, hi = digit_interval(p)
     ints = sorted(digit_interval_integers(p))
-    basis, forb = words_and_forbidden(p, K, cfg.depth)
+    basis, forb = words_and_forbidden(p, K, cfg.depth, graph=True)
     # a word's preimage digits a are those with a w[:-1] admissible: its
     # in-degree in the word graph.  Every a w[:-1] was a candidate of the
     # enumeration, so none is undecided.
-    counts = _in_degree(*basis.graph())
+    counts = _in_degree(*basis.graph)
     cmin, cmax = (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
     rep.summary = {
         "m": p.m,
@@ -273,7 +273,6 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
     rep = Report("spectrum", cfg, row_kind="cylinder")
     p, K, A, T = _build_solved(cfg, rep, linear_scale=True)
     eig = T.eigen
-    psi, rho = eig.psi, eig.rho
     g = gibbs_measure(T)
     tol = max(cfg.tol, 1e-14)
     lk = lk_solve(T, tol=tol)
@@ -295,20 +294,21 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "iterations": eig.iterations,
         "solver_residual": eig.residual,
         "gap_estimate": eig.gap_estimate,
-        "psi_min": float(np.min(psi)),
-        "psi_max": float(np.max(psi)),
+        "psi_min": float(np.exp(np.min(eig.log_psi))),
+        "psi_max": float(np.exp(np.max(eig.log_psi))),
         "support_size": int(np.sum(g.nrm.support)),
     }
     keep = g.ranked(None if full else 10)
     rep.columns = {"word": T.basis.digits_of(keep), "mu": g.weights[keep],
-                   "psi": psi[keep], "rho": rho[keep]}
+                   "psi": np.exp(eig.log_psi[keep]), "rho": np.exp(eig.log_rho[keep])}
     if not lk.converged:
         rep.warnings.append("lk_solve cross-check did not converge "
                             f"(lk_vs_power {rep.summary['lk_vs_power']:.3e})")
         rep.exit_code = 4
     # lk_lambda's exact bias: lambda_k = lambda (1 + <rho, 1> / (k <rho, psi_k>)),
     # with sum(rho) = 1; a miss is an error of lambda or of lk_lambda
-    miss = abs(lk.lam - eig.lam * (1.0 + 1.0 / (LK_K * float(np.add.reduce(rho * lk.psi)))))
+    pair = float(np.add.reduce(np.exp(eig.log_rho) * lk.psi))
+    miss = abs(lk.lam - eig.lam * (1.0 + 1.0 / (LK_K * pair)))
     if miss > LK_BIAS_C * tol * lk.lam:
         rep.warnings.append(f"lk_solve cross-check misses its exact bias by {miss:.3e} "
                             f"(> {LK_BIAS_C:g} * tol * lk_lambda)")

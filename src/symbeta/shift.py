@@ -14,8 +14,9 @@ A word of length n is stored as its key, the word read as a base-(m+1)
 integer, so lexicographic order is the order of the keys, and the
 admissible words of one length grown from one digit are a contiguous
 range of them (``words_and_forbidden``).  ``CylinderBasis`` holds the
-ascending keys of a word level and derives from them its digit matrix,
-its word graph and the rows of given words; no other module reads a key.
+ascending keys of a word level and derives from them its digit matrix and
+the rows of given words; the level walk gives it its word graph, where
+asked.  No other module reads a key.
 
 Comparisons against a depth-truncated kneading sequence use three-valued
 logic: True / False / None, where None means the truncation is too shallow
@@ -218,11 +219,19 @@ class CylinderBasis:
     uint8 matrix, one word per row) is derived on each call; ``words`` (a
     tuple of digit tuples) and ``index`` (word -> row) are built on first
     use and cached; ``word(i)`` reads one word without building either.
+
+    ``graph`` is the word graph (head, tail) when the level walk was asked
+    for it (``words_and_forbidden``), else None: target t has source s when
+    s[1:] == t[:-1].  Both sides are ranked among the distinct
+    (n-1)-prefixes of the words: ``head[t]`` is the rank of t's prefix
+    (nondecreasing, as the keys ascend) and ``tail[s]`` the rank of s's
+    suffix, -1 when s[1:] starts no word.
     """
 
     depth: int
     base: int
     keys: np.ndarray = field(repr=False)
+    graph: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.keys)
@@ -260,16 +269,6 @@ class CylinderBasis:
         """Index of each row of a (Q, depth) digit matrix among the words,
         -1 where the row is not one of them."""
         return _rank(self.keys, _keys(rows, self.base))
-
-    def graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """(head, tail) of the word graph: target t has source s when
-        s[1:] == t[:-1].  Both sides are ranked among the distinct
-        (n-1)-prefixes of the words: ``head[t]`` is the rank of t's prefix
-        key // base (nondecreasing, as the keys ascend) and ``tail[s]`` the
-        rank of s's suffix key % base**(n-1), -1 when s[1:] starts no word.
-        """
-        prefixes, head = np.unique(self.keys // self.base, return_inverse=True)
-        return head, _rank(prefixes, self.keys % self.base ** (self.depth - 1))
 
 
 def _lex_sign(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,10 +334,12 @@ def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
     return np.where((verdict == 0).any(axis=1), 0, verdict.min(axis=1))
 
 
-def words_and_forbidden(p: Params, K: Kneading, n: int) -> tuple[CylinderBasis, list[Word]]:
+def words_and_forbidden(p: Params, K: Kneading, n: int,
+                        graph: bool = False) -> tuple[CylinderBasis, list[Word]]:
     """The admissible words of length n and the minimal forbidden words of
     length <= n (inadmissible words whose every proper factor is
-    admissible), from one walk of the word levels.
+    admissible), from one walk of the word levels; with ``graph``, the
+    basis carries its word graph (``_level_graph``).
 
     Level L is grown from the ascending keys of level L - 1 by prepending
     each digit d in increasing order: candidate d * base**(L-1) + key.
@@ -380,12 +381,35 @@ def words_and_forbidden(p: Params, K: Kneading, n: int) -> tuple[CylinderBasis, 
                                    for i in (slice(0, a), slice(max(a, b), None))])
         bad = rejected[_rank(prev, rejected // base) >= 0]
         forbidden.extend(map(tuple, CylinderBasis(length, base, bad).digits.tolist()))
-    return CylinderBasis(n, base, keys), forbidden
+    word_graph = _level_graph(keys, prev, cut, base) if graph else None
+    return CylinderBasis(n, base, keys, word_graph), forbidden
 
 
-def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
+def _level_graph(keys: np.ndarray, prev: np.ndarray, cut: np.ndarray,
+                 base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail) of the word graph (see ``CylinderBasis``) of the level
+    ``keys``, grown from the level ``prev`` by the slices prev[a:b] of
+    ``cut`` (``words_and_forbidden``).
+
+    head is the run index of key // base.  The suffixes of the words of one
+    slice are the run prev[a:b] itself, so tail is that run of the ranks of
+    the previous level's words among the prefixes: one sorted search of
+    the G prefixes in the previous level, and a copy.  A prefix of an
+    admissible word is admissible, so every prefix is found there.
+    """
+    prefix = keys // base
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(prefix[1:], prefix[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    head = np.repeat(np.arange(len(first)), np.diff(first, append=len(keys)))
+    rank = np.full(len(prev), -1, dtype=np.int64)
+    rank[np.searchsorted(prev, prefix[first])] = np.arange(len(first))
+    return head, np.concatenate([rank[a:b] for a, _, _, b in cut])
+
+
+def enumerate_words(p: Params, K: Kneading, n: int, graph: bool = False) -> CylinderBasis:
     """Enumerate all admissible words of length n, level by level (see
-    ``words_and_forbidden``).
+    ``words_and_forbidden``), with their word graph when ``graph`` is set.
 
     Raises
     ------
@@ -394,7 +418,7 @@ def enumerate_words(p: Params, K: Kneading, n: int) -> CylinderBasis:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return words_and_forbidden(p, K, n)[0]
+    return words_and_forbidden(p, K, n, graph)[0]
 
 
 def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
@@ -477,7 +501,9 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
     base**k, ties with a kneading k-prefix where it equals that prefix's key.
     """
     keys, n, base = basis.keys, basis.depth, basis.base
-    longest = np.zeros((2, len(keys)), dtype=np.int64)    # tied with up, with lo
+    # tied with up, with lo; the (n + 1)^2 pairs fit int16 at any practical
+    # depth, which np.unique sorts by radix
+    longest = np.zeros((2, len(keys)), dtype=np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int64)
     for k in range(1, n + 1):
         suffix = keys % base ** k
         for row, bound in zip(longest, (K.upper_prefix, K.lower_prefix)):

@@ -8,14 +8,17 @@ depends on the next digit, so it is averaged over the outgoing transition
 weights J[t,s] = mu[t] Mbar[t,s].  Both marginals of J equal mu exactly,
 which makes the identity h + t * avg = P hold to rounding error and the
 finite-dimensional variational inequality exact.  As log Mbar[t,s] =
-t A(s) + log psi(s) - log psi(t) - log lambda splits into a source and a
-target term, the sum over the edges needs only J's two marginals (row
-sums J_out, column sums J_in, see ``NormalizedSystem``):
+la(s) + log psi(s) - log psi(t) - log lambda splits into a source and a
+target term (la = t A, or its gauged form in the coordinates the solve
+iterated, where Mbar and J are the same), and psi is constant on prefix
+groups, the sum over the edges needs only J's two marginals summed per
+prefix group h (J_out and J_in, see ``NormalizedSystem``) and the J-average
+of la:
 
-    h = <log psi, J_out - J_in> - <J_in, t A - log lambda>,
+    h = sum_h log psi_h (J_out[h] - J_in[h]) - sum_s J_in[s] (la(s) - log lambda),
 
-grouped so that the first term is the small difference of two sums that
-both equal mu up to rounding.
+grouped so that the first term is a sum of small differences of two
+sums that both equal mu up to rounding.
 
 The variational principle P(A) = sup_nu h(nu) + integral A d nu is checked
 on test measures that carry their exact entropy (a stationary Markov
@@ -74,8 +77,9 @@ class GibbsMeasure:
     def ranked(self, k: int | None = None) -> np.ndarray:
         """Indices of the k heaviest words (all words when k is None), by
         descending weight and, among equal weights, ascending index (lex
-        order).  For k < N only the words weighing at least the k-th
-        largest weight are sorted."""
+        order).  Weights equal in exact arithmetic may differ by rounding,
+        and are then ranked by it.  For k < N only the words weighing at
+        least the k-th largest weight are sorted."""
         w = self.weights
         cand = np.arange(len(w))
         if k is not None and 0 < k < len(w):
@@ -89,11 +93,11 @@ class GibbsMeasure:
 
 def gibbs_measure(T: TransferSystem) -> GibbsMeasure:
     """The equilibrium state of the solved system ``T``: it normalizes the
-    operator once (``normalize_potential``) and takes the entropy from
-    that (``entropy_of_gibbs``).  Raises ValueError on an unsolved system."""
+    operator once (``normalize_potential``), which gives the weights, and
+    takes the entropy from that (``entropy_of_gibbs``).  Raises ValueError
+    on an unsolved system."""
     nrm = normalize_potential(T)
-    w = np.exp(T.eigen.log_psi + T.eigen.log_rho)
-    w = w / w.sum()
+    w = nrm.weights
     return GibbsMeasure(nrm, w, entropy_of_gibbs(nrm), float(np.add.reduce(w * T.a_vals)))
 
 
@@ -101,23 +105,17 @@ def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
     """Entropy of the Gibbs state of ``nrm.system``: -integral of the
     normalized potential.
 
-    Uses the transition-resolved quadrature from J's two marginals (see
-    module docstring), with no pass over the edges; agrees with pressure -
-    t * average to rounding error by construction.
+    Uses the transition-resolved quadrature from J's two marginals per
+    prefix group and the J-average of la (see module docstring and
+    ``NormalizedSystem``), in the coordinates the solve iterated, with no
+    pass over the edges or the words; agrees with pressure - t * average to
+    rounding error by construction.
     """
-    T = nrm.system
-    eig = T.eigen
-    # J is taken on the support only: a word whose psi or rho underflowed
-    # to 0 (log -inf) carries no J, so log psi is finite wherever the flow
-    # is read.  Marginal entries below ~e^-100 relative weight contribute
-    # nothing and, at strong scaling, may sit on unconverged components.
-    j_out, j_in = (np.exp(np.where(nrm.support & (log_j > np.max(log_j) - 100.0),
-                                   log_j, -np.inf))
-                   for log_j in (nrm.log_j_out, nrm.log_j_in))
-    # h = -sum J log Mbar, summed by target and by source (module docstring)
-    flow = j_out - j_in
-    h = (np.add.reduce(np.where(flow != 0.0, eig.log_psi, 0.0) * flow)
-         - np.add.reduce(j_in * (eig.t_scale * T.a_vals - eig.log_lam)))
+    # h = -sum J log Mbar, summed by target group and by source (module
+    # docstring); a group whose psi underflowed to 0 has no flow
+    flow = nrm.j_out - nrm.j_in
+    h = (np.add.reduce(np.where(flow != 0.0, nrm.log_psi, 0.0) * flow)
+         - (nrm.la_average - nrm.log_lam * np.add.reduce(nrm.j_in)))
     # Mbar entries are probabilities, so h >= 0 up to rounding: clamp it
     return max(float(h), 0.0)
 

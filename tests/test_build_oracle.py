@@ -19,9 +19,10 @@ import pytest
 from symbeta.expansion import Params
 from symbeta.operator import _Operator, _in_degree, build_system
 from symbeta.potentials import PotentialSpec
-from symbeta.shift import (UndecidedError, _suffix_ok, build_kneading, canonical_point,
+from symbeta.reporting import RunConfig, cmd_check
+from symbeta.shift import (UndecidedError, _rank, _suffix_ok, build_kneading, canonical_point,
                            check_transitivity, enumerate_words, forbidden_words,
-                           is_admissible)
+                           is_admissible, words_and_forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,50 @@ def test_word_accessor_and_lazy_tuples():
     assert (9, 9, 9, 9, 9, 9) not in basis
 
 
+def oracle_graph(basis):
+    """(head, tail) as derived from the keys alone before the level walk
+    gave them: the distinct (n-1)-prefixes by np.unique, and each word's
+    (n-1)-suffix ranked among them by one sorted search."""
+    prefixes, head = np.unique(basis.keys // basis.base, return_inverse=True)
+    return head, _rank(prefixes, basis.keys % basis.base ** (basis.depth - 1))
+
+
+@pytest.mark.parametrize("m, b, depths, kdepth", [
+    (4, 5, range(1, 10), 64),               # full shift; depth 1 has one empty prefix
+    (3, "3.5", range(1, 10), 64),           # words without successor at depths 8 and 9
+    (3, "beta_T", range(1, 8), 64),
+    (2, "beta_T", range(1, 8), 64),
+    (1, "golden", (62, 63, 64, 70), 80),    # Python-int keys from depth 63
+    (3, "2.9", (33,), 64),                  # Python-int keys, words without successor
+])
+def test_walk_graph_matches_unique_and_rank(m, b, depths, kdepth):
+    p = Params.make(m, b)
+    K = build_kneading(p, kdepth)
+    for n in depths:
+        basis = enumerate_words(p, K, n, graph=True)
+        head, tail = basis.graph
+        want_head, want_tail = oracle_graph(basis)
+        assert head.dtype == want_head.dtype and tail.dtype == want_tail.dtype
+        assert np.array_equal(head, want_head) and np.array_equal(tail, want_tail), (m, b, n)
+        if (m, b) == (3, "3.5"):
+            assert np.any(tail < 0) == (n >= 8)
+        if m == 1:
+            assert basis.keys.dtype == (np.int64 if n < 63 else object)
+        # the words and orbit paths ask for no graph, and keep none
+        assert enumerate_words(p, K, n).graph is None
+        assert words_and_forbidden(p, K, n)[0].graph is None
+
+
+@pytest.mark.parametrize("m, b, n, kdepth", [
+    (4, "4.7", 7, 64), (3, "3.5", 9, 64), (3, "beta_T", 6, 512), (3, "2.9", 33, 64)])
+def test_check_counts_preimages_on_the_walk_graph(m, b, n, kdepth):
+    rep = cmd_check(RunConfig(m=m, beta=b, depth=n, kneading_depth=kdepth))
+    p = Params.make(m, b)
+    counts = _in_degree(*oracle_graph(enumerate_words(p, build_kneading(p, kdepth), n)))
+    assert (rep.summary["preimage_count_min"], rep.summary["preimage_count_max"]) == \
+        (counts.min(), counts.max())
+
+
 # ---------------------------------------------------------------------------
 # system build
 
@@ -269,24 +314,20 @@ def check_kernels(T, rows, cols, t, dense):
     cols): the forward kernel equal to the sequential sum over each
     target's sources in ascending order; it, the group kernels the linear
     solve runs (psi = g[head] forward, rho = f * U[tail] backward) and the
-    log kernels close to the dense product (dense=True) or the edge-list
-    sums; the log kernels on inputs with -inf entries raising no numpy
-    warning."""
+    forward log kernel close to the dense product (dense=True) or the
+    edge-list sums; the log kernel on inputs with -inf entries raising no
+    numpy warning."""
     N = T.n_words
     rng = np.random.default_rng(N)
     e = np.exp(t * T.a_vals)
     L = _Operator(T, t)
     G = len(L.first)
     v = rng.uniform(0.5, 2.0, N)
-    u = rng.uniform(0.5, 2.0, N)
     g = rng.uniform(0.5, 2.0, G)
     U = rng.uniform(0.5, 2.0, G)
-    # zero on a whole source group and a whole target group, so that some
-    # log-kernel outputs are -inf
+    # zero on a whole source group, so that some log-kernel outputs are -inf
     v[T.tail == T.tail[N // 2]] = 0.0
-    u[T.head == T.head[N // 2]] = 0.0
     v[rng.random(N) < 0.2] = 0.0
-    u[rng.random(N) < 0.2] = 0.0
     g[rng.random(G) < 0.2] = 0.0
     U[rng.random(G) < 0.2] = 0.0
     with warnings.catch_warnings():
@@ -296,8 +337,7 @@ def check_kernels(T, rows, cols, t, dense):
         got_f, got_g = L.fwd(v), L.fwd_groups(g)[T.head]
         got_b = f * np.append(L.bwd_groups(U), 0.0)[L.tail]
         with np.errstate(divide="ignore"):
-            lv, lu = np.log(v), np.log(u)
-        log_f, log_b = L.log_fwd(lv), L.log_bwd(lu)
+            log_f = L.log_fwd(np.log(v))
     assert np.all((f > 0) & (f <= 1))
     seq = np.zeros(N)
     for r, c in zip(rows.tolist(), cols.tolist()):
@@ -306,7 +346,7 @@ def check_kernels(T, rows, cols, t, dense):
         M = np.zeros((N, N))
         M[rows, cols] = e[cols]
         want_f, want_g = M @ v, M @ g[T.head]
-        want_b, want_u = M.T @ rho, M.T @ u
+        want_b = M.T @ rho
     else:
         def fwd(x):
             y = np.zeros(N)
@@ -317,14 +357,13 @@ def check_kernels(T, rows, cols, t, dense):
             y = np.zeros(N)
             np.add.at(y, cols, e[cols] * x[rows])
             return y
-        want_f, want_g, want_b, want_u = seq, fwd(g[T.head]), bwd(rho), bwd(u)
+        want_f, want_g, want_b = seq, fwd(g[T.head]), bwd(rho)
     assert np.array_equal(got_f, seq)
     for got, want in [(got_f, want_f), (got_g, want_g), (got_b, want_b)]:
         assert np.allclose(got, want, rtol=1e-13, atol=0)
     with np.errstate(divide="ignore"):
         assert np.allclose(log_f, np.log(want_f), rtol=1e-13, atol=1e-13)
-        assert np.allclose(log_b, np.log(want_u), rtol=1e-13, atol=1e-13)
-    assert np.any(np.isneginf(log_f)) and np.any(np.isneginf(log_b))
+    assert np.any(np.isneginf(log_f))
 
 
 def test_kernels_on_dead_ends():
@@ -389,11 +428,8 @@ def test_log_kernels_match_the_sorted_run_form():
                 warnings.simplefilter("error")
                 got = L.log_fwd(logv)
                 want = argsort_log_fwd(L, logv)
-                got_b = L.log_bwd(logv)
-                want_b = L.la + np.append(lse_runs(logv, L.first, S.head), -np.inf)[L.tail]
             assert np.any(np.isneginf(got)) and np.any(np.isfinite(got))
             # the same -inf entries; reduceat and bincount may add a group's
             # four terms in different orders
-            for g, w in ((got, want), (got_b, want_b)):
-                assert np.array_equal(np.isneginf(g), np.isneginf(w))
-                np.testing.assert_allclose(g, w, rtol=4e-16, atol=0)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)

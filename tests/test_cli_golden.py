@@ -53,17 +53,17 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "6731d536317df95747a340a7a07dff708424c4e24f362aa425a2d28ea9123296"),
+     "faa6b74c49b0634c0882a48115cc71549547a6c1fc5c1b09d08881fb6811c77d"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
-     "89d387c973736658b195fb6b5970ed69e569b196376deadd79c167db9b782153"),
+     "69c392667d657446d075485bb11e27287e95054935f7d84b3c6257b49c15cdea"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "05be3c30f7558b42b4b966bcf4fd167f27f893dc7503caf61364c0c34813741e"),
+     "ccb3b84708c7e63292009b17dda8ade733a973aa9a5d06ac672b509ca938f66a"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
-     "34727bc0a1b0ce77dc882ed9cbc823e3d5884c6bdd74eae5ce049ff28981c6d9"),
+     "d2d9431b3e01014a0534633b2270dff0f5557c4390f22890ec75f2a95487ca83"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
-     "7ce669f997071f4a6dad34089d6e2e6c97e5953a4c8e7378f6e792ea18b202d4"),
+     "f6a60461b4ec57a104d545b15095782f0ddba7da9f97b2cfb33a53fb2cae3859"),
     (f"thermo --m 3 --beta 3.5 --depth 4 {POT} --seed 3 --format jsonl",
-     "d4a3375c8404dbeeb88fecdac9cba736c991e15298af6abb84ccd46cfab5d8cb"),
+     "ff990863322b4386f4befbb94306d4f91029b44018842dca999cf754bc1c5a9a"),
     # the benchmark's symbolic workload: a deep expansion at a rational
     # base with a 73-bit denominator, and 155,197 word rows
     ("expand --m 3 --beta beta_T --a 1 --depth 1000 --kneading-depth 1002",
@@ -90,19 +90,19 @@ def test_stdout_is_pinned(argv, digest, capsys):
 GEO = "--potential geometric:c=1,theta=0.25,kmax=12"
 BENCH_CASES = [
     ("spectrum --m 5 --beta 6 --depth 7 --potential digit_table:0.3,0,0.1,0.05,0.2,0.1",
-     "b5297f5a9323edb67467fa492c96e73837a9503b123c1d9591d6602dca2fffc7"),
+     "c87bed07c1000f2226e34467248bd7eed670a90eb596cb3325effa7b3d4e7485"),
     (f"spectrum --m 4 --beta 5 --depth 7 {GEO}",
-     "59de157ce6be040c6bbb2ccd6cc88f49656751de0d4b852815c81ab40334c69e"),
+     "39616bb9cc1039305ca0f59481ec5cf2db8b770a497c08a8078c2d68442db07e"),
     (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
-     "018107646f049e3930677487e61dec6a8d8a057a8c90fa8e00992b8941d3b13c"),
+     "15d747831d08e5c321859204742bb56a8e9c0838f46083be5a285db0a85b91d7"),
     (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
-     "63e68d71caa5308ecd60dab0c731f6be437ec02a2732ce1e95e4b5db973239d8"),
+     "dccbbe34f734ef3bbeb4979644b3c2e88bcca630eb11d755391799ff4a52d7af"),
     (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",
-     "598af26aa42f63435c1228e73e75bf7a4356e83d11a8ae7488f780201a591f8f"),
+     "589b39b394d3063323a923835b5cb61827ea042e6739181b322e9c869b7b1d54"),
     ("thermo --m 4 --beta 5 --depth 5 --potential digit_table:0.3,0,0.1,0.05,0.2",
-     "e62ddf97f2d7ea27cf48975bd0865346db08116fe0b482feb8eaee3a3c0e9b9d"),
+     "5c464030023f16e6dd8bc7b6e97cfa0e76b037f5a60aa082efc85c3220776717"),
     (f"thermo --m 3 --beta 3.5 --depth 6 {POT}",
-     "28b19e600a8a06ff08365b74e5d6017b820524942896ab06ba0b5c2c40c657c9"),
+     "2e95c0b5c3aab2a67c5a2261927f14acccc2e29ad2e9948eee04d8e65ac1eff8"),
 ]
 
 

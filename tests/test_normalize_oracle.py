@@ -156,3 +156,91 @@ def test_normalize_and_entropy_allocate_no_edge_sized_array():
         tracemalloc.stop()
     assert math.isfinite(h)
     assert peak < 16 * N * 8
+
+
+# ---------------------------------------------------------------------------
+# the prefix-group Gibbs state against the per-edge normalized operator
+
+
+def cut_system():
+    # (3, 3.5) at depth 5 with the sources of one prefix group cut: the
+    # words whose suffix was that group have no successor
+    T = system(3, "3.5", C4, 5)
+    return dataclasses.replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
+
+
+def edge_gibbs(nrm):
+    """Per-edge oracle in the coordinates the solve iterated: Mbar on each
+    edge (rows, cols) of the system, from ``nrm.dense()`` up to N = 2,062
+    and from the same entries per edge beyond; J = mu[row] Mbar with mu
+    from the eigendata; and each edge's exponent size: |la[s]| + |log
+    psi[s]| + |log psi[t]| + |log lambda| in those coordinates, and |log
+    psi[t]| + |log rho[t]| as the eigendata stores them, which bounds the
+    rounding of its entries relative to eps."""
+    T = nrm.system
+    L = operator._iterated(T)[0]
+    rows, cols = T.rows, T.cols
+    log_psi = nrm.log_psi[T.head]
+    live = np.isfinite(log_psi[rows])
+    rows, cols = rows[live], cols[live]
+    if T.n_words <= 2062:
+        mbar = nrm.dense()[rows, cols]
+    else:
+        mbar = np.exp(L.la[cols] + log_psi[cols] - log_psi[rows] - nrm.log_lam)
+    log_mu = T.eigen.log_psi + T.eigen.log_rho
+    mu = np.exp(log_mu - np.max(log_mu))
+    mu /= math.fsum(mu)
+    stored = np.abs(T.eigen.log_psi) + np.abs(T.eigen.log_rho)
+    stored[~np.isfinite(stored)] = 0.0      # words of mu = 0
+    size = (np.abs(L.la[cols]) + np.abs(np.where(mbar > 0, log_psi[cols], 0.0))
+            + np.abs(log_psi[rows]) + abs(nrm.log_lam) + stored[rows])
+    return rows, cols, mbar, mu[rows] * mbar, size, log_mu
+
+
+GIBBS_SYSTEMS = {
+    "golden-3.5-d4": lambda: system(3, "3.5", C4, 4),
+    "golden-4-d3": lambda: system(3, "4", C4, 3),
+    "golden-3.5-d6": lambda: system(3, "3.5", C4, 6),
+    "golden-3.5-d7": lambda: system(3, "3.5", C4, 7),
+    "geometric-d6": lambda: system(3, "3.5", GEO, 6),
+    "cut-d5": cut_system,
+    "geometric-d9": lambda: system(3, "3.5", GEO, 9),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, 16.0, 64.0, 512.0, 4096.0])
+@pytest.mark.parametrize("name", list(GIBBS_SYSTEMS))
+def test_group_gibbs_state_matches_the_per_edge_normalized_operator(name, t):
+    tol = 1e-14
+    T = GIBBS_SYSTEMS[name]().solve(tol=tol, t_scale=t)
+    assert T.eigen.converged
+    g = gibbs_measure(T)
+    nrm = g.nrm
+    rows, cols, mbar, J, size, log_mu = edge_gibbs(nrm)
+    head, G, N = T.head, len(nrm.j_out), T.n_words
+    eps = np.finfo(float).eps
+    # each entry of either side is a product and quotient of exponentials
+    # of its exponents (relative rounding eps size) and a sum of at most N
+    # terms (relative rounding N eps, plus N times the smallest subnormal
+    # where a term underflows): err bounds the difference of J on each edge,
+    # and of log Mbar eps size
+    tiny = np.finfo(float).smallest_subnormal
+    err = eps * J * (size + 2 * N + 8) + (2 * N + 8) * tiny
+    # support: every word within e^600 of the heaviest Gibbs weight
+    support = np.isfinite(log_mu) & (log_mu > np.max(log_mu) - 600.0)
+    assert np.array_equal(nrm.support, support)
+    # row sums on the support
+    sums = np.bincount(rows, mbar, minlength=N)
+    got = nrm.row_sums[head]
+    row_err = eps * np.bincount(rows, mbar * (size + 2 * N + 8), minlength=N)
+    assert np.all(np.abs(got - sums)[support] <= row_err[support])
+    resid = np.max(np.abs(sums - 1.0)[support])
+    assert abs(nrm.row_sum_residual - resid) <= np.max(row_err[support])
+    # J's two marginals, summed per prefix group
+    for got, by in ((nrm.j_out, head[rows]), (nrm.j_in, head[cols])):
+        want = np.bincount(by, J, minlength=G)
+        assert np.all(np.abs(got - want) <= np.bincount(by, err, minlength=G))
+    # h = -sum J log Mbar over the edges
+    log_mbar = np.log(mbar, out=np.zeros_like(mbar), where=J > 0)
+    h_ref = -math.fsum(J * log_mbar)
+    assert abs(g.entropy - max(h_ref, 0.0)) <= math.fsum(err * (1.0 + size))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symbeta import operator, reporting, thermo
-from symbeta.cli import _FLAGS, main
+from symbeta.cli import _COMMANDS, _FLAGS, build_parser, config_from_args, main
 from symbeta.operator import EigenData
 from symbeta.reporting import (ConfigError, RunConfig, cmd_check, cmd_expand,
                                cmd_spectrum, cmd_thermo, cmd_words, cmd_zerotemp,
@@ -285,6 +285,60 @@ def test_cli_byte_identical_runs(capsys):
     main(args)
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+def test_spectrum_ranks_by_weight_and_ties_only_within_rounding():
+    # seven words with one digit 3 weigh the same in exact arithmetic; their
+    # computed weights differ in the last bits, so they may come in any
+    # order, but a word listed before a lex-smaller one must be heavier by
+    # more than rounding or tie with it to a few ulps
+    rep = cmd_spectrum(RunConfig(m=4, beta="5", depth=7, seed=2,
+                                 potential="geometric:c=1.0635,theta=0.2488,kmax=12"))
+    mu, words = rep.columns["mu"], rep.columns["word"].tolist()
+    assert np.all(np.diff(mu) <= 0)
+    ties = 0
+    for i in range(len(mu)):
+        for j in range(i + 1, len(mu)):
+            if words[i] > words[j]:
+                gap = mu[i] - mu[j]
+                ties += gap <= 16 * math.ulp(mu[i])
+                assert gap <= 16 * math.ulp(mu[i]) or gap > 1e-9 * mu[i], (words[i], words[j])
+    assert ties > 0
+
+
+def _parse(parser, argv, capsys):
+    """(exit status or None, stdout, stderr, RunConfig or None) of parsing
+    argv with one parser."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err, None
+    out = capsys.readouterr()
+    return None, out.out, out.err, config_from_args(args)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_cli_parser_of_one_command_reads_as_the_full_parser(command, capsys):
+    # main builds the flags of the invoked subcommand only; its help, its
+    # usage errors and the configuration it parses are the full parser's
+    every_field = ["--m", "4", "--beta", "4.7", "--depth", "3", "--tol", "1e-9",
+                   "--format", "jsonl", "--seed", "2", "--max-period", "3", "--t-grid", "1,2",
+                   "--kneading-depth", "40", "--potential", "digit_table:0,1,0,1,0"]
+    cases = [["--help"], [], every_field, ["--bogus"], ["--m"], ["--a", "0.5"], ["--full"],
+             ["--dep", "3"]]
+    for argv in cases:
+        full = _parse(build_parser(), [command, *argv], capsys)
+        assert _parse(build_parser(command), [command, *argv], capsys) == full, argv
+    assert _parse(build_parser(), [command, "--help"], capsys)[1].count("--") > 10
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--m", "3", "check"]])
+def test_cli_without_a_command_gets_every_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == _parse(build_parser(), argv, capsys)[:3]
 
 
 @pytest.mark.parametrize("argv, config_text", [

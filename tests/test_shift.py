@@ -295,8 +295,8 @@ def test_point_preimages_exact():
 def test_preimage_counts_are_graph_in_degrees(m, beta, n):
     # check reads every word's preimage count from the word graph
     p, K = kn(m, beta)
-    basis = enumerate_words(p, K, n)
-    counts = _in_degree(*basis.graph())
+    basis = enumerate_words(p, K, n, graph=True)
+    counts = _in_degree(*basis.graph)
     assert counts.tolist() == [len(preimage_digits(w, p, K)) for w in basis.words]
 
 

@@ -417,8 +417,7 @@ def test_scan_matches_an_explicit_solver_chain():
         Tt = dataclasses.replace(T, eigen=eig)
         nrm = normalize_potential(Tt)
         h = entropy_of_gibbs(nrm)
-        mu = np.exp(eig.log_psi + eig.log_rho)
-        avg = float(np.add.reduce(mu / mu.sum() * Tt.a_vals))
+        avg = float(np.add.reduce(nrm.weights * Tt.a_vals))
         assert pt == ThermoPoint(pt.t, eig.log_lam, h, avg,
                                  abs(eig.log_lam - h - pt.t * avg),
                                  nrm.row_sum_residual, eig.converged, eig.mode)
