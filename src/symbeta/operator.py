@@ -153,6 +153,46 @@ class TransferSystem:
         return first, np.where(self.tail < 0, len(first), self.tail)
 
     @cached_property
+    def _chain(self) -> tuple[np.ndarray, ...]:
+        """The draw-independent tables of the random Markov test measures
+        (``thermo.random_markov_measure``), derived on first use.  A chain
+        iterates its masses on the slots of an (m+1, G) layout, G counting
+        the prefix groups and the extra one: word t sits at (rank of t in
+        its group, head[t]), and every other slot, the extra group's column
+        among them, holds 0.
+
+        ``alive``: the words with an infinite path.  ``live[s, k]``: slot k
+        of source s (word first[tail[s]] + k) is an alive word.  ``at[t]``:
+        the flat slot of word t.  ``src_at[j, g]``: the flat slot of the
+        j-th source of group g, ascending, or a slot of the extra column
+        past the group's sources.  ``src_q[j, k, g]``: the flat (N, m+1)
+        index of q[j-th source of g, k], or N (m+1), an appended 0, past the
+        group's sources."""
+        n, m1 = self.n_words, self.params.m + 1
+        first, tail = self._groups
+        G = len(first) + 1                 # the prefix groups and the extra one
+        # a word lives while its successor group holds a live word
+        alive = np.ones(n, dtype=bool)
+        while True:
+            keep = (np.bincount(self.head, alive, minlength=G) > 0)[tail]
+            if np.array_equal(keep, alive):
+                break
+            alive = keep
+        at = (np.arange(n) - first[self.head]) * G + self.head
+        live = np.zeros((m1, G), dtype=bool)
+        live.ravel()[at] = alive
+        # the sources of group g are the run of g in the words sorted by tail
+        by_tail = np.argsort(tail, kind="stable")
+        count = np.bincount(tail, minlength=G)
+        g = tail[by_tail]
+        j = np.arange(n) - (np.cumsum(count) - count)[g]
+        src = np.full((int(np.max(count[:-1])), G), n)
+        real = g < G - 1                   # the extra group is no word's prefix
+        src[j[real], g[real]] = by_tail[real]
+        src_q = np.where((src < n)[:, None], src[:, None] * m1 + np.arange(m1)[:, None], n * m1)
+        return alive, np.ascontiguousarray(live[:, tail].T), at, np.append(at, G - 1)[src], src_q
+
+    @cached_property
     def _gauges(self) -> dict[float, tuple[np.ndarray, float, np.ndarray]]:
         return {}
 
@@ -197,7 +237,7 @@ class TransferSystem:
         solve = power_solve if linear else log_power_solve
         solved = replace(self, eigen=solve(self, tol=tol, max_iter=max_iter,
                                            t_scale=t_scale, start=self.eigen))
-        for key in ("_edges", "_groups", "_gauges"):
+        for key in ("_edges", "_groups", "_chain", "_gauges"):
             if key in vars(self):   # same graph: keep its cached index arrays
                 vars(solved)[key] = vars(self)[key]
         return solved

@@ -33,8 +33,8 @@ functions that must all stay above the Gibbs entropy.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .operator import (NormalizedSystem, TransferSystem, _Operator, build_system
                        normalize_potential)
 from .potentials import PotentialSpec
 from .sequences import Word
-from .shift import (Kneading, _lex_sign, _periodic_verdicts, _rotation_points,
-                    enumerate_words)
+from .shift import Kneading, _periodic_verdicts, _rotation_points, enumerate_words
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +126,12 @@ def entropy_of_gibbs(nrm: NormalizedSystem) -> float:
 def inf_formula_value(L0: _Operator, weights: np.ndarray, u: np.ndarray) -> float:
     """integral of log(L_0 u / u) against the given cylinder weights,
     where L_0 is the unweighted preimage-sum operator (``_Operator`` at
-    t = 0, built once by the caller for all its trials)."""
+    t = 0, built once by the caller for all its trials).  Where L_0 u or u
+    is 0 on a weighted word (u underflowed there) the bound is vacuous:
+    inf, without taking a log of 0."""
     lsum = L0.fwd(u)
     mask = weights > 0.0
-    if np.any(lsum[mask] <= 0.0):
+    if np.any(lsum[mask] <= 0.0) or np.any(u[mask] <= 0.0):
         return math.inf
     return float(np.sum(weights[mask] * (np.log(lsum[mask]) - np.log(u[mask]))))
 
@@ -194,37 +195,35 @@ def random_markov_measure(T: TransferSystem, rng: np.random.Generator,
     first[tail[s]] + k, the k-th word of prefix group tail[s], when that
     group has more than k words.  Words that cannot be continued forever
     are pruned first, and the slots leading to them get no weight; a
-    ValueError is raised when no word remains.  A step of the stationary
-    loop is a grouped sum, as in ``_Operator.fwd``: the slot masses
-    pi[s] q[s, k] are summed by (k, tail[s]), each in ascending s, and
-    word t reads the sum at (its rank in its group, head[t]).
+    ValueError is raised when no word remains.  The tables that do not
+    depend on the draw are derived once per graph and cached on the system
+    (``TransferSystem._chain``).  The stationary loop keeps the masses on
+    the slots (rank in group, group) of the words and pulls them from each
+    group's padded source table: a gather of the sources' masses, one
+    product with their slot probabilities q, and a sum over the sources,
+    which adds each word's sources in ascending order, as the grouped sum
+    of ``_Operator.fwd`` does.
     """
     n, m1 = T.n_words, T.params.m + 1
-    first, tail = T._groups
-    G = len(first) + 1                 # the prefix groups and the extra one
     raw = rng.uniform(0.1, 1.0, size=(n, m1))
-    # a word lives while its successor group holds a live word
-    alive = np.ones(n, dtype=bool)
-    while True:
-        keep = (np.bincount(T.head, alive, minlength=G) > 0)[tail]
-        if np.array_equal(keep, alive):
-            break
-        alive = keep
+    alive, live, at, src_at, src_q = T._chain
     if not alive.any():
         raise ValueError("word graph has no infinite path; cannot build a Markov kernel")
-    rank = np.arange(n) - first[T.head]
-    live = np.zeros((m1, G), dtype=bool)   # live[k, g]: word first[g] + k lives
-    live[rank, T.head] = alive
-    raw = np.where(live[:, tail].T, raw, 0.0)
+    raw = np.where(live, raw, 0.0)
     q = raw / np.where(alive, raw.sum(axis=1), 1.0)[:, None]   # q[s, k] = P(s -> slot k)
-    q_slots = np.ascontiguousarray(q.T)
-    # slot k of s adds to bin k G + tail[s]; word t reads bin rank[t] G + head[t]
-    bins, read = (tail + G * np.arange(m1)[:, None]).ravel(), T.head + G * rank
-    pi = alive / alive.sum()
+    q_src = np.append(q, 0.0)[src_q]   # q_src[j, k, g]: q of the j-th source of g, slot k
+    x, nxt = np.zeros(src_q.shape[1:]), np.zeros(src_q.shape[1:])   # masses on the slots
+    x.ravel()[at] = alive / alive.sum()
+    pulled, mass = np.empty((len(src_at), 1, x.shape[1])), np.empty(src_q.shape)
+    into = pulled[:, 0]
     for _ in range(20000):
-        pi, prev = np.bincount(bins, (q_slots * pi).ravel())[read], pi
-        if float(np.max(np.abs(pi - prev))) < 1e-15:
+        x.take(src_at, out=into, mode="clip")   # unbuffered: src_at is in range
+        np.multiply(pulled, q_src, out=mass)
+        np.add.reduce(mass, axis=0, out=nxt)
+        x, nxt = nxt, x
+        if float(np.abs(x - nxt).max()) < 1e-15:
             break
+    pi = x.ravel()[at]
     pi = pi / pi.sum()
     # entropy rate of the chain
     mask = q > 0
@@ -268,15 +267,50 @@ class PeriodicOrbit:
         return len(self.word)
 
 
-def _least_rotation_rows(W: np.ndarray) -> np.ndarray:
-    """Which rows of a word matrix are strictly lex-smaller than each of
-    their nontrivial rotations: one row per primitive orbit, its lex-least
-    rotation.  A non-primitive word equals one of its rotations and fails."""
-    return (_lex_sign(W[:, None], _rotation_points(W, W.shape[1])[:, 1:]) < 0).all(axis=1)
+def _least_rotation_keys(keys: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Which keys of words of the given length are strictly below the keys
+    of each of their nontrivial rotations, (k % B^(L-r)) B^r + k // B^(L-r)
+    for r = 1 ... L-1 (B = base): one word per primitive orbit, its
+    lex-least rotation.  A non-primitive word equals one of its rotations
+    and fails."""
+    least = np.ones(len(keys), dtype=bool)
+    for r in range(1, length):
+        low = base ** (length - r)
+        least &= keys < keys % low * base ** r + keys // low
+    return least
+
+
+class OrbitList(Sequence[PeriodicOrbit]):
+    """The orbits found by ``periodic_orbits``, held as one digit matrix
+    (one lex-least rotation per row) and one vector of averages per
+    period.  A read-only sequence: ``len`` is the orbit count, and a
+    ``PeriodicOrbit`` is built only when an entry is indexed or iterated."""
+
+    def __init__(self, digits: list[np.ndarray], averages: list[np.ndarray]):
+        self.digits, self.averages = digits, averages
+        self._ends = np.cumsum([len(a) for a in averages])
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("orbit index out of range")
+        i %= len(self)
+        b = int(np.searchsorted(self._ends, i, side="right"))
+        j = i - (int(self._ends[b - 1]) if b else 0)
+        return PeriodicOrbit(tuple(self.digits[b][j].tolist()), float(self.averages[b][j]))
+
+    def __iter__(self):
+        for W, averages in zip(self.digits, self.averages):
+            for w, a in zip(W.tolist(), averages.tolist()):
+                yield PeriodicOrbit(tuple(w), a)
 
 
 def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
-                    max_period: int) -> list[PeriodicOrbit]:
+                    max_period: int) -> OrbitList:
     """The admissible periodic orbits of period <= max_period, one entry
     per orbit, with their potential averages.
 
@@ -284,21 +318,23 @@ def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
     period, then lexicographically.  Orbits whose admissibility is
     undecided at the kneading depth are skipped.  The orbits of period L
     are found among the admissible words of length L (every factor of an
-    admissible point is an admissible word, ``enumerate_words``).
+    admissible point is an admissible word, ``enumerate_words``), by
+    comparing each word's key with the keys of its rotations
+    (``_least_rotation_keys``).  The result holds one digit matrix and one
+    vector of averages per period (``OrbitList``).
     """
-    out: list[PeriodicOrbit] = []
+    digits, averages = [], []
     need = max(A.needed_digits, 1)
     for length in range(1, max_period + 1):
-        W = enumerate_words(p, K, length).digits
-        W = W[_least_rotation_rows(W)]
+        words = enumerate_words(p, K, length)
+        W = words.digits_of(_least_rotation_keys(words.keys, words.base, length))
         W = W[_periodic_verdicts(W, K) == 1]
         N, L = W.shape
         # the average over the orbit, starting from its lex-least rotation
         vals = A.values(_rotation_points(W, need).reshape(N * L, need))
-        averages = vals.reshape(N, L).mean(axis=1)
-        out.extend(PeriodicOrbit(tuple(w), float(a))
-                   for w, a in zip(W.tolist(), averages))
-    return out
+        digits.append(W)
+        averages.append(vals.reshape(N, L).mean(axis=1))
+    return OrbitList(digits, averages)
 
 
 @dataclass(frozen=True)
@@ -313,12 +349,14 @@ def max_ergodic_average(p: Params, K: Kneading, A: PotentialSpec,
     the admissible periodic orbits of period <= max_period (-inf, with no
     best orbit, when there are none).  Equal averages can round apart, so
     the best orbit is the first (by period, then lex) whose average is
-    within ``4 * max_period`` ulps of the maximum."""
+    within ``4 * max_period`` ulps of the maximum.  Reads the orbit arrays
+    and builds that one orbit only."""
     orbits = periodic_orbits(p, K, A, max_period)
-    top = max((o.average for o in orbits), default=-math.inf)
+    averages = np.concatenate([np.zeros(0), *orbits.averages])
+    top = float(averages.max(initial=-math.inf))
     near = 4 * max_period * math.ulp(top)
-    best = next((o for o in orbits if top - o.average <= near), None)
-    return ErgodicMaxReport(best, top)
+    hit = np.flatnonzero(top - averages <= near)
+    return ErgodicMaxReport(orbits[int(hit[0])] if len(hit) else None, top)
 
 
 # ---------------------------------------------------------------------------

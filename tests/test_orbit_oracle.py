@@ -9,9 +9,10 @@ import pytest
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.sequences import PeriodicSeq
-from symbeta.shift import (Kneading, _periodic_verdicts, build_kneading, enumerate_words,
-                           is_admissible_point)
-from symbeta.thermo import PeriodicOrbit, max_ergodic_average, periodic_orbits
+from symbeta.shift import (Kneading, _lex_sign, _periodic_verdicts, _rotation_points,
+                           build_kneading, enumerate_words, is_admissible_point)
+from symbeta.thermo import (ErgodicMaxReport, PeriodicOrbit, max_ergodic_average,
+                            periodic_orbits)
 
 
 def reference_points(p, K, max_period):
@@ -156,3 +157,57 @@ def test_one_entry_per_orbit(shift):
     assert words and len(set(words)) == len(words)
     for w in words:
         assert w == min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def _least_rotation_rows(W):
+    """Rows of a word matrix strictly lex-smaller than each of their
+    nontrivial rotations, by an (N, L, L) digit comparison."""
+    return (_lex_sign(W[:, None], _rotation_points(W, W.shape[1])[:, 1:]) < 0).all(axis=1)
+
+
+def digit_matrix_orbits(p, K, A, max_period):
+    """The search on digit matrices that the key comparison replaced: the
+    lex-least rotations by ``_least_rotation_rows``, and one
+    PeriodicOrbit built per orbit, in a list."""
+    out = []
+    need = max(A.needed_digits, 1)
+    for length in range(1, max_period + 1):
+        W = enumerate_words(p, K, length).digits
+        W = W[_least_rotation_rows(W)]
+        W = W[_periodic_verdicts(W, K) == 1]
+        N, L = W.shape
+        averages = A.values(_rotation_points(W, need).reshape(N * L, need)).reshape(N, L).mean(axis=1)
+        out.extend(PeriodicOrbit(tuple(w), float(a)) for w, a in zip(W.tolist(), averages))
+    return out
+
+
+def digit_matrix_max(orbits, max_period):
+    """max_ergodic_average's rule on an orbit list: the first orbit within
+    4 * max_period ulps of the largest average."""
+    top = max((o.average for o in orbits), default=-math.inf)
+    near = 4 * max_period * math.ulp(top)
+    return ErgodicMaxReport(next((o for o in orbits if top - o.average <= near), None), top)
+
+
+@pytest.mark.parametrize("shift", [*SHIFTS, "hand-built"])
+def test_orbit_arrays_match_digit_matrix_search(shift):
+    if shift == "hand-built":
+        p, K = Params.make(3, 4), HAND_BUILT
+    else:
+        p, depth = SHIFTS[shift]
+        K = build_kneading(p, depth)
+    P = 7 if shift == "full-4-5" else 8
+    for name, A in potentials(p.m).items():
+        want = digit_matrix_orbits(p, K, A, P)
+        got = periodic_orbits(p, K, A, P)
+        # same words, same order, bit-equal averages
+        assert [(o.word, o.average) for o in got] == [(o.word, o.average) for o in want], name
+        assert len(got) == len(list(got)) == len(want), name
+        for i in (0, len(want) // 2, -1):
+            assert got[i] == want[i], (name, i)
+        assert got[-3:] == want[-3:], name
+        with pytest.raises(IndexError):
+            got[len(want)]
+        for q in range(1, P + 1):
+            shorter = [o for o in want if o.period <= q]
+            assert max_ergodic_average(p, K, A, q) == digit_matrix_max(shorter, q), (name, q)

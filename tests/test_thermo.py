@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
-from symbeta.operator import (_Operator, build_system, log_power_solve,
+from symbeta.operator import (_Operator, _in_degree, build_system, log_power_solve,
                               normalize_potential, power_solve)
 from symbeta.reporting import RunConfig, cmd_thermo, cmd_zerotemp
 from symbeta.shift import build_kneading
@@ -122,6 +127,30 @@ def test_inf_check_full_shift_jensen_bound():
     rep = entropy_inf_check(gibbs_measure(T), n_random=25, seed=5)
     for _, v in rep.trial_values:
         assert v >= math.log(4) - 1e-10
+
+
+def test_inf_formula_is_vacuous_where_the_trial_underflows():
+    # a trial 0 on a weighted word bounds nothing: inf, with no log of 0
+    _, _, T = solved(3, 4, n=3)
+    w = np.full(T.n_words, 1.0 / T.n_words)
+    u = np.ones(T.n_words)
+    u[5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inf_formula_value(_Operator(T, 0.0), w, u) == math.inf
+
+
+def test_cli_thermo_on_an_underflowing_eigenfunction_writes_no_warning():
+    # at c = 900 the eigenfunction trial exp(log_psi - max) underflows to 0
+    # on words that carry Gibbs weight
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-m", "symbeta", "thermo", "--m", "3", "--beta", "3.5", "--depth", "6",
+         "--potential", "geometric:c=900,theta=0.4,kmax=12"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0 and out.stderr == ""
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +294,75 @@ def test_test_measures_match_edge_list_reference():
         for k in range(p):
             weights[T.basis.index[tuple(orbit.word[(k + i) % p] for i in range(5))]] += 1.0 / p
         np.testing.assert_allclose(nu.weights, weights, rtol=1e-15, atol=0.0)
+
+
+def _markov_grouped_sum(T, rng):
+    """random_markov_measure by the step that the source-table pull
+    replaced, rebuilding every table per draw: the slot masses pi[s]
+    q[s, k] are summed by (k, tail[s]) with ``np.bincount``, and word t
+    reads the bin (rank of t in its group, head[t]).  (pi, entropy rate)."""
+    n, m1 = T.n_words, T.params.m + 1
+    first, tail = T._groups
+    G = len(first) + 1
+    raw = rng.uniform(0.1, 1.0, size=(n, m1))
+    alive = np.ones(n, dtype=bool)
+    while True:
+        keep = (np.bincount(T.head, alive, minlength=G) > 0)[tail]
+        if np.array_equal(keep, alive):
+            break
+        alive = keep
+    rank = np.arange(n) - first[T.head]
+    live = np.zeros((m1, G), dtype=bool)
+    live[rank, T.head] = alive
+    raw = np.where(live[:, tail].T, raw, 0.0)
+    q = raw / np.where(alive, raw.sum(axis=1), 1.0)[:, None]
+    q_slots = np.ascontiguousarray(q.T)
+    bins, read = (tail + G * np.arange(m1)[:, None]).ravel(), T.head + G * rank
+    pi = alive / alive.sum()
+    for _ in range(20000):
+        pi, prev = np.bincount(bins, (q_slots * pi).ravel())[read], pi
+        if float(np.max(np.abs(pi - prev))) < 1e-15:
+            break
+    pi = pi / pi.sum()
+    mask = q > 0
+    return pi, float(-np.sum((pi[:, None] * q)[mask] * np.log(q[mask])))
+
+
+@pytest.mark.parametrize("m, beta, n", [(3, "3.5", 5), (3, "3.5", 6), (3, "3.5", 8),
+                                        (4, 5, 5), (8, 9, 3)])
+def test_markov_pull_step_matches_grouped_sum(m, beta, n):
+    # (3, 3.5) at depth 8 prunes 6 words; the full (8, 9) shift gives every
+    # prefix group 9 sources, where a pairwise sum would round differently
+    p = Params.make(m, beta)
+    T = build_system(p, build_kneading(p, 64), PotentialSpec.zero(), n)
+    # one row per source of the largest group, one column per group and
+    # the extra one, which holds no word
+    src_at = T._chain[3]
+    G = len(T._groups[0]) + 1
+    assert src_at.shape == (_in_degree(T.head, T.tail).max(), G)
+    if (m, beta) == (8, 9):
+        assert src_at.shape == (9, 82) and np.all(src_at[:, :-1] % G < G - 1)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        nu = random_markov_measure(T, rng)
+        pi, h = _markov_grouped_sum(T, ref_rng)
+        assert np.array_equal(nu.weights, pi) and nu.entropy_true == h
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 40])
+def test_sum_over_axis_0_adds_rows_in_order(k):
+    # the pull step's bit-identity rests on numpy reducing a (k, m+1, G)
+    # array over axis 0 row by row, as bincount adds a bin's entries; only a
+    # reduction to a single entry is summed pairwise, and m + 1 >= 2 slots
+    # and G >= 2 groups (one real, one extra) rule that out
+    rng = np.random.default_rng(k)
+    x = rng.uniform(0.0, 1.0, size=(k, 2, 3)) * 10.0 ** rng.integers(-8, 8, size=(k, 2, 3))
+    seq = x[0].copy()
+    for row in x[1:]:
+        seq += row
+    out = np.zeros((2, 3))
+    np.add.reduce(x, axis=0, out=out)
+    assert np.array_equal(out, seq)
 
 
 # ---------------------------------------------------------------------------
