@@ -214,14 +214,19 @@ class QuadReal:
         return hash((self.a, self.b, self.d))
 
     def floor_int(self) -> int:
-        """Exact floor."""
-        est = math.floor(float(self))
-        # float estimate can be off by one near integers; fix exactly
-        while self._cmp(est + 1) >= 0:
-            est += 1
-        while self._cmp(est) < 0:
-            est -= 1
-        return est
+        """Exact floor.
+
+        With self = (A + B sqrt(d)) / C over integers, C > 0, it is
+        floor((A + floor(B sqrt(d))) / C): B sqrt(d) is irrational, so no
+        multiple of C lies between the two numerators.  No float is read,
+        so a and b may be far larger than their sum.
+        """
+        if not self.b:
+            return math.floor(self.a)
+        C = math.lcm(self.a.denominator, self.b.denominator)
+        A, B = int(self.a * C), int(self.b * C)
+        t = math.isqrt(B * B * self.d)
+        return (A + t) // C if B > 0 else (A - t - 1) // C
 
     def __float__(self) -> float:
         if self.b == 0:

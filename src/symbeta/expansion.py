@@ -2,10 +2,13 @@
 
 Everything here runs on exact rational or quadratic-irrational arithmetic
 (values are :class:`symbeta.algebraic.QuadReal`; the digit recursion runs
-on integers over Z[sqrt(d)]), so digit decisions are never subject to
-rounding: the greedy recursion detects exact termination and exact cycles
-of its remainders, which is what makes kneading data exactly computable
-for algebraic bases.
+on integers over Z[sqrt(d)]), so every digit is proven: the greedy
+recursion detects exact termination and exact cycles of its remainders,
+which is what makes kneading data exactly computable for algebraic bases.
+Once a run in a rational base with a wide denominator can neither end nor
+cycle, its digits come from a fixed-point enclosure of the remainder,
+rounded outward, and a digit is taken only when the whole enclosure
+decides it; where it cannot, that digit is taken on the exact remainder.
 """
 
 from __future__ import annotations
@@ -76,20 +79,23 @@ def beta_t(m: int) -> QuadReal:
         disc = (k + 2) * (k + 2) - 4
         return (QuadReal.of(k + 2) + QuadReal.sqrt_int(disc)) / 2
 
-    def excess(b: Fraction) -> Fraction:
-        # series of (k+1) ((k+1)k)^inf minus 1, rational in b
-        return (k + 1) * (b * b - 1) + (k + 1) * b + k - b * (b * b - 1)
+    def excess(c: int, den: int) -> int:
+        # series of (k+1) ((k+1)k)^inf minus 1 at b = c/den, which is
+        # -b^3 + (k+1) b^2 + (k+2) b - 1, times den^3 > 0
+        return (((k + 1) * den - c) * c + (k + 2) * den * den) * c - den ** 3
 
-    lo, hi = Fraction(1) + Fraction(1, 10 ** 6), Fraction(m + 1)
-    if excess(hi) > 0:
+    # the Fraction bisection on integers: lo/den, hi/den, with den = 10^6 2^i
+    lo, hi, den = 10 ** 6 + 1, (m + 1) * 10 ** 6, 10 ** 6
+    if excess(hi, den) > 0:
         raise ArithmeticError("bisection bracket failed")
-    while hi - lo > BETA_T_TOL:
-        mid = (lo + hi) / 2
-        if excess(mid) > 0:
+    while (hi - lo) * BETA_T_TOL.denominator > den * BETA_T_TOL.numerator:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if excess(mid, den) > 0:
             lo = mid
         else:
             hi = mid
-    return QuadReal.of((lo + hi) / 2)
+    return QuadReal.of(Fraction(lo + hi, 2 * den))
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,17 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
     and Y are divided out while k > 0, which makes (X, Y, k) a canonical
     form of r, so the cycle test compares remainders exactly.
 
+    A run in a rational base is settled once k >= 1 and no factor of s
+    divides out: it never reduces, recurs or reaches an integer beta r
+    again.  X then grows by log2 s bits a step where a digit needs log2
+    beta of them, so where log2 s exceeds ``_ENCLOSE_RATIO`` log2 beta
+    (beta_T at odd m, with s = 2^53 10^6) the settled digits come from
+    ``_enclosed_digits``, an outward-rounded fixed-point enclosure of r
+    that takes a digit only when the whole enclosure decides it.  Where it
+    straddles a digit boundary, the exact state is advanced over the
+    proven digits in one block (``_digit_block``) and that digit is taken
+    exactly, so each digit is decided once, and every digit stays proven.
+
     Returns (quasi, greedy), each a pair (digits, exact) of ``depth`` digits,
     where exact is the full PeriodicSeq when that recursion terminates or
     cycles within ``depth`` steps, else None.
@@ -218,11 +235,16 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
     Qd = Q * d
     D = math.lcm(a.a.denominator, a.b.denominator)
     X, Y = int(a.a * D), int(a.b * D)
+    # The exact remainder of a settled run grows by log2 s bits a step, an
+    # enclosure of it by log2 beta bits: wide denominators run enclosed.
+    enclose = not Q and s.bit_length() > _ENCLOSE_RATIO * math.log2(P / s)
     k = 0
     digits: list[int] = []
     seen: dict[tuple[int, int, int], int] = {}
     exact_step = None
-    for n in range(depth):
+    exact = None
+    n = 0
+    while n < depth:
         if not X and not Y:
             # only a = 0 starts here: the quasi rule never leaves remainder 0
             if digits:
@@ -233,11 +255,23 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
         # For a rational base (Q == 0), gcd(P, s) = 1 and s divides D once
         # k >= 1, so a step maps X, Y to P X, P Y modulo s.  A state with
         # k >= 1, whose X and Y are not both divisible by s, passes that on
-        # to every later state: none reduces, k only grows, and none
-        # recurs.  From there the run keeps no cycle table and tests no
-        # remainder for divisibility.
+        # to every later state: none reduces, k only grows, none recurs and
+        # beta r is never an integer.  From there the run keeps no cycle
+        # table and tests no remainder for divisibility.
         settled = not Q and k
-        if not settled:
+        if settled and enclose:
+            run = _enclosed_digits(X, Y, d, D, P, s, m, depth - n)
+            if run:
+                digits += run
+                n += len(run)
+                if n == depth:
+                    break
+                # advance the exact state over the proven digits at once
+                Pj, sj, S = _digit_block(run, P, s)
+                X, Y, D = Pj * X - D * S, Pj * Y, D * sj
+                k += len(run)
+            # the enclosure straddled the next digit: take it exactly
+        elif not settled:
             key = (X, Y, k)
             if key in seen:
                 start = seen[key]
@@ -267,19 +301,79 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
             dig -= 1
             X = D
         digits.append(dig)
+        n += 1
         while not settled and k and not X % s and not Y % s:
             X //= s
             Y //= s
             D //= s
             k -= 1
-    else:
-        exact = None
     if exact_step is None:
         return (digits, exact), (digits, exact)
     head = digits[:exact_step] + [digits[exact_step] + 1]
     # greedy sees its zero remainder one step later, if the depth allows
     greedy_exact = PeriodicSeq.from_word(head) if len(head) < depth else None
     return (digits, exact), (head + [0] * (depth - len(head)), greedy_exact)
+
+
+#: a run encloses its settled digits when log2 s exceeds this many times
+#: log2 beta (the two paths took equal time near s = 10^3 at beta = 3.713
+#: and 4.731, depth 1,000; at beta = 3.5, s = 2, the exact path is faster;
+#: measured on a 2-vCPU x86 machine with Python 3.11)
+_ENCLOSE_RATIO = 4
+#: bits an enclosure carries beyond the count * log2 beta its width grows by
+_GUARD_BITS = 64
+
+
+def _enclosed_digits(X: int, Y: int, d: int, D: int, P: int, s: int, m: int,
+                     count: int) -> list[int]:
+    """Up to ``count`` next digits of a settled run in the rational base
+    P / s from the remainder r = (X + Y sqrt(d)) / D, each proven.
+
+    The run steps an enclosure lo / 2^p <= r <= hi / 2^p: beta r is
+    bracketed by P lo / s rounded down and P hi / s rounded up, and a digit
+    is taken only when the whole bracket maps to it, min(floor, m).  As
+    beta r is never an integer in a settled run, that is the greedy and the
+    quasi-greedy digit alike.  The width grows by a factor beta a step, so
+    p = count log2 beta + ``_GUARD_BITS`` leaves a straddle a chance of
+    order 2^-64 per digit; at a straddle the proven prefix is returned and
+    the caller takes the next digit exactly.  No digit depends on p, which
+    sets only how often the enclosure straddles.
+    """
+    # p >= 0 for any guard: a negative one, which forces straddles, still
+    # leaves a valid enclosure
+    p = max(math.ceil(count * math.log2(P / s)) + _GUARD_BITS, 0)
+    num = X << p
+    if Y:
+        # floor(|Y| sqrt(d) 2^p); never exact, as Y^2 d is not a square
+        t = math.isqrt(Y * Y * d << 2 * p)
+        num += t if Y > 0 else -t - 1
+        lo, hi = num // D, -(-(num + 1) // D)
+    else:
+        lo, hi = num // D, -(-num // D)
+    digits: list[int] = []
+    for _ in range(count):
+        lo = lo * P // s
+        hi = -(-hi * P // s)
+        x = lo >> p
+        if x < m and x != hi >> p:
+            break
+        x = min(x, m)
+        lo -= x << p
+        hi -= x << p
+        digits.append(x)
+    return digits
+
+
+def _digit_block(run: list[int], P: int, s: int) -> tuple[int, int, int]:
+    """(P^j, s^j, S) for the digits x_1..x_j of a settled run, with
+    S = sum x_i P^(j-i) s^i: the j steps map X to P^j X - D S, Y to P^j Y
+    and D to D s^j.  Halves combine as S = P^(j-h) S_left + s^h S_right."""
+    if len(run) == 1:
+        return P, s, run[0] * s
+    h = len(run) // 2
+    P1, s1, S1 = _digit_block(run[:h], P, s)
+    P2, s2, S2 = _digit_block(run[h:], P, s)
+    return P1 * P2, s1 * s2, P2 * S1 + s1 * S2
 
 
 def _extend(per: Word, count: int) -> list[int]:

@@ -245,9 +245,15 @@ class CylinderBasis:
         width = self.depth if width is None else width
         keys = self.keys[idx] // self.base ** (self.depth - width)   # new, divided in place
         out = np.empty((len(keys), width), dtype=np.uint8)
+        if keys.dtype == object:   # np.divmod with out= rejects object arrays
+            for j in reversed(range(width)):
+                out[:, j] = keys % self.base
+                keys //= self.base
+            return out
+        rem = np.empty_like(keys)
         for j in reversed(range(width)):
-            out[:, j] = keys % self.base
-            keys //= self.base
+            np.divmod(keys, self.base, out=(keys, rem))
+            out[:, j] = rem
         return out
 
     @property

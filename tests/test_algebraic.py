@@ -46,6 +46,18 @@ def test_floor_near_integers():
     assert (phi * phi).floor_int() == 2  # phi^2 = 2.618...
 
 
+def test_floor_of_cancelling_coefficients():
+    # a and b near 2^200 cancel to a value in (0, 1): a float estimate of
+    # the sum is off by about 2^147
+    s2 = QuadReal.sqrt_int(2)
+    big = 2 ** 200
+    x = s2 * big - math.isqrt(2 * big * big)
+    assert x.floor_int() == 0
+    assert (-x).floor_int() == -1
+    assert (x + Fraction(7, 3)).floor_int() == 2
+    assert (x / 3 - 5).floor_int() == -5
+
+
 def test_power_and_division():
     b = (QuadReal.of(3) + QuadReal.sqrt_int(5)) / 2
     assert b ** 2 == 3 * b - 1           # root of x^2 - 3x + 1

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from symbeta.algebraic import QuadReal
-from symbeta.expansion import (Params, as_real, beta_t, eval_series, golden_ratio,
-                               greedy_expansion, lazy_expansion, prefix_value,
-                               quasi_greedy, quasi_greedy_of_one, quasi_lazy,
-                               transitive_pattern, unique_expansion)
+from symbeta.expansion import (BETA_T_TOL, Params, as_real, beta_t, eval_series,
+                               golden_ratio, greedy_expansion, lazy_expansion,
+                               prefix_value, quasi_greedy, quasi_greedy_of_one,
+                               quasi_lazy, transitive_pattern, unique_expansion)
 from symbeta.sequences import PeriodicSeq, reflect_word
 
 GOLDEN = Params.make(1, "golden")
@@ -42,6 +42,29 @@ def test_beta_t_bisection_odd_m():
     assert float(beta_t(1)) == pytest.approx(1.8019377358048383, abs=1e-10)
     b = float(beta_t(3))
     assert b ** 3 - 2 * b ** 2 - 3 * b + 1 == pytest.approx(0.0, abs=1e-9)
+
+
+def _beta_t_fraction_bisection(m: int) -> QuadReal:
+    """The Fraction bisection ``beta_t`` ran before it moved to integers,
+    kept as the reference."""
+    k = m // 2
+
+    def excess(b: Fraction) -> Fraction:
+        return (k + 1) * (b * b - 1) + (k + 1) * b + k - b * (b * b - 1)
+
+    lo, hi = Fraction(1) + Fraction(1, 10 ** 6), Fraction(m + 1)
+    while hi - lo > BETA_T_TOL:
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return QuadReal.of((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("m", [*range(1, 16, 2), 255])
+def test_beta_t_integer_bisection_matches_fraction_bisection(m):
+    assert beta_t.__wrapped__(m) == _beta_t_fraction_bisection(m)
 
 
 def test_beta_t_above_golden():

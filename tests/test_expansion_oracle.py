@@ -13,6 +13,7 @@ reflected greedy recursion of the dual, is also held to the direct
 smallest-digit loop.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -85,6 +86,63 @@ def oracle_quasi_lazy(a: QuadReal, p: Params, depth: int):
     return tuple(digits)
 
 
+def exact_greedy_digits(a: QuadReal, p: Params, depth: int):
+    """``_greedy_digits`` with every step on the exact integer remainder,
+    the loop that ran before settled digits of wide-denominator bases were
+    taken from an enclosure."""
+    beta, m = p.beta, p.m
+    d = beta.d or a.d
+    s = math.lcm(beta.a.denominator, beta.b.denominator)
+    P, Q = int(beta.a * s), int(beta.b * s)
+    D = math.lcm(a.a.denominator, a.b.denominator)
+    X, Y = int(a.a * D), int(a.b * D)
+    k = 0
+    digits: list[int] = []
+    seen: dict[tuple[int, int, int], int] = {}
+    exact_step = None
+    for n in range(depth):
+        if not X and not Y:
+            digits += [0] * depth
+            exact = PeriodicSeq.constant(0)
+            break
+        settled = not Q and k
+        if not settled:
+            key = (X, Y, k)
+            if key in seen:
+                start = seen[key]
+                exact = PeriodicSeq(tuple(digits[:start]), tuple(digits[start:]))
+                digits += _extend(digits[start:], depth - n)
+                break
+            seen[key] = n
+        X, Y = P * X + Q * d * Y, Q * X + P * Y
+        if s > 1:
+            D *= s
+            k += 1
+        if Y > 0:
+            dig = (X + math.isqrt(Y * Y * d)) // D
+        elif Y < 0:
+            dig = (X - math.isqrt(Y * Y * d) - 1) // D
+        else:
+            dig = X // D
+        dig = min(dig, m)
+        X -= dig * D
+        if not X and not Y:
+            if exact_step is None:
+                exact_step = n
+            dig -= 1
+            X = D
+        digits.append(dig)
+        while not settled and k and not X % s and not Y % s:
+            X, Y, D, k = X // s, Y // s, D // s, k - 1
+    else:
+        exact = None
+    if exact_step is None:
+        return (digits, exact), (digits, exact)
+    head = digits[:exact_step] + [digits[exact_step] + 1]
+    greedy_exact = PeriodicSeq.from_word(head) if len(head) < depth else None
+    return (digits, exact), (head + [0] * (depth - len(head)), greedy_exact)
+
+
 # ---------------------------------------------------------------------------
 
 DEPTH = 120
@@ -93,6 +151,9 @@ BASES = ([(m, "golden") for m in range(1, 6)]
          + [(3, "3.5"), (4, "4.7"), (1, "1.8"), (12, "12.5")]
          + [(m, "m+1") for m in range(1, 4)])
 VALUES = [Fraction(1), Fraction(9, 10), Fraction(1, 2), Fraction(1, 3), Fraction(3, 7)]
+# quadratic values in rational bases, whose runs carry a Y sqrt(d) term
+QUADRATIC_VALUES = [QuadReal.sqrt_int(2) / 4, (QuadReal.sqrt_int(5) - 1) / 4]
+QUADRATIC_VALUE_BASES = {(3, "beta_T"), (5, "beta_T"), (3, "3.5"), (4, "4.7")}
 
 
 def _branch(exact, quasi, a):
@@ -107,7 +168,8 @@ def test_integer_recursion_matches_quadreal_loop():
     branches = {}
     for m, beta in BASES:
         p = Params.make(m, beta)
-        for v in VALUES:
+        quadratic = QUADRATIC_VALUES if (m, beta) in QUADRATIC_VALUE_BASES else []
+        for v in VALUES + quadratic:
             a = QuadReal.of(v)
             for x in (a, p.max_value - a):
                 if not 0 <= x <= p.max_value:
@@ -244,3 +306,84 @@ def test_cmd_expand_runs_two_recursions(monkeypatch):
         rep = cmd_expand(RunConfig(m=3, beta="beta_T", a=a, depth=40, kneading_depth=42))
         assert len(calls) == 2
         assert rep.summary["greedy"] == "".join(map(str, greedy_expansion(a, rep.config.params(), 40)))
+
+
+# ---------------------------------------------------------------------------
+# the enclosure of settled digits in wide-denominator rational bases
+
+# beta_T at odd m is a rational with a 71- to 75-bit denominator
+ENCLOSED_BASES = ([(m, "beta_T") for m in range(1, 12, 2)]
+                  + [(4, "4.7317"), (4, "4.731713"), (3, "3.713")])
+ENCLOSED_VALUES = [Fraction(1), Fraction(9, 10), Fraction(1, 3)]
+
+
+def _enclosed_cases(values):
+    for m, beta in ENCLOSED_BASES:
+        p = Params.make(m, beta)
+        for v in values:
+            a = QuadReal.of(v)
+            yield from ((m, beta, p, x) for x in (a, p.max_value - a))
+
+
+def _counting_enclosure(monkeypatch):
+    """Wrap ``_enclosed_digits``; the returned list collects the length of
+    each run it returns."""
+    runs = []
+    helper = expansion._enclosed_digits
+
+    def counted(*args):
+        out = helper(*args)
+        runs.append(len(out))
+        return out
+
+    monkeypatch.setattr(expansion, "_enclosed_digits", counted)
+    return runs
+
+
+@pytest.mark.parametrize("depth", [1, 2, 17, 300, 1500])
+def test_enclosed_digits_match_exact_loop(depth, monkeypatch):
+    runs = _counting_enclosure(monkeypatch)
+    # sqrt(2)/4 adds the Y sqrt(d) term; its exact loop is slow at 1,500
+    values = ENCLOSED_VALUES + ([QUADRATIC_VALUES[0]] if depth <= 300 else [])
+    for m, beta, p, x in _enclosed_cases(values):
+        runs.clear()
+        got = _greedy_digits(x, p, depth)
+        assert got == exact_greedy_digits(x, p, depth), (m, beta, x, depth)
+        # at the full guard no run straddles: one entry, once it settles
+        assert len(runs) == (depth > 1), (m, beta, x, depth)
+
+
+def test_narrow_and_quadratic_bases_stay_exact(monkeypatch):
+    runs = _counting_enclosure(monkeypatch)
+    for m, beta in [(3, "3.5"), (4, "4.7"), (3, "3.71"), (4, "4.73"), (3, "golden"),
+                    (4, "beta_T")]:
+        p = Params.make(m, beta)
+        _greedy_digits(QuadReal.of(Fraction(9, 10)), p, 200)
+        assert runs == [], (m, beta)
+
+
+@pytest.mark.parametrize("guard", [-10 ** 6, -8, 0])
+def test_forced_straddles_keep_digits_and_bound_the_work(guard, monkeypatch):
+    # a guard of -10^6 drops the enclosure to whole units (p = 0), so it
+    # straddles on most steps; -8 and 0 prove long prefixes and straddle near
+    # their ends, so the caller advances the exact state over whole blocks
+    monkeypatch.setattr(expansion, "_GUARD_BITS", guard)
+    runs = _counting_enclosure(monkeypatch)
+    steps, proven, blocks = 0, 0, 0
+    # the exact steps of a quadratic value take an isqrt of the whole remainder
+    cases = [(*case, 400) for case in _enclosed_cases(ENCLOSED_VALUES)]
+    cases += [(*case, 120) for case in _enclosed_cases(QUADRATIC_VALUES[:1])]
+    for m, beta, p, x, depth in cases:
+        runs.clear()
+        got = _greedy_digits(x, p, depth)
+        assert got == exact_greedy_digits(x, p, depth), (m, beta, x, guard)
+        # each entry but the last ends on a straddle, which takes one exact
+        # step; so the enclosure is entered at most once per exact step
+        assert 1 <= len(runs) <= depth - sum(runs), (m, beta, x, guard)
+        steps += depth
+        proven += sum(runs)
+        blocks += sum(j > 1 for j in runs[:-1])
+    if guard == -10 ** 6:
+        assert proven < steps // 2
+    else:
+        assert blocks > 0
