@@ -215,7 +215,9 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
     divides out: it never reduces, recurs or reaches an integer beta r
     again.  X then grows by log2 s bits a step where a digit needs log2
     beta of them, so where log2 s exceeds ``_ENCLOSE_RATIO`` log2 beta
-    (beta_T at odd m, with s = 2^53 10^6) the settled digits come from
+    (beta_T at odd m, with s = 2^53 10^6), and wherever a quadratic value
+    carries a Y sqrt(d) term, whose exact digit takes an isqrt of the whole
+    remainder, the settled digits come from
     ``_enclosed_digits``, an outward-rounded fixed-point enclosure of r
     that takes a digit only when the whole enclosure decides it.  Where it
     straddles a digit boundary, the exact state is advanced over the
@@ -236,8 +238,10 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
     D = math.lcm(a.a.denominator, a.b.denominator)
     X, Y = int(a.a * D), int(a.b * D)
     # The exact remainder of a settled run grows by log2 s bits a step, an
-    # enclosure of it by log2 beta bits: wide denominators run enclosed.
-    enclose = not Q and s.bit_length() > _ENCLOSE_RATIO * math.log2(P / s)
+    # enclosure of it by log2 beta bits: wide denominators run enclosed, and
+    # so does a quadratic value, whose exact step takes an isqrt of the
+    # whole remainder.
+    enclose = not Q and (Y != 0 or s.bit_length() > _ENCLOSE_RATIO * math.log2(P / s))
     k = 0
     digits: list[int] = []
     seen: dict[tuple[int, int, int], int] = {}

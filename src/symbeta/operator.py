@@ -19,18 +19,18 @@ extended digit by digit with the smallest admissible continuation
 sample is off by at most the potential's variation over its cylinder (see
 ``potentials``); no printed figure bounds the resulting pressure error.
 
-Solvers: sup-normalized power iteration on the prefix-group values for
-the Perron eigenvalue with the right (eigenfunction) and left
-(eigenmeasure) eigenvectors (``power_solve``); the same linear iteration
-on the gauged potential for strongly scaled potentials
-(``log_power_solve``), where A is shifted by a coboundary of a max-plus
-eigenvector and by the maximal cycle mean, so that exp(t A') <= 1 at
-every t (``TransferSystem.solve`` picks one by the scale t); and the
-perturbed fixed-point map psi -> L(psi + 1/k)/||L(psi + 1/k)|| at one
-fixed k, whose value lambda_k exceeds lambda by an exactly known bias
-(``lk_solve``).  Every solve is one linear iteration loop
-(``_iterate``); no solve iterates in log scale.  All solves are
-deterministic.
+Solvers: one sup-normalized power iteration on the prefix-group values
+for the Perron eigenvalue with the right (eigenfunction) and left
+(eigenmeasure) eigenvectors (``_solve``), under one of two gauges: the
+trivial one, on t A itself (``power_solve``), and the max-plus one for
+strongly scaled potentials (``log_power_solve``), where A is shifted by a
+coboundary of a max-plus eigenvector and by the maximal cycle mean, so
+that exp(t A') <= 1 at every t (``TransferSystem.solve`` picks one by the
+scale t); and the perturbed fixed-point map psi -> L(psi + 1/k)/||L(psi +
+1/k)|| at one fixed k, whose value lambda_k exceeds lambda by an exactly
+known bias (``lk_solve``).  Every half runs one linear iteration loop
+(``_iterate``), as does the max-plus half that finds the gauge; no
+kernel works in log scale.  All solves are deterministic.
 
 Normalization (``normalize_potential``) works on the same prefix-group
 sums, in the coordinates of the operator the solve iterated (t A, or the
@@ -78,7 +78,6 @@ class EigenData:
     converged: bool
     iterations: int
     residual: float
-    gap_estimate: float | None
     mode: str  # "linear" | "log"
     iterations_fwd: int      # eigenfunction half; iterations is the sum
     iterations_bwd: int      # eigenmeasure half
@@ -203,7 +202,7 @@ class TransferSystem:
         - u[tail]) over the words with a successor; and the gauged
         potential b' = b + u[head] - u[tail] - b* there (0 on the words
         without successor, which are sources of nothing), <= 0 however far
-        u has converged (see ``log_power_solve``)."""
+        u has converged (see ``_coordinates``)."""
         if sign not in self._gauges:
             first, tail = self._groups
             scale = float(np.max(np.abs(self.a_vals), initial=0.0))
@@ -227,11 +226,13 @@ class TransferSystem:
     def solve(self, tol: float = 1e-14, max_iter: int = 20000,
               t_scale: float = 1.0) -> "TransferSystem":
         """The system with its Perron eigendata at scale ``t_scale``, by
-        ``power_solve`` up to ``LOG_THRESHOLD`` and by the gauged
-        ``log_power_solve`` above it or where |t| max|A| >= ``LINEAR_LIMIT``,
-        on which exp(tA) overflows or underflows.  A solved system
-        warm-starts from its own eigendata, and the result keeps the
-        graph's cached index arrays and max-plus gauges."""
+        the one solve (``_solve``) under the trivial gauge
+        (``power_solve``) up to ``LOG_THRESHOLD`` and under the max-plus
+        gauge (``log_power_solve``) above it or where |t| max|A| >=
+        ``LINEAR_LIMIT``, on which exp(tA) overflows or underflows.  A
+        solved system warm-starts the backward half from its own
+        eigendata, and the result keeps the graph's cached index arrays and
+        max-plus gauges."""
         a_max = float(np.max(np.abs(self.a_vals), initial=0.0))
         linear = t_scale <= LOG_THRESHOLD and abs(t_scale) * a_max < LINEAR_LIMIT
         solve = power_solve if linear else log_power_solve
@@ -320,11 +321,9 @@ class _Operator:
     gather by head (``fwd``).  The transpose factors e[s] out, (L^T u)[s]
     = e[s] * (sum of u over the words of prefix group tail[s]): one grouped
     sum over the N targets and a gather by tail, taken on group values
-    (``bwd_groups``).  ``log_fwd`` is ``fwd`` in log scale (for ``iterate``),
-    a logsumexp whose grouped max and sum go by group index, with no sort.
-    The index arrays are derived once per graph and cached on the system
-    (``TransferSystem._groups``); an instance adds t A, and e on its first
-    linear application.
+    (``bwd_groups``).  The index arrays are derived once per graph and
+    cached on the system (``TransferSystem._groups``); an instance adds
+    t A, and e on its first application.
 
     Both Perron vectors are fixed by G prefix-group values (the exact
     lumping of Kemeny and Snell, *Finite Markov Chains*, 1960): L v is
@@ -374,9 +373,6 @@ class _Operator:
         emax, f = self.scaled
         return emax[:-1] * np.bincount(self.head, f * np.append(U, 0.0)[self.tail])
 
-    def log_fwd(self, logv: np.ndarray) -> np.ndarray:
-        return _lse_groups(self.la + logv, self.tail, len(self.first) + 1)[:-1][self.head]
-
 
 def _group_max(group: np.ndarray, x: np.ndarray, size: int, empty: float) -> np.ndarray:
     """The largest x[i] of each group (``group[i]`` is the group of x[i]),
@@ -386,33 +382,8 @@ def _group_max(group: np.ndarray, x: np.ndarray, size: int, empty: float) -> np.
     return mx
 
 
-def _lse_groups(x: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
-    """logsumexp of x over each group (``group[i]`` is the group of x[i]),
-    each group summed in ascending i; -inf for a group of -inf or without
-    entries, without evaluating log(0) or -inf - -inf."""
-    mx = _group_max(group, x, size, -np.inf)
-    live = mx > -np.inf
-    mx = np.where(live, mx, 0.0)
-    s = np.bincount(group, np.exp(x - mx[group]), minlength=size)
-    return np.where(live, mx + np.log(np.where(live, s, 1.0)), -np.inf)
-
-
 # ---------------------------------------------------------------------------
 # solvers
-
-
-def _eigen(log_lam, log_psi, log_rho, t_scale, iters, stops, resid, gap, tol,
-           mode) -> EigenData:
-    """Normalize and package the (forward, backward) halves.  Converged
-    only when neither half ran into max_iter and the combined residual
-    passes the 100*tol gate."""
-    stop = "max_iter" if "max_iter" in stops else "tol"
-    resid = float(resid)
-    converged = stop == "tol" and resid < 100 * max(tol, 1e-15)
-    log_rho = log_rho - _lse_vec(log_rho)
-    log_psi = log_psi - _lse_vec(log_rho + log_psi)
-    return EigenData(float(log_lam), log_psi, log_rho, t_scale, converged,
-                     sum(iters), resid, gap, mode, *iters, stop)
 
 
 def _lse_vec(v: np.ndarray) -> float:
@@ -422,16 +393,25 @@ def _lse_vec(v: np.ndarray) -> float:
     return mx + math.log(np.sum(np.exp(v - mx)))
 
 
-def _warm_start(start: EigenData | None, t_scale: float):
-    """Initial log iterates (forward, backward) from a solve at another
-    scale: the ground state sharpens linearly in t on log scale, so the
-    start's log_psi and log_rho are scaled by t_scale / start.t_scale and
-    shifted to maximum 0.  (None, None), a cold start, without a usable
-    start."""
+def _warm_start(L: _Operator, lift: np.ndarray | None, start: EigenData | None,
+                t_scale: float) -> np.ndarray:
+    """The backward half's start per prefix group: the largest rho among
+    each group's sources, 0 for a group without sources.  Cold, rho = 1;
+    warm from a solve at another scale, ``start``, whose log_rho is scaled
+    by t_scale / start.t_scale (the ground state sharpens linearly in t on
+    log scale), shifted to maximum 0 and moved into the gauge's
+    coordinates (``lift``, see ``_coordinates``).  The forward half always
+    starts cold (see ``_solve``)."""
     if start is None or not (start.t_scale > 0 and t_scale > 0):
-        return None, None
-    r = t_scale / start.t_scale
-    return tuple(v - np.max(v) for v in (start.log_psi * r, start.log_rho * r))
+        rho = np.ones(len(L.head))
+    else:
+        rho = start.log_rho * (t_scale / start.t_scale)
+        rho -= np.max(rho)
+        if lift is not None:
+            rho += lift[L.head]
+            rho -= np.max(rho)
+        rho = np.exp(rho)
+    return _group_max(L.tail, rho, len(L.first) + 1, 0.0)[:-1]
 
 
 def _iterate(step, v, tol: float, max_iter: int, window: int | None):
@@ -443,8 +423,7 @@ def _iterate(step, v, tol: float, max_iter: int, window: int | None):
     iterate, sup-normalized, and how far it moved.  The loop stops on
     "tol" once two successive quotients agree to ``tol * max(1, |q|)``
     and the change is below ``10 * tol``; otherwise it stops on
-    "max_iter".  The gap estimate is 1 minus the last one-step
-    contraction of the change, damped or not.
+    "max_iter".
 
     Undamped steps v -> L v contract by |lam_2|/lam.  The damped update
     v -> L v + max(lam, 0) v keeps the Perron vector and breaks the modulus tie
@@ -455,18 +434,15 @@ def _iterate(step, v, tol: float, max_iter: int, window: int | None):
     once the change at step k exceeds 2^-window times the change at step
     k - window.  A window of the depth outlasts the transient of the zero
     eigenvalue, which can move the iterate by a constant amount for up to
-    depth steps.  Returns (quotient, iterate, steps, gap, stop reason).
+    depth steps.  Returns (quotient, iterate, steps, stop reason).
     """
     q_prev = None
     diffs: list[float] = []
     damped = window is None
-    gap = None
     stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         q, v, diff = step(v, damped)
-        if diffs and diffs[-1] > 0 and diff > 0:
-            gap = 1.0 - min(diff / diffs[-1], 1.0)
         q_ok = q_prev is not None and abs(q - q_prev) < tol * max(1.0, abs(q))
         q_prev = q
         if q_ok and diff < 10 * tol:
@@ -474,67 +450,112 @@ def _iterate(step, v, tol: float, max_iter: int, window: int | None):
             break
         diffs.append(diff)
         damped = damped or (it > window and diff > diffs[-1 - window] * 0.5 ** window)
-    return q_prev, v, it, gap, stop
+    return q_prev, v, it, stop
 
 
 def power_solve(T: TransferSystem, tol: float = 1e-14, max_iter: int = 20000,
                 t_scale: float = 1.0, start: EigenData | None = None) -> EigenData:
-    """Perron eigendata by sup-normalized power iteration.
+    """Perron eigendata at scale t by ``_solve`` under the trivial gauge,
+    on exp(t A) itself.  ``TransferSystem.solve`` keeps |t| max|A| below
+    ``LINEAR_LIMIT`` here; called directly beyond it, a group whose
+    sources all underflow carries rho = 0 (as the dense operator does), and
+    an overflow raises FloatingPointError."""
+    return _solve(T, t_scale, False, tol, max_iter, start)
 
-    Runs the forward iteration for the eigenfunction and the transpose
-    iteration for the eigenmeasure, each in ``_iterate`` with the switch
-    to damping over a window of
-    ``T.depth`` steps.  Converged means both halves stopped on "tol" and
-    the eigen-equation residual is below ``100 * tol``; a half that runs
-    into ``max_iter`` returns its best iterate with ``converged=False``
-    rather than raising.  ``start`` (eigendata at another scale)
-    warm-starts both halves from its eigenvectors, see ``_warm_start``.
+
+def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
+                    max_iter: int = 20000,
+                    start: EigenData | None = None) -> EigenData:
+    """Perron eigendata at any scale t by ``_solve`` under the max-plus
+    gauge, on which no value overflows; required once exp(t A) leaves the
+    float range.  The name and the printed mode "log" are those of the
+    log-scale iteration this solve replaced."""
+    return _solve(T, t_scale, True, tol, max_iter, start)
+
+
+def _coordinates(T: TransferSystem, t_scale: float, gauge: bool):
+    """The operator that a solve at scale t iterates under the trivial
+    gauge (``gauge`` False) or the max-plus one, with the change back from
+    its coordinates: (L, s b*, s u per prefix group).
+
+    The trivial gauge (u = 0, b* = 0) iterates t A itself and changes
+    nothing back (0.0, None).  Under the max-plus gauge, with s = |t|,
+    b = sign(t) A, and u, b* the max-plus gauge of b
+    (``TransferSystem._gauge``), the gauged potential is b' = b + u[head]
+    - u[tail] - b* on every word with a successor: b' <= 0 by the choice
+    of b*, and 0, to the accuracy of u, on the critical cycles of b.
+    Conjugating the operator by D = diag(exp(s u[head])) and dividing it
+    by exp(s b*) gives the operator of b' at scale s (exp(s b') <= 1, so
+    no value overflows at any t), with the same Perron vectors up to D:
+
+        log lambda = s b* + log lambda',  log psi = log psi' + s u[head],
+        log rho = log rho' - s u[head],
+
+    so the Gibbs weights psi rho = psi' rho' are unchanged.
+    """
+    if not gauge:
+        return _Operator(T, t_scale), 0.0, None
+    s = abs(t_scale)
+    u, b_star, gauged = T._gauge(-1.0 if t_scale < 0 else 1.0)
+    return _Operator(T, s, gauged), s * b_star, s * u
+
+
+def _solve(T: TransferSystem, t_scale: float, gauge: bool, tol: float, max_iter: int,
+           start: EigenData | None) -> EigenData:
+    """Perron eigendata at scale t, by sup-normalized power iteration on
+    the operator of ``_coordinates`` under the chosen gauge: a forward
+    half for the eigenfunction and a transpose half for the eigenmeasure,
+    each in ``_iterate`` with the switch to damping over a window of
+    ``T.depth`` steps.  The result is moved back from the gauge's
+    coordinates and normalized to sum(rho) = 1 and sum(rho psi) = 1.
 
     Both halves iterate G prefix-group values, not N word values (see
-    ``_Operator`` and ``_group_halves``).  ``TransferSystem.solve`` keeps
-    |t| max|A| below ``LINEAR_LIMIT`` here; called directly beyond it, a
-    group whose sources all underflow carries rho = 0 (as the dense
-    operator does), and an overflow raises FloatingPointError.
+    ``_Operator``).  The forward half iterates g with psi = g[head], from
+    psi = 1.  The backward half iterates U with rho = f * U[tail], from
+    rho = f (U = 1 on the groups with sources), or from the largest rho of
+    each group's sources in ``start``'s rho (``_warm_start``), moved into
+    the gauge's coordinates.  There is no warm forward start: along the
+    zerotemp-scan chains it saved at most 2 steps of a gauged half and
+    could cost 6, and it saved 8 of the 171 steps of the halves at t =
+    2...32 at depth 7 but cost 4 of 172 at depth 6.  Each Rayleigh
+    quotient weighs a group by its share of the word vector's squared
+    norm: its size forward, the sum of f^2 over its sources backward.  So
+    the quotient, the sup-norm, the change and the residual are those of
+    the word vectors, in exact arithmetic.
+
+    Converged means both halves stopped on "tol" and the eigen-equation
+    residual, with the halves' disagreement on lambda, is below ``100 *
+    tol``; a half that runs into ``max_iter`` returns its best iterate
+    with ``converged=False`` rather than raising.  A word whose psi or rho
+    underflows to 0 in the gauge's coordinates gets log -inf.
     """
-    L = _Operator(T, t_scale)
-    v0, u0 = _warm_start(start, t_scale)
-    log_lam, log_psi, log_rho, *rest = _group_halves(L, tol, max_iter, v0, u0, T.depth)
-    return _eigen(log_lam, log_psi, log_rho, t_scale, *rest, tol, "linear")
-
-
-def _group_halves(L: _Operator, tol: float, max_iter: int, logv0, logu0, window: int):
-    """Both linear halves of a solve on the group kernels of ``L``, from the
-    log word vectors (logv0, logu0), or cold where they are None.
-
-    The forward half iterates g with psi = g[head], started from the
-    start's psi on each group's first word; the backward half iterates U
-    with rho = f * U[tail], started from the largest rho of each group's
-    sources.  The cold start is psi = 1 and rho = f (U = 1 on the groups
-    with sources).  Each Rayleigh quotient weighs a group by its share of
-    the word vector's squared norm: its size forward, the sum of f^2 over
-    its sources backward.  So the quotient, the sup-norm, the change and
-    the residual are those of the word vectors, in exact arithmetic.  A
-    word whose psi or rho underflows to 0 gets log -inf.  Returns (log
-    lambda, log psi, log rho, steps, stop reasons, residual, gap), the
-    vectors unnormalized.
-    """
+    L, shift, lift = _coordinates(T, t_scale, gauge)
     n, G = len(L.head), len(L.first)
-    v0, u0 = (np.ones(n) if v is None else np.exp(v) for v in (logv0, logu0))
     _, f = L.scaled
     # max_iter is positional: the benchmark tracer reads it at args[2]
-    lam_f, g, it_f, res_f, gap, stop_f = _power_one(
-        L.fwd_groups, tol, max_iter, v0[L.first], window,
+    lam_f, g, it_f, res_f, stop_f = _power_one(
+        L.fwd_groups, tol, max_iter, np.ones(G), T.depth,
         weight=np.diff(L.first, append=n))
-    lam_b, U, it_b, res_b, _, stop_b = _power_one(
-        L.bwd_groups, tol, max_iter, _group_max(L.tail, u0, G + 1, 0.0)[:-1], window,
+    lam_b, U, it_b, res_b, stop_b = _power_one(
+        L.bwd_groups, tol, max_iter, _warm_start(L, lift, start, t_scale), T.depth,
         weight=np.bincount(L.tail, f * f, minlength=G + 1)[:-1])
     lam = 0.5 * (lam_f + lam_b)
     resid = max(res_f, res_b, abs(lam_f - lam_b) / max(lam, 1e-300))
+    stop = "max_iter" if "max_iter" in (stop_f, stop_b) else "tol"
+    log_lam = math.log(lam)
     with np.errstate(divide="ignore"):
-        log_psi = np.log(g)[L.head]
+        log_g = np.log(g)
         log_rho = np.log(f * np.append(U, 0.0)[L.tail])
-    return (math.log(lam), log_psi, log_rho, (it_f, it_b), (stop_f, stop_b), resid,
-            gap)
+    if lift is not None:
+        log_lam += shift
+        log_g += lift
+        log_rho -= lift[L.head]
+    log_rho -= _lse_vec(log_rho)
+    log_psi = log_g[L.head]
+    log_psi -= _lse_vec(log_rho + log_psi)
+    converged = stop == "tol" and resid < 100 * max(tol, 1e-15)
+    return EigenData(log_lam, log_psi, log_rho, t_scale, converged, it_f + it_b, resid,
+                     "log" if gauge else "linear", it_f, it_b, stop)
 
 
 def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
@@ -543,7 +564,7 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
     with the Rayleigh quotient sum(weight v apply(v)) / sum(weight v^2).
     Every sum is a fixed-order reduction, so the result does not depend on
     the BLAS thread count.  Returns (quotient, iterate, steps, residual,
-    gap, stop reason)."""
+    stop reason)."""
     def step(v, damped):
         w_raw = apply(v)
         if not np.all(np.isfinite(w_raw)):
@@ -557,51 +578,9 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
         w = w / top
         return lam, w, float(np.max(np.abs(w - v)))
 
-    lam, v, it, gap, stop = _iterate(step, v, tol, max_iter, window)
+    lam, v, it, stop = _iterate(step, v, tol, max_iter, window)
     resid = float(np.max(np.abs(apply(v) - lam * v)) / max(lam, 1e-300))
-    return lam, v, it, resid, gap, stop
-
-
-def log_power_solve(T: TransferSystem, t_scale: float = 1.0, tol: float = 1e-14,
-                    max_iter: int = 20000,
-                    start: EigenData | None = None) -> EigenData:
-    """Perron eigendata at any scale t, by the linear group solve on the
-    gauged potential; required once exp(t A) overflows or underflows.
-
-    With s = |t|, b = sign(t) A, and u, b* the max-plus gauge of b
-    (``TransferSystem._gauge``), the gauged potential is b' = b +
-    u[head] - u[tail] - b* on every word with a successor: b' <= 0 by
-    the choice of b*, and 0, to the accuracy of u, on the critical cycles
-    of b.  Conjugating the
-    operator by D = diag(exp(s u[head])) and dividing it by exp(s b*)
-    gives the operator of b' at scale s (exp(s b') <= 1, so no value
-    overflows at any t), with the same Perron vectors up to D:
-
-        log lambda = s b* + log lambda',  log psi = log psi' + s u[head],
-        log rho = log rho' - s u[head],
-
-    so the Gibbs weights psi rho = psi' rho' are unchanged.  The shift is
-    applied before ``_eigen`` normalizes.  Both halves run as in
-    ``power_solve`` (``_group_halves``).  The forward half starts cold,
-    from psi' = 1; a warm start from ``start`` (see ``_warm_start``) sets
-    the backward half's start only, moved into gauged coordinates, since
-    a warm forward start saved no more than 2 steps and could cost 6.  A
-    word whose psi' or rho' underflows (less than e^-745 of the largest)
-    gets log -inf.  The name and the printed mode "log" are those of the
-    log-scale iteration this solve replaced.
-    """
-    sign = -1.0 if t_scale < 0 else 1.0
-    s = abs(t_scale)
-    u, b_star, gauged = T._gauge(sign)
-    L = _Operator(T, s, gauged)
-    lift = s * u[T.head]
-    _, u0 = _warm_start(start, t_scale)
-    if u0 is not None:
-        u0 = u0 + lift
-        u0 -= np.max(u0)
-    log_lam, log_psi, log_rho, *rest = _group_halves(L, tol, max_iter, None, u0, T.depth)
-    return _eigen(s * b_star + log_lam, log_psi + lift, log_rho - lift, t_scale, *rest,
-                  tol, "log")
+    return lam, v, it, resid, stop
 
 
 # stop rule and fixed step bound of the max-plus half, on b / max|A|
@@ -620,8 +599,8 @@ def _log_power_one(L: _Operator, v: np.ndarray, tol: float, max_iter: int):
     [min(B v - v), max(B v - v)] over the groups with sources; for a
     transitive graph the bracket holds the maximal cycle mean, and it
     closes where v is a max-plus eigenvector.  The step runs in
-    ``_iterate``, always damped.  Returns (quotient, iterate, steps, gap,
-    stop reason).
+    ``_iterate``, always damped.  Returns (quotient, iterate, steps, stop
+    reason).
     """
     G = len(L.first)
 
@@ -665,7 +644,7 @@ def lk_solve(T: TransferSystem, tol: float = 1e-14) -> LkResult:
     """
     L = _Operator(T, 1.0)
     # max_iter is positional: the benchmark tracer reads it at args[2]
-    lam, g, _, _, _, stop = _power_one(lambda g: L.fwd_groups(g + 1.0 / LK_K),
+    lam, g, _, _, stop = _power_one(lambda g: L.fwd_groups(g + 1.0 / LK_K),
                                        tol, 20000, np.ones(len(L.first)), T.depth)
     floor = math.exp(-T.potential.sup_norm_bound(T.params.m))
     return LkResult(lam, g[T.head], lam - floor, stop == "tol")
@@ -735,19 +714,17 @@ class NormalizedSystem:
 
 
 def _iterated(T: TransferSystem) -> tuple["_Operator", float, np.ndarray, np.ndarray]:
-    """The operator that the solve of ``T`` iterated, with its log
-    eigenvalue, its log psi per prefix group and its log rho per word: t A
-    and the eigendata itself after ``power_solve``; after
-    ``log_power_solve``, the gauged s b' and the eigendata moved back into
-    its coordinates (log lambda - s b*, log psi - s u, log rho + s u[head])."""
+    """The operator that the solve of ``T`` iterated (``_coordinates``),
+    with its log eigenvalue, its log psi per prefix group and its log rho
+    per word: the eigendata itself under the trivial gauge; under the
+    max-plus gauge, the eigendata moved back into its coordinates (log
+    lambda - s b*, log psi - s u, log rho + s u[head])."""
     eig = T.eigen
+    L, shift, lift = _coordinates(T, eig.t_scale, eig.mode == "log")
     log_psi = eig.log_psi[T._groups[0]]
-    if eig.mode == "linear":
-        return _Operator(T, eig.t_scale), eig.log_lam, log_psi, eig.log_rho
-    s = abs(eig.t_scale)
-    u, b_star, gauged = T._gauge(-1.0 if eig.t_scale < 0 else 1.0)
-    return (_Operator(T, s, gauged), eig.log_lam - s * b_star, log_psi - s * u,
-            eig.log_rho + s * u[T.head])
+    if lift is None:
+        return L, eig.log_lam, log_psi, eig.log_rho
+    return L, eig.log_lam - shift, log_psi - lift, eig.log_rho + lift[T.head]
 
 
 def normalize_potential(T: TransferSystem) -> NormalizedSystem:
@@ -761,7 +738,7 @@ def normalize_potential(T: TransferSystem) -> NormalizedSystem:
     residual.  The eigendata is normalized to sum(psi rho) = 1, and psi and
     rho are scaled by inverse factors to the same maximum, so every word
     within e^600 of the heaviest is in range.  A word whose psi or rho
-    underflowed to 0 (log -inf, see ``log_power_solve``) carries no Gibbs
+    underflowed to 0 (log -inf, see ``_solve``) carries no Gibbs
     weight and no transition weight.
     """
     eig = T.eigen
@@ -796,23 +773,18 @@ def normalize_potential(T: TransferSystem) -> NormalizedSystem:
 # iteration
 
 
-def iterate(T: TransferSystem, phi: np.ndarray, n: int, t_scale: float = 1.0,
-            log_mode: bool = False) -> np.ndarray:
-    """Apply the operator n times to phi.
-
-    In linear mode overflow is signalled (FloatingPointError); log mode
-    takes and returns log phi and is safe for strongly scaled potentials.
-    """
+def iterate(T: TransferSystem, phi: np.ndarray, n: int, t_scale: float = 1.0) -> np.ndarray:
+    """Apply the operator n times to phi; an overflow is signalled
+    (FloatingPointError)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     L = _Operator(T, t_scale)
-    step = L.log_fwd if log_mode else L.fwd
     out = np.asarray(phi, dtype=float).copy()
     for _ in range(n):
         with np.errstate(over="ignore"):
-            out = step(out)
-        if not log_mode and not np.all(np.isfinite(out)):
-            raise FloatingPointError("overflow in linear mode; use log_mode")
+            out = L.fwd(out)
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("operator iteration overflowed")
     return out
 
 

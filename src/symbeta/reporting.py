@@ -293,7 +293,6 @@ def cmd_spectrum(cfg: RunConfig, full: bool = False) -> Report:
         "converged": eig.converged,
         "iterations": eig.iterations,
         "solver_residual": eig.residual,
-        "gap_estimate": eig.gap_estimate,
         "psi_min": float(np.exp(np.min(eig.log_psi))),
         "psi_max": float(np.exp(np.max(eig.log_psi))),
         "support_size": int(np.sum(g.nrm.support)),

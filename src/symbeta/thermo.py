@@ -401,13 +401,13 @@ def zero_temperature_scan(p: Params, K: Kneading, A: PotentialSpec,
     inverse temperatures.
 
     The scan is a continuation in t: each grid point solves the system
-    solved at the point before it (``TransferSystem.solve``), warm-started
-    from its eigendata and with its cached graph index arrays.  Above t =
-    32 the solve is the gauged linear solve (``log_power_solve``, printed
-    as mode "log"): the max-plus gauge is computed once for the scan, at
-    its first such point, and each of these solves starts its forward half
-    cold and its backward half from the point before it.  A point that
-    runs into ``max_iter`` is reported unconverged.
+    solved at the point before it (``TransferSystem.solve``), with its
+    cached graph index arrays.  Every solve starts its forward half cold
+    and its backward half from the eigenmeasure of the point before it.
+    Up to t = 32 the solve runs under the trivial gauge (on t A itself);
+    above it under the max-plus gauge (``log_power_solve``, printed as
+    mode "log"), which is computed once for the scan, at its first such
+    point.  A point that runs into ``max_iter`` is reported unconverged.
     The upper estimate of the maximal ergodic average is P(t_max A)/t_max
     of the last point, and the periodic-orbit lower bound needs no further
     solve.  The entropy at large t estimates the residual entropy of the

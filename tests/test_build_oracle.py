@@ -313,10 +313,9 @@ def check_kernels(T, rows, cols, t, dense):
     """The kernels of T at scale t against the operator with edges (rows,
     cols): the forward kernel equal to the sequential sum over each
     target's sources in ascending order; it, the group kernels the linear
-    solve runs (psi = g[head] forward, rho = f * U[tail] backward) and the
-    forward log kernel close to the dense product (dense=True) or the
-    edge-list sums; the log kernel on inputs with -inf entries raising no
-    numpy warning."""
+    solve runs (psi = g[head] forward, rho = f * U[tail] backward) close to
+    the dense product (dense=True) or the edge-list sums; the kernels on
+    inputs with zero entries raising no numpy warning."""
     N = T.n_words
     rng = np.random.default_rng(N)
     e = np.exp(t * T.a_vals)
@@ -325,7 +324,7 @@ def check_kernels(T, rows, cols, t, dense):
     v = rng.uniform(0.5, 2.0, N)
     g = rng.uniform(0.5, 2.0, G)
     U = rng.uniform(0.5, 2.0, G)
-    # zero on a whole source group, so that some log-kernel outputs are -inf
+    # zero on a whole source group, so that some forward outputs are 0
     v[T.tail == T.tail[N // 2]] = 0.0
     v[rng.random(N) < 0.2] = 0.0
     g[rng.random(G) < 0.2] = 0.0
@@ -336,8 +335,6 @@ def check_kernels(T, rows, cols, t, dense):
         rho = f * np.append(U, 0.0)[L.tail]
         got_f, got_g = L.fwd(v), L.fwd_groups(g)[T.head]
         got_b = f * np.append(L.bwd_groups(U), 0.0)[L.tail]
-        with np.errstate(divide="ignore"):
-            log_f = L.log_fwd(np.log(v))
     assert np.all((f > 0) & (f <= 1))
     seq = np.zeros(N)
     for r, c in zip(rows.tolist(), cols.tolist()):
@@ -361,9 +358,6 @@ def check_kernels(T, rows, cols, t, dense):
     assert np.array_equal(got_f, seq)
     for got, want in [(got_f, want_f), (got_g, want_g), (got_b, want_b)]:
         assert np.allclose(got, want, rtol=1e-13, atol=0)
-    with np.errstate(divide="ignore"):
-        assert np.allclose(log_f, np.log(want_f), rtol=1e-13, atol=1e-13)
-    assert np.any(np.isneginf(log_f))
 
 
 def test_kernels_on_dead_ends():
@@ -386,50 +380,3 @@ def test_kernels_on_dead_ends():
     assert _in_degree(cut.head, cut.tail).min() == 0 < _in_degree(T.head, T.tail).min()
     assert np.array_equal(cut.rows, rows) and np.array_equal(cut.cols, cols)
     check_kernels(cut, rows, cols, 1.0, dense=True)
-
-
-def lse_runs(x, first, run):
-    """The sorted-run logsumexp that ``_Operator.log_fwd`` used before it
-    took its grouped max and sum in place: logsumexp of each run of x
-    starting at ``first`` (``run[i]`` is the run of x[i])."""
-    mx = np.maximum.reduceat(x, first)
-    live = mx > -np.inf
-    mx = np.where(live, mx, 0.0)
-    s = np.add.reduceat(np.exp(x - mx[run]), first)
-    return np.where(live, mx + np.log(np.where(live, s, 1.0)), -np.inf)
-
-
-def argsort_log_fwd(L, logv):
-    # the sources sorted by group, ascending within a group, and each
-    # group closed by a -inf pad so that none is empty
-    G = len(L.first)
-    key = np.append(L.tail, np.arange(G + 1))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    x = np.append(L.la + logv, np.full(G + 1, -np.inf))[order]
-    return lse_runs(x, np.flatnonzero(np.diff(key, prepend=-1)), key)[L.head]
-
-
-def test_log_kernels_match_the_sorted_run_form():
-    # dead ends (tail -1), a group without sources, -inf entries and a
-    # source group that is -inf throughout
-    p = Params.make(3, "3.5")
-    K = build_kneading(p, 64)
-    T = build_system(p, K, PotentialSpec.geometric(1.0, theta=0.25, kmax=12), 5)
-    cut = replace(T, tail=np.where(T.tail == T.tail[0], -1, T.tail))
-    rng = np.random.default_rng(5)
-    for S in (T, cut):
-        for t in (1.0, 64.0):
-            L = _Operator(S, t)
-            logv = rng.normal(0.0, 3.0, S.n_words)
-            logv[rng.random(S.n_words) < 0.3] = -np.inf
-            logv[S.tail == S.tail[S.n_words // 2]] = -np.inf
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = L.log_fwd(logv)
-                want = argsort_log_fwd(L, logv)
-            assert np.any(np.isneginf(got)) and np.any(np.isfinite(got))
-            # the same -inf entries; reduceat and bincount may add a group's
-            # four terms in different orders
-            assert np.array_equal(np.isneginf(got), np.isneginf(want))
-            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)

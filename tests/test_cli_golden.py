@@ -53,11 +53,11 @@ CASES = [
     ("words --m 12 --beta 12.5 --depth 2",
      "bd56cfc3ceb9a049c3b2a36fb05c9cd60f6ae95e3895d1243f2ab85dbf951b2c"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full",
-     "faa6b74c49b0634c0882a48115cc71549547a6c1fc5c1b09d08881fb6811c77d"),
+     "f030f8fd0c36cc6e15228a8e82661b9711100ff842dabdffccf82033500f8802"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format csv",
      "69c392667d657446d075485bb11e27287e95054935f7d84b3c6257b49c15cdea"),
     (f"spectrum --m 3 --beta 3.5 --depth 4 {POT} --full --format jsonl",
-     "ccb3b84708c7e63292009b17dda8ade733a973aa9a5d06ac672b509ca938f66a"),
+     "4a9b2d548c0195469d3e2aa7d2edad5f50f527f04b19fddfdf35843aff21e7ae"),
     (f"zerotemp --m 3 --beta 4 --depth 3 {POT} --format csv",
      "d2d9431b3e01014a0534633b2270dff0f5557c4390f22890ec75f2a95487ca83"),
     (f"thermo --m 3 --beta 4 --depth 3 {POT} --format jsonl",
@@ -90,15 +90,15 @@ def test_stdout_is_pinned(argv, digest, capsys):
 GEO = "--potential geometric:c=1,theta=0.25,kmax=12"
 BENCH_CASES = [
     ("spectrum --m 5 --beta 6 --depth 7 --potential digit_table:0.3,0,0.1,0.05,0.2,0.1",
-     "c87bed07c1000f2226e34467248bd7eed670a90eb596cb3325effa7b3d4e7485"),
+     "a14d65ac772183550e67cc3f28af861d64e39f3204584ee37af6962e3a3b6afb"),
     (f"spectrum --m 4 --beta 5 --depth 7 {GEO}",
-     "39616bb9cc1039305ca0f59481ec5cf2db8b770a497c08a8078c2d68442db07e"),
+     "274a1f04a2f7964d5458ef46c5ccf5a86bb82e31de0fd888feef49ad9bf049b4"),
     (f"spectrum --m 3 --beta 3.5 --depth 9 {GEO}",
-     "15d747831d08e5c321859204742bb56a8e9c0838f46083be5a285db0a85b91d7"),
+     "e75c98b8254bb2479269a2227c29dd6b3a1fc885a11858c69ba1805d4f3ddfcb"),
     (f"zerotemp --m 3 --beta 3.5 --depth 7 {POT} --format csv",
-     "dccbbe34f734ef3bbeb4979644b3c2e88bcca630eb11d755391799ff4a52d7af"),
+     "9b697856e8341b85ec4296383c69fab953defc46248521ec261cbb86ed87b596"),
     (f"zerotemp --m 3 --beta 3.5 --depth 6 {POT}",
-     "589b39b394d3063323a923835b5cb61827ea042e6739181b322e9c869b7b1d54"),
+     "76827c7442fe944578bbe1c0a91e19fc08c087c30f28883db59919fe3f94f5a5"),
     ("thermo --m 4 --beta 5 --depth 5 --potential digit_table:0.3,0,0.1,0.05,0.2",
      "5c464030023f16e6dd8bc7b6e97cfa0e76b037f5a60aa082efc85c3220776717"),
     (f"thermo --m 3 --beta 3.5 --depth 6 {POT}",

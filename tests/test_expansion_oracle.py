@@ -362,6 +362,23 @@ def test_narrow_and_quadratic_bases_stay_exact(monkeypatch):
         assert runs == [], (m, beta)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 17, 300, 1000])
+def test_quadratic_values_run_enclosed_at_narrow_bases(depth, monkeypatch):
+    # a quadratic value in a rational base carries a Y sqrt(d) term, whose
+    # exact step takes an isqrt of the whole remainder; its settled digits
+    # are enclosed whatever the width of s, and rational values at the same
+    # bases stay exact (test_narrow_and_quadratic_bases_stay_exact)
+    runs = _counting_enclosure(monkeypatch)
+    for m, beta in [(3, "3.5"), (4, "4.7"), (3, "3.71"), (1, "1.8"), (12, "12.5")]:
+        p = Params.make(m, beta)
+        for v in QUADRATIC_VALUES:
+            for x in (v, p.max_value - v):
+                runs.clear()
+                got = _greedy_digits(x, p, depth)
+                assert got == exact_greedy_digits(x, p, depth), (m, beta, x, depth)
+                assert len(runs) == (depth > 1), (m, beta, x, depth)
+
+
 @pytest.mark.parametrize("guard", [-10 ** 6, -8, 0])
 def test_forced_straddles_keep_digits_and_bound_the_work(guard, monkeypatch):
     # a guard of -10^6 drops the enclosure to whole units (p = 0), so it
