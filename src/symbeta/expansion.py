@@ -212,7 +212,8 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
     form of r, so the cycle test compares remainders exactly.
 
     A run in a rational base is settled once k >= 1 and no factor of s
-    divides out: it never reduces, recurs or reaches an integer beta r
+    divides out, and a quadratic value in an integer base from its first
+    step: it never reduces, recurs or reaches an integer beta r
     again.  X then grows by log2 s bits a step where a digit needs log2
     beta of them, so where log2 s exceeds ``_ENCLOSE_RATIO`` log2 beta
     (beta_T at odd m, with s = 2^53 10^6), and wherever a quadratic value
@@ -261,8 +262,12 @@ def _greedy_digits(a: QuadReal, p: Params, depth: int):
         # k >= 1, whose X and Y are not both divisible by s, passes that on
         # to every later state: none reduces, k only grows, none recurs and
         # beta r is never an integer.  From there the run keeps no cycle
-        # table and tests no remainder for divisibility.
-        settled = not Q and k
+        # table and tests no remainder for divisibility.  In an integer
+        # base (s = 1) k stays 0, but a quadratic value (Y != 0) keeps Y
+        # != 0: it never recurs (an eventually periodic expansion in an
+        # integer base has a rational value) and beta r is never an
+        # integer, so its run is settled from the first step.
+        settled = not Q and (k or (s == 1 and Y))
         if settled and enclose:
             run = _enclosed_digits(X, Y, d, D, P, s, m, depth - n)
             if run:

@@ -353,8 +353,11 @@ class _Operator:
         there.  Entry G of emax is the words without successor, which carry
         no rho."""
         emax = _group_max(self.tail, self.e, len(self.first) + 1, 0.0)
-        top = emax[self.tail]
-        return emax, np.divide(self.e, top, out=np.zeros_like(top), where=top > 0)
+        # a group with emax = 0 has e = 0 on all its sources, so f = 0 / 1;
+        # an overflowed e gives f = inf / inf = nan, which the power step
+        # reports as an overflow
+        with np.errstate(invalid="ignore"):
+            return emax, self.e / np.where(emax > 0, emax, 1.0)[self.tail]
 
     def fwd(self, v: np.ndarray) -> np.ndarray:
         # (L v)[t] is entry head[t] of the sums per prefix group; bincount
@@ -368,10 +371,22 @@ class _Operator:
         v *= self.e
         return np.bincount(self.tail, v, minlength=len(self.first) + 1)[:-1]
 
+    @cached_property
+    def _U(self) -> np.ndarray:
+        # U with an appended 0, read by the words without successor
+        return np.zeros(len(self.first) + 1)
+
     def bwd_groups(self, U: np.ndarray) -> np.ndarray:
-        # L^T (f U[tail]) = f U'[tail], U' = emax * (sum of f U[tail] per prefix group)
+        """L^T (f U[tail]) = f U'[tail] with U' = emax * (sum of f U[tail]
+        per prefix group), returned as U', a new array.  U is read through
+        one (G+1) buffer per operator, whose last entry stays 0 for the
+        words without successor (tail G)."""
         emax, f = self.scaled
-        return emax[:-1] * np.bincount(self.head, f * np.append(U, 0.0)[self.tail])
+        buf = self._U
+        buf[:-1] = U
+        out = np.bincount(self.head, f * buf[self.tail])
+        out *= emax[:-1]
+        return out
 
 
 def _group_max(group: np.ndarray, x: np.ndarray, size: int, empty: float) -> np.ndarray:
@@ -390,28 +405,31 @@ def _lse_vec(v: np.ndarray) -> float:
     mx = np.max(v)
     if not np.isfinite(mx):
         return mx
-    return mx + math.log(np.sum(np.exp(v - mx)))
+    x = v - mx
+    np.exp(x, out=x)
+    return mx + math.log(np.sum(x))
 
 
 def _warm_start(L: _Operator, lift: np.ndarray | None, start: EigenData | None,
                 t_scale: float) -> np.ndarray:
     """The backward half's start per prefix group: the largest rho among
-    each group's sources, 0 for a group without sources.  Cold, rho = 1;
-    warm from a solve at another scale, ``start``, whose log_rho is scaled
-    by t_scale / start.t_scale (the ground state sharpens linearly in t on
-    log scale), shifted to maximum 0 and moved into the gauge's
-    coordinates (``lift``, see ``_coordinates``).  The forward half always
-    starts cold (see ``_solve``)."""
+    each group's sources, 0 for a group without sources.  Cold, rho = 1,
+    so the start is 1 exactly on the groups whose source count is
+    positive; warm from a solve at another scale, ``start``, whose log_rho
+    is scaled by t_scale / start.t_scale (the ground state sharpens
+    linearly in t on log scale), shifted to maximum 0 and moved into the
+    gauge's coordinates (``lift``, see ``_coordinates``).  The forward
+    half always starts cold (see ``_solve``)."""
+    G = len(L.first)
     if start is None or not (start.t_scale > 0 and t_scale > 0):
-        rho = np.ones(len(L.head))
-    else:
-        rho = start.log_rho * (t_scale / start.t_scale)
+        return (np.bincount(L.tail, minlength=G + 1)[:-1] > 0).astype(float)
+    rho = start.log_rho * (t_scale / start.t_scale)
+    rho -= np.max(rho)
+    if lift is not None:
+        rho += lift[L.head]
         rho -= np.max(rho)
-        if lift is not None:
-            rho += lift[L.head]
-            rho -= np.max(rho)
-        rho = np.exp(rho)
-    return _group_max(L.tail, rho, len(L.first) + 1, 0.0)[:-1]
+    np.exp(rho, out=rho)
+    return _group_max(L.tail, rho, G + 1, 0.0)[:-1]
 
 
 def _iterate(step, v, tol: float, max_iter: int, window: int | None):
@@ -562,23 +580,36 @@ def _power_one(apply, tol: float, max_iter: int, v: np.ndarray, window: int,
                *, weight: np.ndarray | float = 1.0):
     """One half of a linear solve: ``_iterate`` on v -> apply(v), sup-normalized,
     with the Rayleigh quotient sum(weight v apply(v)) / sum(weight v^2).
-    Every sum is a fixed-order reduction, so the result does not depend on
-    the BLAS thread count.  Returns (quotient, iterate, steps, residual,
-    stop reason)."""
-    def step(v, damped):
-        w_raw = apply(v)
-        if not np.all(np.isfinite(w_raw)):
-            raise FloatingPointError("power iteration overflowed")
-        vw = weight * v
-        lam = float(np.add.reduce(vw * w_raw) / np.add.reduce(vw * v))
-        w = w_raw + max(lam, 0.0) * v if damped else w_raw
-        top = w.max()
-        if top <= 0 or not np.isfinite(top):
-            raise FloatingPointError("power iteration left the positive cone")
-        w = w / top
-        return lam, w, float(np.max(np.abs(w - v)))
+    Every sum is a fixed-order reduction (``np.add.reduce``, never
+    ``np.dot``), so the result does not depend on the BLAS thread count.
 
-    lam, v, it, stop = _iterate(step, v, tol, max_iter, window)
+    A step does only its arithmetic.  An inf or nan entry of apply(v), on
+    a group of weight 0 too (0 * inf is nan), makes the quotient
+    non-finite, which raises FloatingPointError ("overflowed"); so does a
+    damped or normalized step whose maximum is not finite and positive
+    ("left the positive cone").  ``apply`` returns a new array, which the
+    step damps and normalizes in place, and the change goes into the
+    previous iterate's buffer: the loop runs on one copy of the caller's
+    ``v``, which is left as it was.  Returns (quotient, iterate, steps,
+    residual, stop reason)."""
+    def step(v, damped):
+        w = apply(v)
+        vw = weight * v
+        lam = float(np.add.reduce(vw * w) / np.add.reduce(vw * v))
+        if not math.isfinite(lam):
+            raise FloatingPointError("power iteration overflowed")
+        if damped:
+            w += max(lam, 0.0) * v
+        top = np.maximum.reduce(w)
+        if top <= 0 or not math.isfinite(top):
+            raise FloatingPointError("power iteration left the positive cone")
+        w /= top
+        np.subtract(w, v, out=v)
+        np.abs(v, out=v)
+        return lam, w, float(np.maximum.reduce(v))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, v, it, stop = _iterate(step, np.array(v, dtype=float), tol, max_iter, window)
     resid = float(np.max(np.abs(apply(v) - lam * v)) / max(lam, 1e-300))
     return lam, v, it, resid, stop
 
@@ -600,20 +631,26 @@ def _log_power_one(L: _Operator, v: np.ndarray, tol: float, max_iter: int):
     transitive graph the bracket holds the maximal cycle mean, and it
     closes where v is a max-plus eigenvector.  The step runs in
     ``_iterate``, always damped.  Returns (quotient, iterate, steps, stop
-    reason).
+    reason).  Like ``_power_one``'s, the step works in place on one copy
+    of the caller's v.
     """
     G = len(L.first)
+    # v stays finite, so B v is -inf exactly on the groups without sources
+    live = np.bincount(L.tail, minlength=G + 1)[:-1] > 0
 
     def step(v, damped):
         w = _group_max(L.tail, L.la + v[L.head], G + 1, -np.inf)[:-1]
-        live = w > -np.inf
-        d = w[live] - v[live]
-        q = 0.5 * (float(np.min(d)) + float(np.max(d)))
-        w = np.maximum(w, q + v)
-        w -= np.max(w)
-        return q, w, float(np.max(np.abs(w - v)))
+        d = w - v
+        q = 0.5 * (float(np.minimum.reduce(d, where=live, initial=np.inf))
+                   + float(np.maximum.reduce(d, where=live, initial=-np.inf)))
+        np.add(v, q, out=d)
+        np.maximum(w, d, out=w)
+        w -= np.maximum.reduce(w)
+        np.subtract(w, v, out=v)
+        np.abs(v, out=v)
+        return q, w, float(np.maximum.reduce(v))
 
-    return _iterate(step, v, tol, max_iter, None)
+    return _iterate(step, np.array(v, dtype=float), tol, max_iter, None)
 
 
 @dataclass(frozen=True)

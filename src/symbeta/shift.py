@@ -13,7 +13,7 @@ made in this module.
 A word of length n is stored as its key, the word read as a base-(m+1)
 integer, so lexicographic order is the order of the keys, and the
 admissible words of one length grown from one digit are a contiguous
-range of them (``words_and_forbidden``).  ``CylinderBasis`` holds the
+range of them (``_levels``).  ``CylinderBasis`` holds the
 ascending keys of a word level and derives from them its digit matrix and
 the rows of given words; the level walk gives it its word graph, where
 asked.  No other module reads a key.
@@ -340,12 +340,47 @@ def _periodic_verdicts(W: np.ndarray, K: Kneading) -> np.ndarray:
     return np.where((verdict == 0).any(axis=1), 0, verdict.min(axis=1))
 
 
+def _levels(p: Params, K: Kneading, n: int):
+    """The walk of the word levels 1..n: for each length L, yields (prev,
+    lead, cut, keys), with ``prev`` the ascending keys of level L - 1,
+    ``lead[d]`` = d * base**(L-1) the key of digit d prepended, ``cut[d]``
+    the four positions in prev that bound digit d's candidates (columns
+    0:3 are admissible, 0:1 and 2:3 tie lo and up; see
+    ``words_and_forbidden``) and ``keys`` the ascending keys of level L.
+
+    Raises
+    ------
+    UndecidedError
+        at the first length where the kneading truncation cannot decide
+        some candidate.
+    """
+    if p.m > 255:
+        raise ValueError("digits above 255 do not fit the uint8 word matrix")
+    base = p.m + 1
+    keys = np.zeros(1, dtype=np.int64)      # level 0: the empty word
+    for length in range(1, n + 1):
+        prev = keys.astype(_key_dtype(base, length), copy=False)
+        known = length if K.exact else min(length, K.depth)
+        s = base ** (length - known)
+        lo, up = (_key(w, base) * s for w in (K.lower_prefix(known), K.upper_prefix(known)))
+        lead = base ** (length - 1) * np.arange(base).astype(prev.dtype)
+        # per prepended digit, where its candidates reach lo, lo + s, up and
+        # up + s
+        cut = np.searchsorted(prev, np.array([lo, lo + s, up, up + s], dtype=prev.dtype)
+                              - lead[:, None])
+        if known < length and lo <= up and np.any(cut[:, [1, 3]] > cut[:, [0, 2]]):
+            raise UndecidedError(f"kneading too shallow at length {length}")
+        keys = np.concatenate([d + prev[a:b] for d, (a, _, _, b) in zip(lead, cut)])
+        yield prev, lead, cut, keys
+
+
 def words_and_forbidden(p: Params, K: Kneading, n: int,
                         graph: bool = False) -> tuple[CylinderBasis, list[Word]]:
     """The admissible words of length n and the minimal forbidden words of
     length <= n (inadmissible words whose every proper factor is
-    admissible), from one walk of the word levels; with ``graph``, the
-    basis carries its word graph (``_level_graph``).
+    admissible), from one walk of the word levels (``_levels``); with
+    ``graph``, the basis carries its word graph (``_level_graph``).
+    ``enumerate_words`` reads the same walk and builds no forbidden word.
 
     Level L is grown from the ascending keys of level L - 1 by prepending
     each digit d in increasing order: candidate d * base**(L-1) + key.
@@ -365,24 +400,10 @@ def words_and_forbidden(p: Params, K: Kneading, n: int,
     UndecidedError
         if the kneading truncation cannot decide some candidate.
     """
-    if p.m > 255:
-        raise ValueError("digits above 255 do not fit the uint8 word matrix")
     base = p.m + 1
-    keys = np.zeros(1, dtype=np.int64)      # level 0: the empty word
+    keys = np.zeros(1, dtype=np.int64)      # n = 0: the empty word
     forbidden: list[Word] = []
-    for length in range(1, n + 1):
-        prev = keys.astype(_key_dtype(base, length), copy=False)
-        known = length if K.exact else min(length, K.depth)
-        s = base ** (length - known)
-        lo, up = (_key(w, base) * s for w in (K.lower_prefix(known), K.upper_prefix(known)))
-        lead = base ** (length - 1) * np.arange(base).astype(prev.dtype)
-        # per prepended digit, where its candidates reach lo, lo + s, up and
-        # up + s: columns 0:3 are admissible, 0:1 and 2:3 tie lo and up
-        cut = np.searchsorted(prev, np.array([lo, lo + s, up, up + s], dtype=prev.dtype)
-                              - lead[:, None])
-        if known < length and lo <= up and np.any(cut[:, [1, 3]] > cut[:, [0, 2]]):
-            raise UndecidedError(f"kneading too shallow at length {length}")
-        keys = np.concatenate([d + prev[a:b] for d, (a, _, _, b) in zip(lead, cut)])
+    for length, (prev, lead, cut, keys) in enumerate(_levels(p, K, n), 1):
         rejected = np.concatenate([d + prev[i] for d, (a, _, _, b) in zip(lead, cut)
                                    for i in (slice(0, a), slice(max(a, b), None))])
         bad = rejected[_rank(prev, rejected // base) >= 0]
@@ -395,7 +416,7 @@ def _level_graph(keys: np.ndarray, prev: np.ndarray, cut: np.ndarray,
                  base: int) -> tuple[np.ndarray, np.ndarray]:
     """(head, tail) of the word graph (see ``CylinderBasis``) of the level
     ``keys``, grown from the level ``prev`` by the slices prev[a:b] of
-    ``cut`` (``words_and_forbidden``).
+    ``cut`` (``_levels``).
 
     head is the run index of key // base.  The suffixes of the words of one
     slice are the run prev[a:b] itself, so tail is that run of the ranks of
@@ -414,8 +435,10 @@ def _level_graph(keys: np.ndarray, prev: np.ndarray, cut: np.ndarray,
 
 
 def enumerate_words(p: Params, K: Kneading, n: int, graph: bool = False) -> CylinderBasis:
-    """Enumerate all admissible words of length n, level by level (see
-    ``words_and_forbidden``), with their word graph when ``graph`` is set.
+    """Enumerate all admissible words of length n, level by level, with
+    their word graph when ``graph`` is set: the walk of
+    ``words_and_forbidden`` (``_levels``), without its minimal forbidden
+    words.
 
     Raises
     ------
@@ -424,7 +447,10 @@ def enumerate_words(p: Params, K: Kneading, n: int, graph: bool = False) -> Cyli
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return words_and_forbidden(p, K, n, graph)[0]
+    for prev, _, cut, keys in _levels(p, K, n):
+        pass
+    base = p.m + 1
+    return CylinderBasis(n, base, keys, _level_graph(keys, prev, cut, base) if graph else None)
 
 
 def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:

@@ -170,6 +170,27 @@ def test_undecided_parity_on_shallow_kneading():
                     outcome(oracle_forbidden, p, K, n), (m, b, depth, n)
 
 
+def test_enumerate_words_is_the_basis_of_the_walk():
+    # enumerate_words reads the level walk of words_and_forbidden without
+    # building its forbidden words: the same keys and word graph, and the
+    # same UndecidedError at the same length, on exact and truncated
+    # kneadings
+    def walk(fn, p, K, n, graph):
+        basis = fn(p, K, n, graph)
+        return basis.keys.dtype, basis.keys.tolist(), \
+            None if basis.graph is None else [g.tolist() for g in basis.graph]
+
+    for m, b in SHIFTS + [(3, "2.9")]:
+        p = Params.make(m, b)
+        for kdepth in (2, 3, 4, 6, 64):
+            K = build_kneading(p, kdepth)
+            for n in range(1, 7):
+                for graph in (False, True):
+                    assert outcome(walk, enumerate_words, p, K, n, graph) == \
+                        outcome(walk, lambda *a: words_and_forbidden(*a)[0], p, K, n, graph), \
+                        (m, b, kdepth, n, graph)
+
+
 def test_word_accessor_and_lazy_tuples():
     p = Params.make(3, "3.5")
     basis = enumerate_words(p, build_kneading(p, 64), 6)

@@ -379,6 +379,26 @@ def test_quadratic_values_run_enclosed_at_narrow_bases(depth, monkeypatch):
                 assert len(runs) == (depth > 1), (m, beta, x, depth)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 17, 300, 1000, 2000])
+def test_quadratic_values_run_enclosed_from_the_first_step_in_integer_bases(depth, monkeypatch):
+    # in an integer base k never grows, but a quadratic value's run never
+    # recurs or reaches an integer beta r, so it is enclosed from its first
+    # step rather than taking an isqrt of the whole remainder on every one;
+    # rational values there stay exact
+    runs = _counting_enclosure(monkeypatch)
+    for m, beta in [(3, "4"), (4, "5")]:
+        p = Params.make(m, beta)
+        for v in QUADRATIC_VALUES:
+            for x in (v, p.max_value - v):
+                runs.clear()
+                got = _greedy_digits(x, p, depth)
+                assert got == exact_greedy_digits(x, p, depth), (m, beta, x, depth)
+                assert runs == [depth], (m, beta, x, depth)
+        runs.clear()
+        _greedy_digits(QuadReal.of(Fraction(9, 10)), p, depth)
+        assert runs == [], (m, beta)
+
+
 @pytest.mark.parametrize("guard", [-10 ** 6, -8, 0])
 def test_forced_straddles_keep_digits_and_bound_the_work(guard, monkeypatch):
     # a guard of -10^6 drops the enclosure to whole units (p = 0), so it

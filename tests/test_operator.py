@@ -609,6 +609,121 @@ def test_forward_half_starts_cold(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the power steps
+
+
+def reference_power_one(apply, tol, max_iter, v, window, *, weight=1.0):
+    """``operator._power_one`` as it was before its step worked in place:
+    every step checks its iterate for an overflow in a separate pass and
+    allocates its damped, normalized and change vectors."""
+    def step(v, damped):
+        w_raw = apply(v)
+        if not np.all(np.isfinite(w_raw)):
+            raise FloatingPointError("power iteration overflowed")
+        vw = weight * v
+        lam = float(np.add.reduce(vw * w_raw) / np.add.reduce(vw * v))
+        w = w_raw + max(lam, 0.0) * v if damped else w_raw
+        top = w.max()
+        if top <= 0 or not np.isfinite(top):
+            raise FloatingPointError("power iteration left the positive cone")
+        w = w / top
+        return lam, w, float(np.max(np.abs(w - v)))
+
+    lam, v, it, stop = operator._iterate(step, v, tol, max_iter, window)
+    resid = float(np.max(np.abs(apply(v) - lam * v)) / max(lam, 1e-300))
+    return lam, v, it, resid, stop
+
+
+def reference_log_power_one(L, v, tol, max_iter):
+    """``operator._log_power_one`` as it was before its step worked in
+    place, with a boolean-indexed copy of the live groups per step."""
+    G = len(L.first)
+
+    def step(v, damped):
+        w = operator._group_max(L.tail, L.la + v[L.head], G + 1, -np.inf)[:-1]
+        live = w > -np.inf
+        d = w[live] - v[live]
+        q = 0.5 * (float(np.min(d)) + float(np.max(d)))
+        w = np.maximum(w, q + v)
+        w -= np.max(w)
+        return q, w, float(np.max(np.abs(w - v)))
+
+    return operator._iterate(step, v, tol, max_iter, None)
+
+
+def _bits(result):
+    """A result tuple with every float and array as its bytes."""
+    return [x if isinstance(x, (int, str)) else (np.asarray(x).dtype, np.asarray(x).tobytes())
+            for x in result]
+
+
+def test_power_steps_are_bitwise_those_of_the_reference(monkeypatch):
+    # every half of every solve on the golden systems (both halves, both
+    # gauges, the max-plus half of each gauge and the lk_solve map), run
+    # by the step and by the reference from a copy of its start: the same
+    # quotient, iterate, steps, residual and stop reason, bit for bit, and
+    # the caller's start is left as it was
+    power_one, log_power_one = operator._power_one, operator._log_power_one
+    seen = {"linear": 0, "max-plus": 0}
+
+    def checked(step, reference, kind, start_at):
+        def run(*args, **kw):
+            start = args[start_at].copy()
+            got = step(*args, **kw)
+            assert args[start_at].tobytes() == start.tobytes()
+            want = reference(*args[:start_at], start, *args[start_at + 1:], **kw)
+            assert _bits(got) == _bits(want)
+            seen[kind] += 1
+            return got
+        return run
+
+    monkeypatch.setattr(operator, "_power_one",
+                        checked(power_one, reference_power_one, "linear", 3))
+    monkeypatch.setattr(operator, "_log_power_one",
+                        checked(log_power_one, reference_log_power_one, "max-plus", 1))
+    chain = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
+    under = system(3, "3.5", parse_potential(POT), n=5)
+    under = dataclasses.replace(under, a_vals=np.where(under.tail == under.tail[0], -800.0,
+                                                       under.a_vals))
+    cases = [(system(3, "3.5", parse_potential(POT), n=n), chain) for n in (4, 6, 7)]
+    cases += [(system(3, 4, parse_potential(POT), n=3), chain),
+              (system(4, 5, parse_potential("digit_table:0.3,0,0.1,0.05,0.2"), n=5), (1.0,)),
+              (system(3, 4, PotentialSpec.digit_table([30.0, 0.0, 0.0, 0.0]), n=3),
+               (19.0, 20.0, -20.0, -8.0)),
+              (cut_system(), (1.0, 8.0, 64.0)), (under, (1.0,))]
+    for T, ts in cases:
+        for t in ts:
+            T = T.solve(t_scale=t)
+        lk_solve(T)
+    # 49 solves and 8 lk_solve maps; 8 max-plus gauges (7 of sign 1)
+    assert seen == {"linear": 2 * 49 + 8, "max-plus": 8}
+
+
+@pytest.mark.parametrize("out, weight, window, message", [
+    # an inf on a group of weight 0: 0 * inf makes the quotient nan
+    ([1.0, np.inf], [1.0, 0.0], 3, "overflowed"),
+    ([np.nan, 1.0], [1.0, 1.0], 3, "overflowed"),
+    # a finite quotient whose damped step overflows
+    ([1.5e308, 1e-300], [1.0, 1.0], None, "left the positive cone"),
+])
+def test_power_step_raises_on_overflow(out, weight, window, message):
+    start = np.ones(2)
+    with pytest.raises(FloatingPointError, match=message):
+        operator._power_one(lambda v: np.array(out), 1e-14, 10, start, window,
+                            weight=np.array(weight))
+    assert np.array_equal(start, np.ones(2))
+
+
+def test_linear_solve_past_the_linear_limit_raises():
+    # exp(800) overflows: called directly, power_solve raises, and no numpy
+    # warning leaks (the test suite turns warnings into errors)
+    T = system(3, 4, PotentialSpec.digit_table([800.0, 0.0, 0.0, 0.0]), n=3)
+    with pytest.raises(FloatingPointError, match="overflowed"):
+        power_solve(T)
+    assert T.solve().eigen.mode == "log"
+
+
+# ---------------------------------------------------------------------------
 # the gauged solve (log_power_solve)
 
 
