@@ -41,7 +41,8 @@ _FLAGS = {
     "kneading_depth": None,
     "potential": "zero | digit_table:v0,v1,... | "
                  "block_table:k:w=v,... | geometric:c=..,theta=..,kmax=..",
-    "t_grid": "comma-separated increasing values (read by zerotemp)",
+    "t_grid": "comma-separated increasing values (read by zerotemp); a "
+              "negative first value needs the = form, --t-grid=-4,-2,-1",
     "tol": None,
     "fmt": "table | jsonl | csv",
     "seed": None,

@@ -15,7 +15,8 @@ the N word values.
 
 The potential is sampled at one canonical point per cylinder: the word
 extended digit by digit with the smallest admissible continuation
-(``shift.canonical_point``; this module reads no kneading digit).  Each
+(``shift.sample_points``, which also decides whether the kneading data
+certifies those points; this module reads no kneading field).  Each
 sample is off by at most the potential's variation over its cylinder (see
 ``potentials``); no printed figure bounds the resulting pressure error.
 
@@ -50,8 +51,8 @@ import numpy as np
 
 from .expansion import Params
 from .potentials import PotentialSpec
-from .shift import (CylinderBasis, Kneading, UndecidedError, _canonical_points,
-                    check_transitivity, enumerate_words)
+from .shift import (CylinderBasis, Kneading, check_transitivity, enumerate_words,
+                    sample_points)
 
 
 class RegimeError(ValueError):
@@ -249,9 +250,10 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     """Build the depth-n discretization of the transfer operator.
 
     The build runs as numpy passes over the sorted basis, with no
-    per-word Python loop: canonical sample points are computed once per
-    kneading-pin state and gathered (``shift._canonical_points``), the
-    potential is evaluated on the whole uint8 point matrix
+    per-word Python loop: the sample points come from the shift
+    (``shift.sample_points``: the words' own digits, or canonical points
+    computed once per kneading-pin state and gathered), the potential is
+    evaluated on the whole uint8 point matrix
     (``PotentialSpec.values``), and the word graph comes from the last
     step of the level walk, where each word's (n-1)-suffix is a word of the
     previous level at a known position (``shift._level_graph``).  No word
@@ -270,7 +272,8 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
         outside the operator regime, or on a definitely non-transitive
         shift.  An ``unknown`` transitivity verdict proceeds with a warning.
     UndecidedError
-        if the kneading truncation cannot decide admissibility at depth n.
+        if the kneading truncation cannot decide admissibility at depth n,
+        or certify sample points of ``A.needed_digits`` digits.
     """
     warnings: list[str] = []
     if require_regime and not p.operator_regime:
@@ -291,15 +294,7 @@ def build_system(p: Params, K: Kneading, A: PotentialSpec, n: int,
     if len(basis) == 0:
         raise ValueError("empty cylinder basis")
 
-    need = A.needed_digits
-    if not K.exact and need > K.depth:
-        raise UndecidedError(
-            f"potential reads {need} digits but the kneading sequence is "
-            f"only known to depth {K.depth}; sample points beyond it cannot "
-            "be certified")
-    points = basis.digits_of(slice(None), need) if need <= n else \
-        _canonical_points(basis, K, need)
-    a_vals = A.values(points)
+    a_vals = A.values(sample_points(basis, K, A.needed_digits))
 
     head, tail = basis.graph
     return TransferSystem(p, K, A, basis, a_vals, head, tail, tuple(warnings))

@@ -7,8 +7,9 @@ exactly when none of its factors is forbidden, which reduces to comparing
 each suffix against the kneading prefixes; a suffix that matches a kneading
 prefix exactly is admissible-so-far and constrains further extensions.
 Those constraints also give the operator's sample points
-(``canonical_point``), so every comparison with the kneading sequence is
-made in this module.
+(``sample_points``, from ``canonical_point``), and the same bounds decide
+which periodic words are orbits of the shift (``periodic_words``), so
+every comparison with the kneading sequence is made in this module.
 
 A word of length n is stored as its key, the word read as a base-(m+1)
 integer, so lexicographic order is the order of the keys, and the
@@ -49,13 +50,18 @@ class Kneading:
 
     ``exact`` is True when ``upper`` is a complete PeriodicSeq; otherwise
     ``upper`` is a truncated Word and comparisons are only valid through
-    ``depth`` digits.
+    ``depth`` digits (``known``).
     """
 
     m: int
     upper: PeriodicSeq | Word
     exact: bool
     depth: int
+
+    def known(self, n: int) -> int:
+        """How many of the first n kneading digits are known: all n with
+        exact kneading, at most ``depth`` otherwise."""
+        return n if self.exact else min(n, self.depth)
 
     def upper_digit(self, i: int) -> int | None:
         """1-based digit of the kneading sequence; None beyond known depth."""
@@ -66,11 +72,9 @@ class Kneading:
         return self.upper[i - 1]
 
     def upper_prefix(self, n: int) -> Word:
-        if not self.exact and n > self.depth:
+        if self.known(n) < n:
             raise UndecidedError(f"kneading known to depth {self.depth} < {n}")
-        if self.exact:
-            return self.upper.prefix(n)
-        return self.upper[:n]
+        return self.upper.prefix(n) if self.exact else self.upper[:n]
 
     def lower_prefix(self, n: int) -> Word:
         return reflect_word(self.upper_prefix(n), self.m)
@@ -94,9 +98,7 @@ def build_kneading(p: Params, depth: int = 64) -> Kneading:
     """Compute kneading data for (m, beta), exact whenever the quasi-greedy
     digit recursion terminates in a cycle within ``depth`` steps."""
     x = quasi_greedy_of_one(p, depth)
-    if isinstance(x, PeriodicSeq):
-        return Kneading(p.m, x, True, depth)
-    return Kneading(p.m, x, False, depth)
+    return Kneading(p.m, x, isinstance(x, PeriodicSeq), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +294,14 @@ def _suffix_verdicts(cands: np.ndarray, K: Kneading) -> np.ndarray:
     """``_suffix_ok`` on every row of a uint8 candidate matrix at once:
     1 / 0 / -1 for True / False / None.
 
-    Each row's first ``known`` digits (all with exact kneading, at most
-    ``K.depth`` otherwise) are compared (``_lex_sign``) with the kneading
-    prefix and its reflection.  Below the lower or above the upper prefix
-    the row is violated (0).  A tie with either, in a row longer than
-    ``known``, needs a kneading digit beyond the known depth (-1).  Every
-    other row passes (1).
+    Each row's first ``known`` digits (``K.known``) are compared
+    (``_lex_sign``) with the kneading prefix and its reflection.  Below
+    the lower or above the upper prefix the row is violated (0).  A tie
+    with either, in a row longer than ``known``, needs a kneading digit
+    beyond the known depth (-1).  Every other row passes (1).
     """
     L = cands.shape[1]
-    known = L if K.exact else min(L, K.depth)
+    known = K.known(L)
     c_lo, c_up = (_lex_sign(cands[:, :known], np.array(bound(known), dtype=np.uint8))
                   for bound in (K.lower_prefix, K.upper_prefix))
     ok = (c_lo >= 0) & (c_up <= 0)
@@ -350,17 +351,21 @@ def _levels(p: Params, K: Kneading, n: int):
 
     Raises
     ------
+    ValueError
+        if n < 1.
     UndecidedError
         at the first length where the kneading truncation cannot decide
         some candidate.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if p.m > 255:
         raise ValueError("digits above 255 do not fit the uint8 word matrix")
     base = p.m + 1
     keys = np.zeros(1, dtype=np.int64)      # level 0: the empty word
     for length in range(1, n + 1):
         prev = keys.astype(_key_dtype(base, length), copy=False)
-        known = length if K.exact else min(length, K.depth)
+        known = K.known(length)
         s = base ** (length - known)
         lo, up = (_key(w, base) * s for w in (K.lower_prefix(known), K.upper_prefix(known)))
         lead = base ** (length - 1) * np.arange(base).astype(prev.dtype)
@@ -397,11 +402,12 @@ def words_and_forbidden(p: Params, K: Kneading, n: int,
 
     Raises
     ------
+    ValueError
+        if n < 1.
     UndecidedError
         if the kneading truncation cannot decide some candidate.
     """
     base = p.m + 1
-    keys = np.zeros(1, dtype=np.int64)      # n = 0: the empty word
     forbidden: list[Word] = []
     for length, (prev, lead, cut, keys) in enumerate(_levels(p, K, n), 1):
         rejected = np.concatenate([d + prev[i] for d, (a, _, _, b) in zip(lead, cut)
@@ -442,11 +448,11 @@ def enumerate_words(p: Params, K: Kneading, n: int, graph: bool = False) -> Cyli
 
     Raises
     ------
+    ValueError
+        if n < 1.
     UndecidedError
         if the kneading truncation cannot decide some candidate.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     for prev, _, cut, keys in _levels(p, K, n):
         pass
     base = p.m + 1
@@ -462,6 +468,29 @@ def forbidden_words(p: Params, K: Kneading, n: int) -> list[Word]:
     length n.  Sorted by (length, word).
     """
     return words_and_forbidden(p, K, n)[1]
+
+
+def periodic_words(p: Params, K: Kneading, length: int) -> np.ndarray:
+    """One period of every admissible periodic orbit of the given least
+    period, as a uint8 digit matrix: each orbit's lex-least rotation, one
+    per row, ascending.
+
+    The rows are the admissible words of that length (every factor of an
+    admissible point is an admissible word, ``enumerate_words``) whose key k
+    is strictly below the key of each nontrivial rotation, (k % B^(L-r))
+    B^r + k // B^(L-r) for r = 1 ... L-1 (B = base); a non-primitive word
+    equals one of its rotations and fails.  Of those, the words whose
+    periodic point the kneading data decides admissible are kept
+    (``_periodic_verdicts``): an undecided orbit is left out.
+    """
+    words = enumerate_words(p, K, length)
+    keys, base = words.keys, words.base
+    least = np.ones(len(keys), dtype=bool)
+    for r in range(1, length):
+        low = base ** (length - r)
+        least &= keys < keys % low * base ** r + keys // low
+    W = words.digits_of(least)
+    return W[_periodic_verdicts(W, K) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +520,7 @@ def canonical_point(w: Sequence[int], K: Kneading, total_len: int) -> Word:
     w = tuple(w)
     if total_len <= len(w):
         return w[:total_len]
-    known = total_len if K.exact else min(total_len, K.depth)
+    known = K.known(total_len)
     up = K.upper_prefix(known)
     lo = reflect_word(up, K.m)
     # the pins: lengths of the suffixes tied with the upper and the lower
@@ -522,16 +551,28 @@ def canonical_point(w: Sequence[int], K: Kneading, total_len: int) -> Word:
     return tuple(out)
 
 
-def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.ndarray:
-    """``canonical_point`` of every basis word, as an (N, total_len) uint8
-    matrix.
+def sample_points(basis: CylinderBasis, K: Kneading, width: int) -> np.ndarray:
+    """The operator's sample point of every basis word, its first ``width``
+    digits as an (N, width) uint8 matrix: the word's own digits while
+    ``width`` is at most the depth, its ``canonical_point`` beyond.
 
-    The appended digits depend only on the word's pins.  The longest
-    suffix tied with each kneading bound fixes the word's last digits and
-    so all of its pins, so ``canonical_point`` runs once per distinct pair
-    of those lengths and the tails are gathered.  A word's k-suffix, key %
-    base**k, ties with a kneading k-prefix where it equals that prefix's key.
+    Beyond the depth, the appended digits depend only on the word's pins.
+    The longest suffix tied with each kneading bound fixes the word's last
+    digits and so all of its pins, so ``canonical_point`` runs once per
+    distinct pair of those lengths and the tails are gathered.  A word's
+    k-suffix, key % base**k, ties with a kneading k-prefix where it equals
+    that prefix's key.
+
+    Raises ``UndecidedError`` when the kneading sequence is known to fewer
+    than ``width`` digits, also where ``width`` is within the depth.
     """
+    if K.known(width) < width:
+        raise UndecidedError(
+            f"potential reads {width} digits but the kneading sequence is "
+            f"only known to depth {K.depth}; sample points beyond it cannot "
+            "be certified")
+    if width <= basis.depth:
+        return basis.digits_of(slice(None), width)
     keys, n, base = basis.keys, basis.depth, basis.base
     # tied with up, with lo; the (n + 1)^2 pairs fit int16 at any practical
     # depth, which np.unique sorts by radix
@@ -542,7 +583,7 @@ def _canonical_points(basis: CylinderBasis, K: Kneading, total_len: int) -> np.n
             row[suffix == _key(bound(k), base)] = k
     _, first, inverse = np.unique(longest[0] * (n + 1) + longest[1],
                                   return_index=True, return_inverse=True)
-    tails = np.array([canonical_point(basis.word(i), K, total_len)[n:] for i in first],
+    tails = np.array([canonical_point(basis.word(i), K, width)[n:] for i in first],
                      dtype=np.uint8)
     return np.concatenate([basis.digits, tails[inverse]], axis=1)
 

@@ -43,7 +43,7 @@ from .operator import (NormalizedSystem, TransferSystem, _Operator, build_system
                        normalize_potential)
 from .potentials import PotentialSpec
 from .sequences import Word
-from .shift import Kneading, _periodic_verdicts, _rotation_points, enumerate_words
+from .shift import Kneading, _rotation_points, periodic_words
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +267,6 @@ class PeriodicOrbit:
         return len(self.word)
 
 
-def _least_rotation_keys(keys: np.ndarray, base: int, length: int) -> np.ndarray:
-    """Which keys of words of the given length are strictly below the keys
-    of each of their nontrivial rotations, (k % B^(L-r)) B^r + k // B^(L-r)
-    for r = 1 ... L-1 (B = base): one word per primitive orbit, its
-    lex-least rotation.  A non-primitive word equals one of its rotations
-    and fails."""
-    least = np.ones(len(keys), dtype=bool)
-    for r in range(1, length):
-        low = base ** (length - r)
-        least &= keys < keys % low * base ** r + keys // low
-    return least
-
-
 class OrbitList(Sequence[PeriodicOrbit]):
     """The orbits found by ``periodic_orbits``, held as one digit matrix
     (one lex-least rotation per row) and one vector of averages per
@@ -317,18 +304,14 @@ def periodic_orbits(p: Params, K: Kneading, A: PotentialSpec,
     Each orbit is given by its lex-least rotation; entries are ordered by
     period, then lexicographically.  Orbits whose admissibility is
     undecided at the kneading depth are skipped.  The orbits of period L
-    are found among the admissible words of length L (every factor of an
-    admissible point is an admissible word, ``enumerate_words``), by
-    comparing each word's key with the keys of its rotations
-    (``_least_rotation_keys``).  The result holds one digit matrix and one
-    vector of averages per period (``OrbitList``).
+    come from the shift (``shift.periodic_words``), and this function only
+    averages A over their rotations.  The result holds one digit matrix
+    and one vector of averages per period (``OrbitList``).
     """
     digits, averages = [], []
     need = max(A.needed_digits, 1)
     for length in range(1, max_period + 1):
-        words = enumerate_words(p, K, length)
-        W = words.digits_of(_least_rotation_keys(words.keys, words.base, length))
-        W = W[_periodic_verdicts(W, K) == 1]
+        W = periodic_words(p, K, length)
         N, L = W.shape
         # the average over the orbit, starting from its lex-least rotation
         vals = A.values(_rotation_points(W, need).reshape(N * L, need))

@@ -189,6 +189,11 @@ def test_enumerate_words_is_the_basis_of_the_walk():
                     assert outcome(walk, enumerate_words, p, K, n, graph) == \
                         outcome(walk, lambda *a: words_and_forbidden(*a)[0], p, K, n, graph), \
                         (m, b, kdepth, n, graph)
+            # both refuse a walk of no level
+            for fn in (enumerate_words, words_and_forbidden):
+                for graph in (False, True):
+                    with pytest.raises(ValueError, match="n must be >= 1"):
+                        fn(p, K, 0, graph)
 
 
 def test_word_accessor_and_lazy_tuples():

@@ -10,7 +10,8 @@ from symbeta.expansion import Params
 from symbeta.potentials import PotentialSpec
 from symbeta.sequences import PeriodicSeq
 from symbeta.shift import (Kneading, _lex_sign, _periodic_verdicts, _rotation_points,
-                           build_kneading, enumerate_words, is_admissible_point)
+                           build_kneading, enumerate_words, is_admissible_point,
+                           periodic_words)
 from symbeta.thermo import (ErgodicMaxReport, PeriodicOrbit, max_ergodic_average,
                             periodic_orbits)
 
@@ -165,16 +166,22 @@ def _least_rotation_rows(W):
     return (_lex_sign(W[:, None], _rotation_points(W, W.shape[1])[:, 1:]) < 0).all(axis=1)
 
 
+def digit_matrix_words(p, K, length):
+    """The orbit words of one length by the search on digit matrices that
+    the key comparison replaced: the lex-least rotations by
+    ``_least_rotation_rows``, decided admissible."""
+    W = enumerate_words(p, K, length).digits
+    W = W[_least_rotation_rows(W)]
+    return W[_periodic_verdicts(W, K) == 1]
+
+
 def digit_matrix_orbits(p, K, A, max_period):
-    """The search on digit matrices that the key comparison replaced: the
-    lex-least rotations by ``_least_rotation_rows``, and one
-    PeriodicOrbit built per orbit, in a list."""
+    """The orbits of ``digit_matrix_words``, one PeriodicOrbit built per
+    orbit, in a list."""
     out = []
     need = max(A.needed_digits, 1)
     for length in range(1, max_period + 1):
-        W = enumerate_words(p, K, length).digits
-        W = W[_least_rotation_rows(W)]
-        W = W[_periodic_verdicts(W, K) == 1]
+        W = digit_matrix_words(p, K, length)
         N, L = W.shape
         averages = A.values(_rotation_points(W, need).reshape(N * L, need)).reshape(N, L).mean(axis=1)
         out.extend(PeriodicOrbit(tuple(w), float(a)) for w, a in zip(W.tolist(), averages))
@@ -197,6 +204,9 @@ def test_orbit_arrays_match_digit_matrix_search(shift):
         p, depth = SHIFTS[shift]
         K = build_kneading(p, depth)
     P = 7 if shift == "full-4-5" else 8
+    for length in range(1, P + 1):
+        got, want = periodic_words(p, K, length), digit_matrix_words(p, K, length)
+        assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want), length
     for name, A in potentials(p.m).items():
         want = digit_matrix_orbits(p, K, A, P)
         got = periodic_orbits(p, K, A, P)

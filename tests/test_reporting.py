@@ -250,7 +250,10 @@ def test_cli_kneading_too_shallow(capsys):
                  "--kneading-depth", "8",
                  "--potential", "geometric:c=0.3,theta=0.25,kmax=32"])
     assert code == 2
-    assert "kneading" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: potential reads 32 digits but the kneading sequence is only "
+        "known to depth 8; sample points beyond it cannot be certified "
+        "(increase --kneading-depth)\n")
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,45 @@ def test_undecided_beyond_kneading_depth():
     # a definite violation wins over an open comparison
     bad = K.upper_prefix(6) + (0,)   # contains the forbidden factor 020
     assert is_admissible(bad, K) is False
+    # a truncated kneading knows at most its depth, and its prefixes stop
+    # there; an exact one knows every digit asked for
+    assert not K.exact and [K.known(n) for n in (0, 1, 6, 7, 100)] == [0, 1, 6, 6, 6]
+    with pytest.raises(UndecidedError, match="known to depth 6 < 7"):
+        K.upper_prefix(7)
+    for m, b in ((3, 4), (2, "beta_T")):
+        _, K = kn(m, b, 6)
+        assert K.exact and [K.known(n) for n in (0, 6, 7, 100)] == [0, 6, 7, 100]
+        assert len(K.upper_prefix(100)) == 100
+
+
+# every fact about words and kneading is decided in shift.py: no other
+# module reads a word key (a CylinderBasis's ``keys`` or ``base``; a call
+# of a method named ``keys``, such as a dict's, is not a read) or a field
+# of a kneading, by convention the name ``K``
+KNEADING_FIELDS = {"exact", "depth", "upper", "upper_prefix", "lower_prefix", "upper_digit"}
+
+
+def shift_reads(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of every key or kneading read in the source."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and ((node.attr in ("keys", "base") and id(node) not in called)
+                  or (node.attr in KNEADING_FIELDS and isinstance(node.value, ast.Name)
+                      and node.value.id == "K"))]
+    return [(node.lineno, node.attr)
+            for node in sorted(reads, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_only_shift_reads_keys_and_kneading():
+    assert shift_reads("b.keys[0]; n = b.base; d.keys(); K.exact; K.upper_prefix(3); T.depth") \
+        == [(1, "keys"), (1, "base"), (1, "exact"), (1, "upper_prefix")]
+    src = Path(__file__).resolve().parents[1] / "src" / "symbeta"
+    paths = sorted(path for path in src.glob("*.py") if path.name != "shift.py")
+    assert paths
+    reads = {path.name: shift_reads(path.read_text()) for path in paths}
+    assert reads == {path.name: [] for path in paths}
 
 
 # ---------------------------------------------------------------------------
